@@ -93,7 +93,9 @@ def _dist_to_segments(p, poly):
     ab = b - a
     ap = p[None, :] - a
     denom = np.einsum("ij,ij->i", ab, ab)
-    t = np.clip(np.divide(np.einsum("ij,ij->i", ap, ab), denom, where=denom > 0), 0.0, 1.0)
+    # a zero-length edge (repeated vertex) projects onto its start point
+    t = np.divide(np.einsum("ij,ij->i", ap, ab), denom, out=np.zeros_like(denom), where=denom > 0)
+    t = np.clip(t, 0.0, 1.0)
     closest = a + t[:, None] * ab
     return float(np.min(np.hypot(*(p[None, :] - closest).T)))
 
@@ -245,22 +247,20 @@ class CutConfiguration:
         element. With `widened=True` faces adjacent to a neighbour of a cut
         element are included as well (used when the space is frozen while the
         interface keeps moving)."""
-        cut = self.status == ElemStatus.CUT
+        g = self.grid
+        cut = (self.status == ElemStatus.CUT).reshape(g.ny, g.nx)
         marked = cut.copy()
         if widened:
-            g = self.grid
-            for e in np.flatnonzero(cut):
-                i, j = g.elem_ij(e)
-                for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-                    ii, jj = i + di, j + dj
-                    if 0 <= ii < g.nx and 0 <= jj < g.ny:
-                        marked[g.elem_id(ii, jj)] = True
-        out = []
+            marked[1:] |= cut[:-1]
+            marked[:-1] |= cut[1:]
+            marked[:, 1:] |= cut[:, :-1]
+            marked[:, :-1] |= cut[:, 1:]
+        marked = marked.ravel()
         active = self.status != ElemStatus.COVERED
-        for el, er, a, b in self.grid.interior_faces():
-            if active[el] and active[er] and (marked[el] or marked[er]):
-                out.append((el, er, a, b))
-        return out
+        faces = g.interior_faces()
+        el, er = faces[:, 0], faces[:, 1]
+        keep = active[el] & active[er] & (marked[el] | marked[er])
+        return [tuple(f) for f in faces[keep].tolist()]
 
     def same_active_space(self, other: "CutConfiguration") -> bool:
         return (

@@ -34,8 +34,6 @@ __all__ = [
     "interpolate_scalar",
 ]
 
-_SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
-
 
 @dataclass(frozen=True)
 class FluidParams:
@@ -64,15 +62,15 @@ class FluidParams:
 def basis_tables(hx: float, hy: float, s: np.ndarray, t: np.ndarray):
     """Bilinear basis data at local coordinates (s, t) in [0, 1]^2.
 
-    Returns (N, Dx, Dy, D2) with shapes (Q, 4), (Q, 4), (Q, 4), (4,); node
-    order is counterclockwise from the lower-left corner. D2 is the constant
-    mixed second derivative d2N/dxdy.
+    Returns (N, Dx, Dy, D2) with shapes (..., 4), (..., 4), (..., 4), (4,)
+    for s and t of shape (...); node order is counterclockwise from the
+    lower-left corner. D2 is the constant mixed second derivative d2N/dxdy.
     """
     s = np.asarray(s, dtype=float)
     t = np.asarray(t, dtype=float)
-    N = np.column_stack([(1 - s) * (1 - t), s * (1 - t), s * t, (1 - s) * t])
-    Dx = np.column_stack([-(1 - t), (1 - t), t, -t]) / hx
-    Dy = np.column_stack([-(1 - s), -s, s, (1 - s)]) / hy
+    N = np.stack([(1 - s) * (1 - t), s * (1 - t), s * t, (1 - s) * t], axis=-1)
+    Dx = np.stack([-(1 - t), (1 - t), t, -t], axis=-1) / hx
+    Dy = np.stack([-(1 - s), -s, s, (1 - s)], axis=-1) / hy
     D2 = np.array([1.0, -1.0, 1.0, -1.0]) / (hx * hy)
     return N, Dx, Dy, D2
 
@@ -95,86 +93,86 @@ def stabilization_times(params: FluidParams, dt: float, hx: float, hy: float, c:
 
 
 def _ns_kernel(params, sigma, hist_ratio, dt, hx, hy, N, Dx, Dy, D2, w, Ue, Pe, Oe, Ae, Ce, Fe):
-    """Residual and Jacobian for a batch of elements sharing quadrature.
+    """Residual and Jacobian for a batch of elements.
 
-    Shapes: N/Dx/Dy (Q,4), D2 (4,), w (Q,), Ue/Oe/Ae/Ce (E,4,2), Pe (E,4),
-    Fe (E,Q,2). Returns Rv (E,4,2), Rq (E,4), Juu (E,4,2,4,2),
-    Jup (E,4,2,4), Jpu (E,4,4,2), Jpp (E,4,4).
+    Shapes: N/Dx/Dy (E|1,Q,4) and w (E|1,Q), per element or shared by the
+    whole batch; D2 (4,), Ue/Oe/Ae/Ce (E,4,2), Pe (E,4), Fe (E,Q,2). Every
+    term is a weighted, transposed basis table times a table or a field at
+    the Gauss points, (E|1,4,Q) @ (E|1,Q,·). Returns Rv (E,4,2), Rq (E,4),
+    Juu (E,4,2,4,2), Jup (E,4,2,4), Jpu (E,4,4,2), Jpp (E,4,4).
     """
     rho, mu = params.density, params.viscosity
     E = Ue.shape[0]
-    D = np.stack([Dx, Dy], axis=-1)  # (Q,4,2): dN_a/dx_j
-    eye = np.eye(2)
+    D = (Dx, Dy)
 
-    u = np.einsum("qa,eai->eqi", N, Ue)
-    u_old = np.einsum("qa,eai->eqi", N, Oe)
-    a_old = np.einsum("qa,eai->eqi", N, Ae)
-    c = np.einsum("qa,eai->eqi", N, Ce)
-    p = np.einsum("qa,ea->eq", N, Pe)
-    p_grad = np.einsum("qaj,ea->eqj", D, Pe)
-    gu = np.einsum("qaj,eai->eqij", D, Ue)  # du_i/dx_j
-    div_u = gu[..., 0, 0] + gu[..., 1, 1]
+    def weighted(*factors):
+        # (E|1,4,Q): w * factors * table, transposed for a left product
+        out = w[..., None]
+        for f in factors:
+            out = out * f
+        return np.swapaxes(out, 1, 2)
+
+    u, u_old, a_old, c = N @ Ue, N @ Oe, N @ Ae, N @ Ce  # (E,Q,2)
+    p = N @ Pe[..., None]  # (E,Q,1)
+    p_grad = np.concatenate([Dx @ Pe[..., None], Dy @ Pe[..., None]], axis=-1)
+    gu = (Dx @ Ue, Dy @ Ue)  # gu[j][..., i] = du_i/dx_j
+    div_u = gu[0][..., :1] + gu[1][..., 1:]  # (E,Q,1)
     # constant mixed derivatives per element; the viscous strong term is
     # mu * (d2 u_y/dxdy, d2 u_x/dxdy) on rectangles
-    mixed = np.einsum("a,eai->ei", D2, Ue)
-    visc_strong = mu * mixed[:, ::-1]
+    visc_strong = mu * (D2 @ Ue)[:, None, ::-1]  # (E,1,2)
 
     tau_m, tau_c = stabilization_times(params, dt, hx, hy, c)
+    tau_m, tau_c = tau_m[..., None], tau_c[..., None]  # (E,Q,1)
 
-    conv_u = np.einsum("eqj,eqij->eqi", u, gu)  # (u . grad) u
     time_part = rho * sigma * (u - u_old)
     strong = (
         time_part
-        + rho * np.einsum("eqj,eqij->eqi", c, gu)
+        + rho * (c[..., :1] * gu[0] + c[..., 1:] * gu[1])
         + p_grad
-        - visc_strong[:, None, :]
+        - visc_strong
         - rho * Fe
     )
-
-    ca_dot = np.einsum("eqj,qaj->eqa", c, D)  # c . grad N_a
-    ub_dot = np.einsum("eqj,qbj->eqb", u, D)  # u . grad N_b
-
+    conv_u = u[..., :1] * gu[0] + u[..., 1:] * gu[1]  # (u . grad) u
     gal = time_part - hist_ratio * rho * a_old - rho * Fe + rho * conv_u
-    Rv = np.einsum("q,eqi,qa->eai", w, gal, N)
-    sym = gu + np.swapaxes(gu, 2, 3)
-    Rv += mu * np.einsum("q,eqij,qaj->eai", w, sym, D)
-    Rv -= np.einsum("q,eq,qai->eai", w, p, D)
-    Rv += rho * np.einsum("q,eqi,eq,eqa->eai", w, strong, tau_m, ca_dot)
-    Rv += np.einsum("q,eq,eq,qai->eai", w, tau_c, div_u, D)
+    # sym[j][..., i] = du_i/dx_j + du_j/dx_i
+    sym = [gu[j] + np.concatenate([g[..., j : j + 1] for g in gu], axis=-1) for j in (0, 1)]
 
-    Rq = np.einsum("q,eq,qa->ea", w, div_u, N)
-    Rq += np.einsum("q,eqi,eq,qai->ea", w, strong, tau_m, D)
+    ca_dot = c[..., :1] * Dx + c[..., 1:] * Dy  # (E,Q,4): c . grad N_a
+    ub_dot = u[..., :1] * Dx + u[..., 1:] * Dy  # u . grad N_b
+
+    WN = weighted(N)
+    WD = [weighted(Dj) for Dj in D]
+    WcD = [weighted(tau_c, Dj) for Dj in D]
+    WmD = [weighted(tau_m, Dj) for Dj in D]
+    Wca = weighted(rho * tau_m, ca_dot)
+
+    Rv = WN @ gal + mu * (WD[0] @ sym[0] + WD[1] @ sym[1]) + Wca @ strong
+    grad_test = tau_c * div_u - p
+    Rv += np.concatenate([WD[0] @ grad_test, WD[1] @ grad_test], axis=-1)
+    Rq = WN @ div_u + WmD[0] @ strong[..., :1] + WmD[1] @ strong[..., 1:]
 
     # --- Jacobian at frozen advection field and stabilization times ---
-    lin = rho * sigma * N[None, :, :] + rho * np.einsum("eqj,qbj->eqb", c, D)
-    dstrong = np.einsum("eqb,ik->eqbik", lin, eye)
-    dstrong = dstrong - (mu * np.einsum("b,ik->bik", D2, _SWAP))[None, None]
+    # d(strong)/dU = lin_b delta_ik - mu D2_b SWAP_ik
+    lin = rho * (sigma * N + ca_dot)
+    diag = rho * (WN @ (sigma * N + ub_dot)) + mu * (WD[0] @ D[0] + WD[1] @ D[1]) + Wca @ lin
+    swap = mu * Wca.sum(axis=2)[..., None] * D2  # (E,4,4)
 
-    Juu = np.zeros((E, 4, 2, 4, 2))
-    Juu += (rho * sigma * np.einsum("q,qa,qb,ik->aibk", w, N, N, eye))[None]
-    Juu += rho * np.einsum("q,qa,qb,eqik->eaibk", w, N, N, gu)
-    Juu += rho * np.einsum("q,qa,eqb,ik->eaibk", w, N, ub_dot, eye)
-    Juu += (
-        mu
-        * (
-            np.einsum("q,qaj,qbj,ik->aibk", w, D, D, eye)
-            + np.einsum("q,qbi,qak->aibk", w, D, D)
+    Juu = np.empty((E, 4, 2, 4, 2))
+    for i in (0, 1):
+        for k in (0, 1):
+            blk = rho * (WN @ (gu[k][..., i : i + 1] * N)) + mu * (WD[k] @ D[i]) + WcD[i] @ D[k]
+            Juu[:, :, i, :, k] = blk + diag if i == k else blk - swap
+
+    Jup = np.empty((E, 4, 2, 4))
+    Jpu = np.empty((E, 4, 4, 2))
+    for i in (0, 1):
+        Jup[:, :, i, :] = Wca @ D[i] - WD[i] @ N
+        Jpu[:, :, :, i] = (
+            WN @ D[i] + WmD[i] @ lin - mu * WmD[1 - i].sum(axis=2)[..., None] * D2
         )
-    )[None]
-    Juu += rho * np.einsum("q,eq,eqa,eqbik->eaibk", w, tau_m, ca_dot, dstrong)
-    Juu += np.einsum("q,eq,qai,qbk->eaibk", w, tau_c, D, D)
+    Jpp = WmD[0] @ D[0] + WmD[1] @ D[1]
 
-    Jup = np.zeros((E, 4, 2, 4))
-    Jup += (-np.einsum("q,qai,qb->aib", w, D, N))[None]
-    Jup += rho * np.einsum("q,eq,eqa,qbi->eaib", w, tau_m, ca_dot, D)
-
-    Jpu = np.zeros((E, 4, 4, 2))
-    Jpu += np.einsum("q,qa,qbk->abk", w, N, D)[None]
-    Jpu += np.einsum("q,eq,qai,eqbik->eabk", w, tau_m, D, dstrong)
-
-    Jpp = np.einsum("q,eq,qai,qbi->eab", w, tau_m, D, D)
-
-    return Rv, Rq, Juu, Jup, Jpu, Jpp
+    return Rv, Rq[..., 0], Juu, Jup, Jpu, Jpp
 
 
 def _local_coords(bbox, pts):
@@ -210,9 +208,10 @@ def assemble_navier_stokes(
 
     All vectors use the full-grid numbering. `body_force` is None, a
     constant pair, or a callable ``f(pts, t) -> (M, 2)`` vectorised over the
-    (M, 2) points; one call covers the Gauss points of all uncut elements, so
-    M spans many elements. Returns (Ru, Rp, Juu, Jup, Jpu, Jpp) with the
-    sparse blocks in CSR form.
+    (M, 2) points; one call covers the Gauss points of all uncut elements and
+    one those of all cut elements, padding points included, so M spans many
+    elements. Returns (Ru, Rp, Juu, Jup, Jpu, Jpp) with the sparse blocks in
+    CSR form.
     """
     n = grid.n_nodes
     hx, hy = grid.spacing
@@ -266,26 +265,41 @@ def assemble_navier_stokes(
             Jpp.reshape(E, 4, 4).ravel(),
         )
 
-    # Uncut elements: shared 3x3 tensor rule.
+    # Uncut elements: one shared 3x3 tensor rule.
+    xy = grid.node_coords()
     full = np.flatnonzero(cfg.status == ElemStatus.FLUID)
     if full.size:
         xi, wi = np.polynomial.legendre.leggauss(3)
         s = np.repeat(0.5 * (xi + 1.0), 3)
         t = np.tile(0.5 * (xi + 1.0), 3)
         w = (np.repeat(wi, 3) * np.tile(wi, 3)) * 0.25 * hx * hy
-        N, Dx, Dy, D2 = basis_tables(hx, hy, s, t)
-        lower_left = grid.node_coords()[conn_all[full, 0]]
+        N, Dx, Dy, D2 = basis_tables(hx, hy, s[None], t[None])
+        lower_left = xy[conn_all[full, 0]]
         pts = lower_left[:, None, :] + np.column_stack([s * hx, t * hy])[None]
-        run_batch(full, N, Dx, Dy, D2, w, pts)
+        run_batch(full, N, Dx, Dy, D2, w[None], pts)
 
-    # Cut elements: one batch per element with its polygon decomposition.
-    for e, polys in cfg.pieces.items():
-        rule = QuadratureRule.concat([polygon_rule(p) for p in polys])
-        if len(rule) == 0:
-            continue
-        s, t = _local_coords(grid.elem_bbox(e), rule.points)
+    # Cut elements: one batch of their polygon rules, padded to a common
+    # length with zero weights at a repeated real point.
+    rules = [
+        (e, QuadratureRule.concat([polygon_rule(p) for p in polys]))
+        for e, polys in cfg.pieces.items()
+    ]
+    rules = [(e, rule) for e, rule in rules if len(rule)]
+    if rules:
+        cut = np.array([e for e, _ in rules])
+        Q = max(len(rule) for _, rule in rules)
+        pts = np.empty((cut.size, Q, 2))
+        w = np.zeros((cut.size, Q))
+        for k, (_, rule) in enumerate(rules):
+            m = len(rule)
+            pts[k, :m] = rule.points
+            pts[k, m:] = rule.points[0]
+            w[k, :m] = rule.weights
+        lower_left = xy[conn_all[cut, 0]]
+        s = (pts[..., 0] - lower_left[:, :1]) / hx
+        t = (pts[..., 1] - lower_left[:, 1:]) / hy
         N, Dx, Dy, D2 = basis_tables(hx, hy, s, t)
-        run_batch(np.array([e]), N, Dx, Dy, D2, rule.weights, rule.points[None])
+        run_batch(cut, N, Dx, Dy, D2, w, pts)
 
     return Ru, Rp, acc_uu.tocsr(), acc_up.tocsr(), acc_pu.tocsr(), acc_pp.tocsr()
 

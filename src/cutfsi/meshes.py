@@ -128,35 +128,26 @@ class StructuredGrid:
             raise ValueError(f"point {p} outside grid")
         return self.elem_id(i, j)
 
-    def interior_faces(self) -> list[tuple[int, int, int, int]]:
-        """All interior faces as (elem_left, elem_right, node_a, node_b).
+    def interior_faces(self) -> np.ndarray:
+        """All interior faces as (n_faces, 4) rows (elem_left, elem_right,
+        node_a, node_b).
 
-        Vertical faces pair (i,j) with (i+1,j); horizontal faces pair
-        (i,j) with (i,j+1). Node pair is the shared edge, ordered so the
-        left/lower element sees it counterclockwise.
+        Vertical faces pair (i,j) with (i+1,j) and come first; horizontal
+        faces pair (i,j) with (i,j+1). Each group runs over j, then i. Node
+        pair is the shared edge, ordered so the left/lower element sees it
+        counterclockwise.
         """
-        faces = []
-        for j in range(self.ny):
-            for i in range(self.nx - 1):
-                faces.append(
-                    (
-                        self.elem_id(i, j),
-                        self.elem_id(i + 1, j),
-                        self.node_id(i + 1, j),
-                        self.node_id(i + 1, j + 1),
-                    )
-                )
-        for j in range(self.ny - 1):
-            for i in range(self.nx):
-                faces.append(
-                    (
-                        self.elem_id(i, j),
-                        self.elem_id(i, j + 1),
-                        self.node_id(i, j + 1),
-                        self.node_id(i + 1, j + 1),
-                    )
-                )
-        return faces
+        i, j = (a.ravel() for a in np.meshgrid(np.arange(self.nx - 1), np.arange(self.ny)))
+        vertical = np.column_stack([
+            self.elem_id(i, j), self.elem_id(i + 1, j),
+            self.node_id(i + 1, j), self.node_id(i + 1, j + 1),
+        ])
+        i, j = (a.ravel() for a in np.meshgrid(np.arange(self.nx), np.arange(self.ny - 1)))
+        horizontal = np.column_stack([
+            self.elem_id(i, j), self.elem_id(i, j + 1),
+            self.node_id(i, j + 1), self.node_id(i + 1, j + 1),
+        ])
+        return np.concatenate([vertical, horizontal])
 
     def boundary_nodes(self, side: str) -> np.ndarray:
         """Node ids on one side: 'left', 'right', 'bottom', 'top'."""

@@ -9,6 +9,7 @@ from cutfsi.cutting import (
     ElemStatus,
     GeometryError,
     NodeRole,
+    _dist_to_segments,
     avg,
     avg_conjugate,
     build_cut_configuration,
@@ -209,6 +210,22 @@ def test_node_roles():
         else:
             assert role == NodeRole.STANDARD
     assert np.array_equal(cfg.active_nodes, np.array(sorted(active_nodes)))
+
+
+def test_repeated_vertex_distance_and_roles_match_deduplicated_loop():
+    # a repeated vertex is a zero-length loop edge; it must neither poison
+    # the on-interface distance nor change any node role
+    solid = _rect_loop(0.3111, 0.2777, 0.31, 0.27)
+    repeated = np.insert(solid, 2, solid[1], axis=0)
+    xy = GRID.node_coords()
+    for p in [xy[37], solid[1], np.array([0.7, 0.2]), np.array([0.45, 0.41])]:
+        got = _dist_to_segments(p, repeated)
+        assert np.isfinite(got)
+        assert got == _dist_to_segments(p, solid)
+    cfg = build_cut_configuration(GRID, repeated)
+    ref = build_cut_configuration(GRID, solid)
+    assert np.array_equal(cfg.status, ref.status)
+    assert np.array_equal(cfg.node_role, ref.node_role)
 
 
 def test_snapping_pulls_vertices_onto_grid_lines():

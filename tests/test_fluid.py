@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from cutfsi.cutting import CutConfiguration, ElemStatus, NodeRole, build_cut_configuration
 from cutfsi.fluid import (
@@ -15,6 +16,7 @@ from cutfsi.fluid import (
     stabilization_times,
 )
 from cutfsi.meshes import StructuredGrid
+from cutfsi.quadrature import QuadratureRule, polygon_rule
 
 PAR = FluidParams(density=1.0, viscosity=0.01)
 
@@ -160,7 +162,8 @@ def test_uncut_batch_matches_scalar_reference_with_one_force_call():
     args = (PAR, dt, theta, U, P, Uo, Ao, Cb)
     Ru, Rp, *_ = assemble_navier_stokes(grid, cfg, *args, body_force=force)
     assert sizes.count(9 * full.size) == 1
-    assert len(sizes) == 1 + len(cfg.pieces)
+    # one call for the uncut batch, one for the batch of all cut elements
+    assert len(sizes) == 2 and sizes[0] == 9 * full.size
 
     # the uncut elements' share: subtract an assembly over the cut elements alone
     cut_status = np.where(cfg.status == ElemStatus.FLUID, ElemStatus.COVERED, cfg.status)
@@ -216,6 +219,119 @@ def test_jacobian_matches_finite_differences():
         xp[j] += h
         rp = residual(xp[: 2 * n], xp[2 * n :])
         fd = (rp - r0) / h
+        assert np.allclose(J[:, j], fd, atol=2e-6 * max(1.0, np.abs(J).max()))
+
+
+def _triangle_cut_config():
+    # the cut elements' rules range from 12 to 78 points, so the cut batch
+    # pads most of them with zero weights
+    grid = StructuredGrid((0.0, 0.0), (0.25, 0.25), (4, 4))
+    solid = np.array([[0.31, 0.28], [0.83, 0.41], [0.52, 0.77]])
+    cfg = build_cut_configuration(grid, solid)
+    lengths = {
+        len(QuadratureRule.concat([polygon_rule(p) for p in polys]))
+        for polys in cfg.pieces.values()
+    }
+    assert len(lengths) >= 3
+    return grid, cfg
+
+
+def _swirl_force(pts, t):
+    return np.column_stack([np.sin(3.0 * pts[:, 0]) + pts[:, 1], pts[:, 0] * pts[:, 1]])
+
+
+def test_cut_batch_equals_sum_of_single_cut_element_assemblies():
+    grid, cfg = _triangle_cut_config()
+    rng = np.random.default_rng(11)
+    n = grid.n_nodes
+    U, Uo, Ao, Cb = (rng.standard_normal(2 * n) for _ in range(4))
+    P = rng.standard_normal(n)
+    args = (PAR, 0.2, 0.6, U, P, Uo, Ao, Cb)
+
+    def cut_only(elems):
+        status = np.full(grid.n_elems, ElemStatus.COVERED, dtype=np.int8)
+        status[list(elems)] = ElemStatus.CUT
+        pieces = {e: cfg.pieces[e] for e in elems}
+        return CutConfiguration(grid, status, pieces, [], cfg.loop, cfg.node_role)
+
+    got = assemble_navier_stokes(grid, cut_only(cfg.pieces), *args, body_force=_swirl_force)
+    singles = [
+        assemble_navier_stokes(grid, cut_only([e]), *args, body_force=_swirl_force)
+        for e in cfg.pieces
+    ]
+    for k, block in enumerate(got):
+        want = sum(single[k] for single in singles)
+        if k >= 2:
+            block, want = block.toarray(), want.toarray()
+        scale = np.abs(want).max()
+        assert scale > 0.0
+        assert np.allclose(block, want, rtol=0.0, atol=1e-12 * scale)
+
+
+def test_cut_batch_force_load_matches_shape_function_integrals():
+    # at rest with no advection the residual is the force load alone:
+    # Rv_a = -rho * int f N_a and Rq_a = -rho * tau_m * int f . grad N_a
+    grid, cfg = _triangle_cut_config()
+    n = grid.n_nodes
+    zero = np.zeros(2 * n)
+    status = np.where(cfg.status == ElemStatus.FLUID, ElemStatus.COVERED, cfg.status)
+    cut_only = CutConfiguration(
+        grid, status.astype(np.int8), cfg.pieces, [], cfg.loop, cfg.node_role
+    )
+    dt = 0.2
+    Ru, Rp, *_ = assemble_navier_stokes(
+        grid, cut_only, PAR, dt, 1.0, zero, np.zeros(n), zero, zero, zero, body_force=_swirl_force
+    )
+    hx, hy = grid.spacing
+    tau_m, _ = stabilization_times(PAR, dt, hx, hy, np.zeros(2))
+    want_v = np.zeros((n, 2))
+    want_q = np.zeros(n)
+    for e, polys in cfg.pieces.items():
+        x0, y0, _, _ = grid.elem_bbox(e)
+        conn = grid.elem_nodes(e)
+        for poly in polys:
+            rule = polygon_rule(poly)
+            s = (rule.points[:, 0] - x0) / hx
+            t = (rule.points[:, 1] - y0) / hy
+            f = _swirl_force(rule.points, 0.0)
+            N = np.column_stack([(1 - s) * (1 - t), s * (1 - t), s * t, (1 - s) * t])
+            Dx = np.column_stack([t - 1, 1 - t, t, -t]) / hx
+            Dy = np.column_stack([s - 1, -s, s, 1 - s]) / hy
+            want_v[conn] -= PAR.density * (rule.weights[:, None] * N).T @ f
+            want_q[conn] -= PAR.density * tau_m * (
+                (rule.weights * f[:, 0]) @ Dx + (rule.weights * f[:, 1]) @ Dy
+            )
+    assert np.allclose(Ru.reshape(n, 2), want_v, rtol=0.0, atol=1e-13 * np.abs(want_v).max())
+    assert np.allclose(Rp, want_q, rtol=0.0, atol=1e-13 * np.abs(want_q).max())
+
+
+def test_cut_jacobian_matches_finite_differences():
+    grid, cfg = _triangle_cut_config()
+    rng = np.random.default_rng(5)
+    n = grid.n_nodes
+    U, P, Uo, Ao, Cb = (0.5 * rng.standard_normal(k * n) for k in (2, 1, 2, 2, 2))
+    dt, theta = 0.1, 0.8
+
+    def residual(Uv, Pv):
+        Ru, Rp, *_ = assemble_navier_stokes(
+            grid, cfg, PAR, dt, theta, Uv, Pv, Uo, Ao, Cb, body_force=_swirl_force
+        )
+        return np.concatenate([Ru, Rp])
+
+    _, _, Juu, Jup, Jpu, Jpp = assemble_navier_stokes(
+        grid, cfg, PAR, dt, theta, U, P, Uo, Ao, Cb, body_force=_swirl_force
+    )
+    J = sp.bmat([[Juu, Jup], [Jpu, Jpp]]).toarray()
+    x0 = np.concatenate([U, P])
+    r0 = residual(U, P)
+    h = 1e-7
+    # every dof of the cut elements, where the padded rules enter
+    cols = np.unique(grid.all_elem_nodes()[list(cfg.pieces)])
+    cols = np.concatenate([2 * cols, 2 * cols + 1, 2 * n + cols])
+    for j in cols:
+        xp = x0.copy()
+        xp[j] += h
+        fd = (residual(xp[: 2 * n], xp[2 * n :]) - r0) / h
         assert np.allclose(J[:, j], fd, atol=2e-6 * max(1.0, np.abs(J).max()))
 
 
