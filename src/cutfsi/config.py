@@ -6,9 +6,7 @@ Sections and keys (defaults in parentheses; every applied default is logged):
 ``[geometry]``
     background_origin, background_spacing, background_counts — the fixed flow
     grid; ``solid_mesh`` — path to a fitted mesh text file (omit for
-    flow-only cases); ``solid_rigid`` (false); optional ``embedded_origin`` /
-    ``embedded_spacing`` / ``embedded_counts`` describing an overlapping flow
-    patch.
+    flow-only cases); ``solid_rigid`` (false).
 ``[materials]``
     young, poisson, solid_density (required with a solid mesh);
     fluid_viscosity (dynamic), fluid_density.
@@ -77,9 +75,6 @@ class CaseConfig:
     background_counts: tuple[int, int] = (1, 1)
     solid_mesh: str | None = None
     solid_rigid: bool = False
-    embedded_origin: tuple[float, float] | None = None
-    embedded_spacing: tuple[float, float] | None = None
-    embedded_counts: tuple[int, int] | None = None
     # materials
     young: float | None = None
     poisson: float | None = None
@@ -178,14 +173,6 @@ class CaseConfig:
     def build_problem(self, base: Path | None = None) -> FsiProblem:
         return FsiProblem(self.build_fluid(), self.build_solid(base))
 
-    def build_patch(self) -> FluidProblem | None:
-        if self.embedded_counts is None:
-            return None
-        grid = StructuredGrid(
-            self.embedded_origin, self.embedded_spacing, self.embedded_counts
-        )
-        return FluidProblem(grid, self.fluid_params())
-
     def build_driver_config(self) -> DriverConfig:
         return DriverConfig(
             dt=self.dt,
@@ -267,12 +254,6 @@ _SCHEMA = {
     ),
     ("geometry", "solid_mesh"): ("solid_mesh", lambda raw, line: raw.strip()),
     ("geometry", "solid_rigid"): ("solid_rigid", _bool),
-    ("geometry", "embedded_origin"): ("embedded_origin", _pair),
-    ("geometry", "embedded_spacing"): ("embedded_spacing", _pair),
-    ("geometry", "embedded_counts"): (
-        "embedded_counts",
-        lambda raw, line: _pair(raw, line, int),
-    ),
     ("materials", "young"): ("young", _float),
     ("materials", "poisson"): ("poisson", _float),
     ("materials", "solid_density"): ("solid_density", _float),
@@ -417,12 +398,6 @@ def _validate(cfg: CaseConfig, where) -> None:
         raise ConfigError(
             f"line {_line(where, 'geometry', 'background_counts')}: "
             "counts must be at least 1"
-        )
-    embedded = (cfg.embedded_origin, cfg.embedded_spacing, cfg.embedded_counts)
-    if any(v is not None for v in embedded) and any(v is None for v in embedded):
-        raise ConfigError(
-            "embedded patch needs embedded_origin, embedded_spacing and "
-            "embedded_counts together"
         )
     if cfg.fluid_viscosity <= 0.0:
         raise ConfigError(

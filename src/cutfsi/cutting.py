@@ -239,9 +239,6 @@ class CutConfiguration:
     def interface_length(self) -> float:
         return sum(s.length for s in self.segments)
 
-    def elem_is_active(self, e: int) -> bool:
-        return self.status[e] != ElemStatus.COVERED
-
     def ghost_facets(self, widened: bool = False) -> list[tuple[int, int, int, int]]:
         """Interior faces of the active mesh adjacent to at least one cut
         element. With `widened=True` faces adjacent to a neighbour of a cut

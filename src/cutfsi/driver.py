@@ -14,7 +14,8 @@ the copy/extension transfer.
 
 A separate single-level solver couples two overlapping flow meshes (a cut
 background mesh and an embedded patch) through the two-sided interface
-operator; it shares the Newton machinery and convergence bookkeeping.
+operator; it runs on the same Newton engine, convergence bookkeeping and
+per-mesh flow-block assembly.
 """
 
 from __future__ import annotations
@@ -45,6 +46,8 @@ from .solid import (
 NEWTON_MESSAGE = "maximum number of Newton-Raphson iterations reached!"
 CYCLE_MESSAGE = "maximum number of function space changes at t^n exceeded!"
 CHECKPOINT_VERSION = 1
+# Halvings of a structural increment that inverts an element before giving up.
+_MAX_HALVINGS = 8
 
 
 class NewtonError(RuntimeError):
@@ -106,7 +109,6 @@ class DriverConfig:
     freeze_space: bool = False
     predictor: str = "constant"
     backward_euler_first_step: bool = True
-    max_halvings: int = 8
 
     def __post_init__(self):
         if self.dt <= 0.0:
@@ -125,8 +127,6 @@ class DriverConfig:
             raise ValueError("iteration limits must be at least 1")
         if self.predictor not in ("constant", "velocity"):
             raise ValueError("predictor must be 'constant' or 'velocity'")
-        if self.max_halvings < 0:
-            raise ValueError("max_halvings must be non-negative")
 
     @property
     def genalpha(self) -> GenAlphaParams:
@@ -312,7 +312,7 @@ class CoupledSystem:
     and `residual` are the constrained versions that are actually solved.
     `coupling_force` is the interface force tested with the solid weights
     (the negative of the structural coupling rows), kept for the stored-force
-    history of the time discretization.
+    history of the time discretization; it is empty without a structure.
     """
 
     system: BlockSystem
@@ -320,6 +320,39 @@ class CoupledSystem:
     residual: np.ndarray
     fixed: np.ndarray
     coupling_force: np.ndarray
+
+
+def _add_flow_blocks(
+    system: BlockSystem, u: str, p: str,
+    fluid: FluidProblem, cfg: CutConfiguration, U, P, history, advection,
+    interface_residual: dict | None,
+    *, dt: float, theta: float, time: float, widened: bool = False,
+) -> None:
+    """Set the flow rows of one mesh in the velocity block `u` and pressure
+    block `p` of `system`: the stabilized Navier-Stokes residual and tangent
+    plus the facet ghost penalties, with the interface operator's residual
+    rows `interface_residual[u]` / `[p]` added when given.  `history` is the
+    previous (velocity, acceleration) pair on this mesh."""
+    Ru, Rp, Juu, Jup, Jpu, Jpp = assemble_navier_stokes(
+        fluid.grid, cfg, fluid.params, dt, theta, U, P,
+        history[0], history[1], advection,
+        body_force=fluid.body_force, time=time,
+    )
+    K_conv, K_div, K_press = assemble_ghost_penalties(
+        fluid.grid, cfg, fluid.params, dt, theta, advection, widened=widened
+    )
+    Kuu = (K_conv + K_div).tocsr()
+    Ru = Ru + Kuu @ U
+    Rp = Rp + K_press @ P
+    if interface_residual is not None:
+        Ru = Ru + interface_residual[u]
+        Rp = Rp + interface_residual[p]
+    system.set_residual(u, Ru)
+    system.set_residual(p, Rp)
+    system.set_block(u, u, (Juu + Kuu).tocsr())
+    system.set_block(u, p, Jup)
+    system.set_block(p, u, Jpu)
+    system.set_block(p, p, (Jpp + K_press).tocsr())
 
 
 def assemble_coupled_system(
@@ -346,25 +379,9 @@ def assemble_coupled_system(
     constraints are applied last.
     """
     fluid = problem.fluid
-    grid = fluid.grid
-    n = grid.n_nodes
+    n = fluid.grid.n_nodes
     dt = config.dt
-    sigma = 1.0 / (theta * dt)
     c_frozen = U if advection is None else advection
-
-    Ru, Rp, Juu, Jup, Jpu, Jpp = assemble_navier_stokes(
-        grid, cfg, fluid.params, dt, theta, U, P,
-        history.U_tilde, history.A_tilde, c_frozen,
-        body_force=fluid.body_force, time=time,
-    )
-    K_conv, K_div, K_press = assemble_ghost_penalties(
-        grid, cfg, fluid.params, dt, theta, c_frozen, widened=widened
-    )
-    Kuu = (K_conv + K_div).tocsr()
-    Ru = Ru + Kuu @ U
-    Rp = Rp + K_press @ P
-    Juu = (Juu + Kuu).tocsr()
-    Jpp = (Jpp + K_press).tocsr()
 
     solid = problem.solid
     sizes = {"u": 2 * n, "p": n}
@@ -381,20 +398,16 @@ def assemble_coupled_system(
             config.theta_interface, dt,
         )
         c_res, c_jac = assemble_fs_coupling(
-            grid, cfg, fluid.params, config.nitsche,
+            fluid.grid, cfg, fluid.params, config.nitsche,
             U, P, c_frozen, solid.loop_nodes, u_if,
-            config.theta_interface, dt, sigma,
+            config.theta_interface, dt, 1.0 / (theta * dt),
         )
-        Ru = Ru + c_res["u"]
-        Rp = Rp + c_res["p"]
         coupling_force = -c_res["d"]
-
-    system.set_residual("u", Ru)
-    system.set_residual("p", Rp)
-    system.set_block("u", "u", Juu)
-    system.set_block("u", "p", Jup)
-    system.set_block("p", "u", Jpu)
-    system.set_block("p", "p", Jpp)
+    _add_flow_blocks(
+        system, "u", "p", fluid, cfg, U, P,
+        (history.U_tilde, history.A_tilde), c_frozen, c_res,
+        dt=dt, theta=theta, time=time, widened=widened,
+    )
 
     if solid is not None:
         model = solid.model
@@ -439,7 +452,7 @@ def assemble_coupled_system(
 
 
 # ----------------------------------------------------------------------------
-# convergence bookkeeping
+# Newton engine
 
 
 def _norm_pair(vec: np.ndarray) -> tuple[float, float]:
@@ -466,6 +479,63 @@ class IterationRecord:
     increment: dict[str, tuple[float, float]]
     residual_abs: dict[str, float]
     step_scale: float = 1.0
+
+
+def _newton(
+    iterate, assemble, tol: float, max_newton: int, *, recut=None, limit_step=None
+):
+    """Newton-Raphson-like iteration on named blocks, shared by both solvers.
+
+    `iterate` maps block names to vectors; `assemble(iterate)` writes the
+    prescribed values into them and returns the `CoupledSystem` there.
+    Convergence requires the relative l2 and max norms of every residual
+    block and every increment block to drop below `tol` separately.  Before
+    every iteration but the first, `recut(iterate)` may return a value that
+    interrupts the iteration; `limit_step(iterate, increments)` returns the
+    scale at which the increment is applied (one without it).
+
+    Returns ``(iterate, assembled, iterations, records, interrupted)``:
+    `assembled` is the converged linearization, or None when `recut`
+    interrupted the iteration with the returned value `interrupted`.
+    """
+    records: list[IterationRecord] = []
+    reference: dict[str, tuple[float, float]] | None = None
+    for it in range(1, max_newton + 1):
+        if it > 1 and recut is not None:
+            interrupted = recut(iterate)
+            if interrupted is not None:
+                return iterate, None, it, records, interrupted
+        assembled = assemble(iterate)
+        delta = factor_solve(assembled.matrix, -assembled.residual)
+        blocks = assembled.system.split(delta)
+        res_blocks = assembled.system.split(assembled.residual)
+        if reference is None:
+            reference = {k: _norm_pair(v) for k, v in res_blocks.items()}
+        record = IterationRecord(
+            residual={
+                k: _relative(_norm_pair(v), reference[k])
+                for k, v in res_blocks.items()
+            },
+            increment={
+                k: _relative(_norm_pair(v), _norm_pair(iterate[k]))
+                for k, v in blocks.items()
+            },
+            residual_abs={k: _norm_pair(v)[0] for k, v in res_blocks.items()},
+        )
+        records.append(record)
+        if all(
+            max(pair) < tol
+            for group in (record.residual, record.increment)
+            for pair in group.values()
+        ):
+            return iterate, assembled, it, records, None
+        if limit_step is not None:
+            record.step_scale = limit_step(iterate, blocks)
+        iterate = {
+            k: v + record.step_scale * blocks[k] if k in blocks else v
+            for k, v in iterate.items()
+        }
+    raise NewtonError(NEWTON_MESSAGE)
 
 
 @dataclass
@@ -506,87 +576,59 @@ def newton_loop(
     Re-cuts the background mesh from the current displacement before every
     iteration but the first; if the active space differs, the current iterate
     is carried to the new space by copy/extension and returned as the initial
-    guess of the next restart.  Convergence requires the relative l2 and max
-    norms of every residual block and every increment block to drop below the
-    tolerance separately.  A structural update that inverts an element is
-    halved a bounded number of times.
+    guess of the next restart.  A structural update that inverts an element
+    is halved a bounded number of times.
     """
     solid = problem.solid
-    U, P = U.copy(), P.copy()
     D = np.zeros(0) if D is None else D.copy()
     d_geom = D.copy() if d_geometry is None else d_geometry.copy()
-    records: list[IterationRecord] = []
-    reference: dict[str, tuple[float, float]] | None = None
 
-    for it in range(1, config.max_newton + 1):
-        if it > 1 and allow_recut and solid is not None:
-            cfg_new = build_cut_configuration(
-                problem.fluid.grid, _deformed_loop(solid, D), solid.wet_mask
-            )
-            if cfg_new.same_active_space(cfg):
-                cfg = cfg_new
-                d_geom = D.copy()
-            else:
-                carry = SpaceProjector(cfg, cfg_new)
-                return NewtonResult(
-                    "space-changed", cfg_new, carry.apply(U), carry.apply(P),
-                    D, D.copy(), np.zeros(0), it, records,
-                )
-        _apply_fluid_values(problem.fluid, cfg, U, P, time)
-        assembled = assemble_coupled_system(
-            problem, config, cfg, U, P, D, history,
+    def assemble(x):
+        _apply_fluid_values(problem.fluid, cfg, x["u"], x["p"], time)
+        return assemble_coupled_system(
+            problem, config, cfg, x["u"], x["p"], x["d"], history,
             time=time, theta=theta, widened=widened,
         )
-        delta = factor_solve(assembled.matrix, -assembled.residual)
-        blocks = assembled.system.split(delta)
-        res_blocks = assembled.system.split(assembled.residual)
-        if reference is None:
-            reference = {k: _norm_pair(v) for k, v in res_blocks.items()}
-        iterate = {"u": U, "p": P}
-        if solid is not None:
-            iterate["d"] = D
-        record = IterationRecord(
-            residual={
-                k: _relative(_norm_pair(v), reference[k])
-                for k, v in res_blocks.items()
-            },
-            increment={
-                k: _relative(_norm_pair(v), _norm_pair(iterate[k]))
-                for k, v in blocks.items()
-            },
-            residual_abs={k: _norm_pair(v)[0] for k, v in res_blocks.items()},
+
+    def recut(x):
+        nonlocal cfg, d_geom
+        cfg_new = build_cut_configuration(
+            problem.fluid.grid, _deformed_loop(solid, x["d"]), solid.wet_mask
         )
-        records.append(record)
-        converged = all(
-            max(pair) < config.tol
-            for group in (record.residual, record.increment)
-            for pair in group.values()
-        )
-        if converged:
-            return NewtonResult(
-                "converged", cfg, U, P, D, d_geom,
-                assembled.coupling_force, it, records,
-            )
+        if not cfg_new.same_active_space(cfg):
+            return cfg_new
+        cfg, d_geom = cfg_new, x["d"].copy()
+        return None
+
+    def limit_step(x, blocks):
         scale = 1.0
-        if solid is not None:
-            ok = False
-            for _ in range(config.max_halvings + 1):
-                try:
-                    solid.model.internal_force(D + scale * blocks["d"], tangent=False)
-                    ok = True
-                    break
-                except SolidInversionError:
-                    scale *= 0.5
-            if not ok:
-                raise SolidInversionError(
-                    "structural update still inverts an element after "
-                    f"{config.max_halvings} increment halvings"
-                )
-            D = D + scale * blocks["d"]
-        record.step_scale = scale
-        U = U + scale * blocks["u"]
-        P = P + scale * blocks["p"]
-    raise NewtonError(NEWTON_MESSAGE)
+        for _ in range(_MAX_HALVINGS + 1):
+            try:
+                solid.model.internal_force(x["d"] + scale * blocks["d"], tangent=False)
+                return scale
+            except SolidInversionError:
+                scale *= 0.5
+        raise SolidInversionError(
+            "structural update still inverts an element after "
+            f"{_MAX_HALVINGS} increment halvings"
+        )
+
+    x, assembled, it, records, cfg_new = _newton(
+        {"u": U.copy(), "p": P.copy(), "d": D},
+        assemble, config.tol, config.max_newton,
+        recut=recut if allow_recut and solid is not None else None,
+        limit_step=limit_step if solid is not None else None,
+    )
+    if cfg_new is not None:
+        carry = SpaceProjector(cfg, cfg_new)
+        return NewtonResult(
+            "space-changed", cfg_new, carry.apply(x["u"]), carry.apply(x["p"]),
+            x["d"], x["d"].copy(), np.zeros(0), it, records,
+        )
+    return NewtonResult(
+        "converged", cfg, x["u"], x["p"], x["d"], d_geom,
+        assembled.coupling_force, it, records,
+    )
 
 
 # ----------------------------------------------------------------------------
@@ -881,51 +923,28 @@ def assemble_overlap_system(
     history1: tuple[np.ndarray, np.ndarray],
     history2: tuple[np.ndarray, np.ndarray],
     time: float = 0.0,
-    advection: tuple[np.ndarray, np.ndarray] | None = None,
-):
+) -> CoupledSystem:
     """Four-block residual/tangent of two overlapping flow meshes.
 
     The background rows see the embedded boundary through the two-sided
-    interface operator; the patch mesh is boundary-fitted and uncut.  Returns
-    (system, matrix, residual, fixed) with constraints applied last.
+    interface operator; the patch mesh is boundary-fitted and uncut.  The
+    current velocities are the frozen convection fields; constraints are
+    applied last.
     """
-    sigma = 1.0 / (theta * dt)
-    c1 = U1 if advection is None else advection[0]
-    c2 = U2 if advection is None else advection[1]
-
-    out = {}
-    for tag, fluid, cfg, U, P, c, hist in (
-        ("1", background, cfg1, U1, P1, c1, history1),
-        ("2", patch, cfg2, U2, P2, c2, history2),
-    ):
-        Ru, Rp, Juu, Jup, Jpu, Jpp = assemble_navier_stokes(
-            fluid.grid, cfg, fluid.params, dt, theta, U, P,
-            hist[0], hist[1], c, body_force=fluid.body_force, time=time,
-        )
-        K_conv, K_div, K_press = assemble_ghost_penalties(
-            fluid.grid, cfg, fluid.params, dt, theta, c
-        )
-        Kuu = (K_conv + K_div).tocsr()
-        out[tag] = (
-            Ru + Kuu @ U, Rp + K_press @ P,
-            (Juu + Kuu).tocsr(), Jup, Jpu, (Jpp + K_press).tocsr(),
-        )
-
     c_res, c_jac = assemble_ff_coupling(
         background.grid, cfg1, patch.grid, background.params, nitsche,
-        U1, P1, U2, P2, c1, c2, sigma,
+        U1, P1, U2, P2, U1, U2, 1.0 / (theta * dt),
     )
-
     n1, n2 = background.grid.n_nodes, patch.grid.n_nodes
     system = BlockSystem({"u1": 2 * n1, "p1": n1, "u2": 2 * n2, "p2": n2})
-    for tag in ("1", "2"):
-        Ru, Rp, Juu, Jup, Jpu, Jpp = out[tag]
-        system.set_residual("u" + tag, Ru + c_res["u" + tag])
-        system.set_residual("p" + tag, Rp + c_res["p" + tag])
-        system.set_block("u" + tag, "u" + tag, Juu)
-        system.set_block("u" + tag, "p" + tag, Jup)
-        system.set_block("p" + tag, "u" + tag, Jpu)
-        system.set_block("p" + tag, "p" + tag, Jpp)
+    for u, p, fluid, cfg, U, P, hist in (
+        ("u1", "p1", background, cfg1, U1, P1, history1),
+        ("u2", "p2", patch, cfg2, U2, P2, history2),
+    ):
+        _add_flow_blocks(
+            system, u, p, fluid, cfg, U, P, hist, U, c_res,
+            dt=dt, theta=theta, time=time,
+        )
     for key, block in c_jac.items():
         system.add_to_block(key[0], key[1], block)
 
@@ -933,7 +952,7 @@ def assemble_overlap_system(
     fix_u2, fix_p2 = _fluid_fixed_masks(patch, cfg2)
     fixed = np.concatenate([fix_u1, fix_p1, fix_u2, fix_p2])
     matrix, residual = _identity_constrain(system.assemble(), system.residual, fixed)
-    return system, matrix, residual, fixed
+    return CoupledSystem(system, matrix, residual, fixed, np.zeros(0))
 
 
 def solve_overlapping_fluid(
@@ -942,80 +961,45 @@ def solve_overlapping_fluid(
     nitsche: NitscheParams,
     *,
     dt: float | None = None,
-    theta: float = 1.0,
-    tol: float = 1e-8,
-    max_newton: int = 25,
-    time: float = 0.0,
-    initial: tuple | None = None,
-    history: tuple | None = None,
 ) -> OverlapSolution:
-    """Solve the two-mesh flow system at one level with a Newton iteration.
+    """Solve the two-mesh flow system at one level with the Newton engine of
+    the coupled solver, from rest and with its default tolerance and
+    iteration limit.
 
     ``dt=None`` requests the stationary limit (the reactive time terms are
-    switched off through a huge pseudo time step).  ``history`` optionally
-    provides ``(U1_prev, A1_prev, U2_prev, A2_prev)`` for a transient step;
-    ``initial`` seeds the iterate as ``(U1, P1, U2, P2)``.
+    switched off through a huge pseudo time step); otherwise one implicit
+    Euler step from rest is taken.
     """
     if background.params.density != patch.params.density or (
         background.params.viscosity != patch.params.viscosity
     ):
         raise ValueError("overlapping meshes must share the fluid constants")
-    steady = dt is None
-    dt_eff = 1e30 if steady else dt
+    dt_eff = 1e30 if dt is None else dt
 
     cfg1 = build_cut_configuration(
         background.grid, patch_boundary_loop(patch.grid)
     )
     cfg2 = build_cut_configuration(patch.grid, None)
-
     n1, n2 = background.grid.n_nodes, patch.grid.n_nodes
-    if initial is None:
-        U1, P1 = np.zeros(2 * n1), np.zeros(n1)
-        U2, P2 = np.zeros(2 * n2), np.zeros(n2)
-    else:
-        U1, P1, U2, P2 = (np.asarray(v, float).copy() for v in initial)
-    if history is None:
-        hist1 = (np.zeros(2 * n1), np.zeros(2 * n1))
-        hist2 = (np.zeros(2 * n2), np.zeros(2 * n2))
-    else:
-        hist1 = (np.asarray(history[0], float), np.asarray(history[1], float))
-        hist2 = (np.asarray(history[2], float), np.asarray(history[3], float))
+    hist1 = (np.zeros(2 * n1), np.zeros(2 * n1))
+    hist2 = (np.zeros(2 * n2), np.zeros(2 * n2))
 
-    records: list[IterationRecord] = []
-    reference = None
-    for it in range(1, max_newton + 1):
-        _apply_fluid_values(background, cfg1, U1, P1, time)
-        _apply_fluid_values(patch, cfg2, U2, P2, time)
-        system, matrix, residual, _ = assemble_overlap_system(
-            background, patch, nitsche, cfg1, cfg2, U1, P1, U2, P2,
-            dt=dt_eff, theta=theta, history1=hist1, history2=hist2, time=time,
+    def assemble(x):
+        _apply_fluid_values(background, cfg1, x["u1"], x["p1"], 0.0)
+        _apply_fluid_values(patch, cfg2, x["u2"], x["p2"], 0.0)
+        return assemble_overlap_system(
+            background, patch, nitsche, cfg1, cfg2,
+            x["u1"], x["p1"], x["u2"], x["p2"],
+            dt=dt_eff, theta=1.0, history1=hist1, history2=hist2,
         )
-        delta = factor_solve(matrix, -residual)
-        blocks = system.split(delta)
-        res_blocks = system.split(residual)
-        if reference is None:
-            reference = {k: _norm_pair(v) for k, v in res_blocks.items()}
-        iterate = {"u1": U1, "p1": P1, "u2": U2, "p2": P2}
-        record = IterationRecord(
-            residual={
-                k: _relative(_norm_pair(v), reference[k])
-                for k, v in res_blocks.items()
-            },
-            increment={
-                k: _relative(_norm_pair(v), _norm_pair(iterate[k]))
-                for k, v in blocks.items()
-            },
-            residual_abs={k: _norm_pair(v)[0] for k, v in res_blocks.items()},
-        )
-        records.append(record)
-        if all(
-            max(pair) < tol
-            for group in (record.residual, record.increment)
-            for pair in group.values()
-        ):
-            return OverlapSolution(U1, P1, U2, P2, cfg1, cfg2, it, records)
-        U1 = U1 + blocks["u1"]
-        P1 = P1 + blocks["p1"]
-        U2 = U2 + blocks["u2"]
-        P2 = P2 + blocks["p2"]
-    raise NewtonError(NEWTON_MESSAGE)
+
+    start = {
+        "u1": np.zeros(2 * n1), "p1": np.zeros(n1),
+        "u2": np.zeros(2 * n2), "p2": np.zeros(n2),
+    }
+    x, _, it, records, _ = _newton(
+        start, assemble, DriverConfig.tol, DriverConfig.max_newton
+    )
+    return OverlapSolution(
+        x["u1"], x["p1"], x["u2"], x["p2"], cfg1, cfg2, it, records
+    )

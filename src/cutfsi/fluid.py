@@ -29,9 +29,6 @@ __all__ = [
     "stabilization_times",
     "assemble_navier_stokes",
     "assemble_ghost_penalties",
-    "boundary_traction_load",
-    "interpolate_velocity",
-    "interpolate_scalar",
 ]
 
 
@@ -402,38 +399,3 @@ def assemble_ghost_penalties(
         acc_p.add_block(nodes, nodes, coef_p * Mc)
 
     return acc_c.tocsr(), acc_d.tocsr(), acc_p.tocsr()
-
-
-def boundary_traction_load(grid: StructuredGrid, side: str, traction, time: float = 0.0):
-    """Consistent load vector for a prescribed traction on one outer side.
-
-    `traction(pts, time)` returns (n, 2) force per unit length.
-    """
-    n = grid.n_nodes
-    load = np.zeros(2 * n)
-    nodes = grid.boundary_nodes(side)
-    xy = grid.node_coords()
-    gp2, gw2 = np.polynomial.legendre.leggauss(2)
-    for a, b in zip(nodes[:-1], nodes[1:]):
-        pa, pb = xy[a], xy[b]
-        length = float(np.hypot(*(pb - pa)))
-        t = 0.5 * (gp2 + 1.0)
-        pts = pa[None, :] + t[:, None] * (pb - pa)[None, :]
-        wq = 0.5 * gw2 * length
-        h = np.asarray(traction(pts, time), dtype=float).reshape(-1, 2)
-        for comp in range(2):
-            load[2 * a + comp] += np.sum(wq * h[:, comp] * (1.0 - t))
-            load[2 * b + comp] += np.sum(wq * h[:, comp] * t)
-    return load
-
-
-def interpolate_velocity(grid: StructuredGrid, fn, time: float = 0.0) -> np.ndarray:
-    """Nodal interpolation of an analytic velocity field fn(pts, t)->(n,2)."""
-    xy = grid.node_coords()
-    vals = np.asarray(fn(xy, time), dtype=float).reshape(-1, 2)
-    return vals.reshape(-1)
-
-
-def interpolate_scalar(grid: StructuredGrid, fn, time: float = 0.0) -> np.ndarray:
-    xy = grid.node_coords()
-    return np.asarray(fn(xy, time), dtype=float).reshape(-1)

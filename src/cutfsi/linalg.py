@@ -1,8 +1,7 @@
 """Sparse assembly containers and direct linear solves.
 
 Wraps scipy.sparse for triplet accumulation, block composition, LU solves with
-a residual guard, a forward block Gauss-Seidel sweep, and matrix-market export
-for offline inspection.
+a residual guard, and matrix-market export for offline inspection.
 """
 
 from __future__ import annotations
@@ -15,7 +14,6 @@ __all__ = [
     "TripletAccumulator",
     "BlockSystem",
     "factor_solve",
-    "block_gauss_seidel",
     "export_matrix_market",
     "LinearSolveError",
 ]
@@ -105,10 +103,6 @@ class BlockSystem:
         o = self.offsets[name]
         self.residual[o : o + self.sizes[name]] = vec
 
-    def get_residual(self, name: str) -> np.ndarray:
-        o = self.offsets[name]
-        return self.residual[o : o + self.sizes[name]]
-
     def assemble(self) -> sp.csr_matrix:
         grid = [
             [
@@ -155,26 +149,6 @@ def factor_solve(A, b, rel_tol: float = 1e-10):
             f"direct solve residual {res:.3e} exceeds trust bound {bound:.3e}"
         )
     return x
-
-
-def block_gauss_seidel(system: BlockSystem, order: list[str], sweeps: int = 1):
-    """Forward block Gauss-Seidel on L dx = -R; returns the increment split
-    by block name. Off-diagonal couplings use the latest available updates."""
-    dx = {name: np.zeros(system.sizes[name]) for name in system.names}
-    for _ in range(sweeps):
-        for name in order:
-            rhs = -system.get_residual(name).copy()
-            for other in system.names:
-                if other == name:
-                    continue
-                blk = system.blocks.get((name, other))
-                if blk is not None:
-                    rhs -= blk @ dx[other]
-            diag = system.blocks.get((name, name))
-            if diag is None:
-                raise LinearSolveError(f"missing diagonal block for {name}")
-            dx[name] = factor_solve(diag, rhs)
-    return dx
 
 
 def export_matrix_market(path, A, comment: str = ""):

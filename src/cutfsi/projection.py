@@ -27,8 +27,6 @@ __all__ = [
     "ProjectionError",
     "DofStatus",
     "DofCorrespondence",
-    "transfer_copy",
-    "extension_solve",
     "SpaceProjector",
 ]
 
@@ -80,41 +78,17 @@ def _build_correspondence(cfg_prev: CutConfiguration, cfg_curr: CutConfiguration
     n = cfg_curr.grid.n_nodes
     status = np.full(n, DofStatus.INACTIVE, dtype=np.int8)
     source = np.full(n, -1, dtype=np.int64)
+    role = cfg_curr.node_role
+    active = role != NodeRole.INACTIVE
     prev_active = cfg_prev.node_role != NodeRole.INACTIVE
-    for node in cfg_curr.active_nodes:
-        if prev_active[node]:
-            status[node] = DofStatus.COPIED
-            source[node] = node
-        elif cfg_curr.node_role[node] == NodeRole.GHOST:
-            status[node] = DofStatus.NEEDS_EXTENSION
-        else:
-            # A node inside the new domain with no value to inherit.
-            status[node] = DofStatus.VIOLATION
+    copied = active & prev_active
+    fresh = active & ~prev_active
+    status[copied] = DofStatus.COPIED
+    source[copied] = np.flatnonzero(copied)
+    status[fresh & (role == NodeRole.GHOST)] = DofStatus.NEEDS_EXTENSION
+    # A node inside the new domain with no value to inherit.
+    status[fresh & (role != NodeRole.GHOST)] = DofStatus.VIOLATION
     return DofCorrespondence(status=status, source=source)
-
-
-def transfer_copy(
-    cfg_prev: CutConfiguration,
-    cfg_curr: CutConfiguration,
-    values_prev: np.ndarray,
-):
-    """Copy node values shared by two active spaces.
-
-    ``values_prev`` is indexed by node in its leading dimension; entries at
-    nodes active in both configurations are copied unchanged, all others are
-    zeroed. Returns ``(values_partial, correspondence)``. Raises
-    ``ProjectionError`` when a standard node of the current space was
-    inactive before (interface moved too far in one step).
-    """
-    corr = _build_correspondence(cfg_prev, cfg_curr)
-    bad = corr.violation_nodes
-    if bad.size:
-        raise ProjectionError(CFL_MESSAGE, correspondence=corr)
-    values_prev = np.asarray(values_prev)
-    out = np.zeros_like(values_prev)
-    copied = corr.copied_nodes
-    out[copied] = values_prev[corr.source[copied]]
-    return out, corr
 
 
 def _extension_matrix(cfg: CutConfiguration, widened: bool) -> sp.csr_matrix:
@@ -160,44 +134,6 @@ def _extension_matrix(cfg: CutConfiguration, widened: bool) -> sp.csr_matrix:
         node_arr = np.array(nodes, dtype=int)
         acc.add_block(node_arr, node_arr, M)
     return acc.tocsr()
-
-
-def extension_solve(
-    cfg_curr: CutConfiguration,
-    values_partial: np.ndarray,
-    correspondence: DofCorrespondence,
-    widened: bool = False,
-):
-    """Fill extension-zone values by jump minimization.
-
-    Copied entries act as Dirichlet data; the free values solve the
-    symmetric positive definite facet-jump system restricted to them.
-    ``values_partial`` may carry extra trailing dimensions (components),
-    which are solved together.
-    """
-    free = correspondence.extension_nodes
-    values_partial = np.asarray(values_partial, dtype=float)
-    if free.size == 0:
-        return values_partial.copy()
-    A = _extension_matrix(cfg_curr, widened)
-    reach = np.flatnonzero(np.diff(A.indptr))
-    unreached = np.setdiff1d(free, reach)
-    if unreached.size:
-        raise ProjectionError(
-            f"extension cannot reach node(s) {unreached.tolist()}: no "
-            "interface-zone facet couples them to known values",
-            correspondence=correspondence,
-        )
-    fixed = correspondence.copied_nodes
-    flat = values_partial.reshape(len(values_partial), -1)
-    A_ff = A[np.ix_(free, free)].tocsc()
-    A_fc = A[np.ix_(free, fixed)]
-    rhs = -A_fc @ flat[fixed]
-    solve = spla.factorized(A_ff)
-    out = values_partial.copy()
-    filled = np.column_stack([solve(rhs[:, c]) for c in range(rhs.shape[1])])
-    out.reshape(len(out), -1)[free] = filled
-    return out
 
 
 class SpaceProjector:

@@ -1,7 +1,7 @@
-"""Numerical integration rules on segments, triangles, rectangles and polygons.
+"""Numerical integration rules on triangles, rectangles and polygons.
 
-All rules return physical-space points together with weights carrying area or
-arclength units, so integrals are plain weighted sums of integrand samples.
+All rules return physical-space points together with weights carrying area
+units, so integrals are plain weighted sums of integrand samples.
 """
 
 from __future__ import annotations
@@ -10,7 +10,6 @@ import numpy as np
 
 __all__ = [
     "QuadratureRule",
-    "gauss_segment",
     "triangle_rule",
     "rectangle_rule",
     "polygon_rule",
@@ -36,28 +35,25 @@ _TRI6_W = np.array([_TRI6_W1] * 3 + [_TRI6_W2] * 3)
 
 
 class QuadratureRule:
-    """Point set with weights; surface rules also carry a unit normal per point.
+    """Point set with weights.
 
     Parameters
     ----------
     points : (n, 2) array
         Physical coordinates.
     weights : (n,) array
-        Area or arclength weights, all positive.
-    normals : (n, 2) array, optional
-        Unit normals for surface rules.
+        Area weights, all positive.
     """
 
-    __slots__ = ("points", "weights", "normals")
+    __slots__ = ("points", "weights")
 
-    def __init__(self, points, weights, normals=None):
+    def __init__(self, points, weights):
         self.points = np.asarray(points, dtype=float).reshape(-1, 2)
         self.weights = np.asarray(weights, dtype=float).reshape(-1)
         if self.points.shape[0] != self.weights.shape[0]:
             raise ValueError("points and weights length mismatch")
         if np.any(self.weights <= 0.0) and self.weights.size:
             raise ValueError("quadrature weights must be positive")
-        self.normals = None if normals is None else np.asarray(normals, dtype=float).reshape(-1, 2)
 
     def __len__(self):
         return self.weights.size
@@ -67,9 +63,8 @@ class QuadratureRule:
         return float(self.weights.sum())
 
     @staticmethod
-    def empty(with_normals=False):
-        pts = np.zeros((0, 2))
-        return QuadratureRule(pts, np.zeros(0), pts if with_normals else None)
+    def empty():
+        return QuadratureRule(np.zeros((0, 2)), np.zeros(0))
 
     @staticmethod
     def concat(rules):
@@ -78,25 +73,7 @@ class QuadratureRule:
             return QuadratureRule.empty()
         pts = np.vstack([r.points for r in rules])
         w = np.concatenate([r.weights for r in rules])
-        normals = None
-        if all(r.normals is not None for r in rules):
-            normals = np.vstack([r.normals for r in rules])
-        return QuadratureRule(pts, w, normals)
-
-
-def gauss_segment(p0, p1, npts=3, normal=None):
-    """Gauss rule on the straight segment p0 -> p1, weights summing to its length."""
-    p0 = np.asarray(p0, dtype=float)
-    p1 = np.asarray(p1, dtype=float)
-    xi, wi = np.polynomial.legendre.leggauss(npts)
-    t = 0.5 * (xi + 1.0)
-    pts = p0[None, :] + t[:, None] * (p1 - p0)[None, :]
-    length = float(np.hypot(*(p1 - p0)))
-    w = 0.5 * wi * length
-    normals = None
-    if normal is not None:
-        normals = np.tile(np.asarray(normal, dtype=float), (npts, 1))
-    return QuadratureRule(pts, w, normals)
+        return QuadratureRule(pts, w)
 
 
 def triangle_rule(v0, v1, v2):

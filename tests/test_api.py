@@ -1,0 +1,64 @@
+"""Public API hygiene: every exported name resolves, and every name a
+submodule exports but the package does not re-export has a caller in the
+program itself (package, demos or benchmark), not only in the tests."""
+
+import ast
+import importlib
+import pkgutil
+from pathlib import Path
+
+import cutfsi
+
+ROOT = Path(__file__).resolve().parents[1]
+PROGRAM_DIRS = ("src", "demos", "perfbench")
+
+
+def _submodules():
+    for info in pkgutil.iter_modules(cutfsi.__path__):
+        module = importlib.import_module(f"cutfsi.{info.name}")
+        if hasattr(module, "__all__"):
+            yield module
+
+
+def _used_names(tree: ast.AST) -> set[str]:
+    """Names loaded or accessed as attributes, skipping references that sit
+    inside the function or class that defines the same name."""
+    used: set[str] = set()
+
+    def visit(node, enclosing):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            enclosing = enclosing | {node.name}
+        if isinstance(node, ast.Name) and node.id not in enclosing:
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute) and node.attr not in enclosing:
+            used.add(node.attr)
+        for child in ast.iter_child_nodes(node):
+            visit(child, enclosing)
+
+    visit(tree, frozenset())
+    return used
+
+
+def test_every_exported_name_resolves():
+    for name in cutfsi.__all__:
+        assert hasattr(cutfsi, name), f"cutfsi.__all__ lists missing {name!r}"
+    for module in _submodules():
+        for name in module.__all__:
+            assert hasattr(module, name), (
+                f"{module.__name__}.__all__ lists missing {name!r}"
+            )
+
+
+def test_every_submodule_export_has_a_program_caller():
+    used: set[str] = set()
+    for folder in PROGRAM_DIRS:
+        for path in sorted((ROOT / folder).rglob("*.py")):
+            used |= _used_names(ast.parse(path.read_text(), filename=str(path)))
+    package = set(cutfsi.__all__)
+    uncalled = sorted(
+        f"{module.__name__}.{name}"
+        for module in _submodules()
+        for name in module.__all__
+        if name not in package and name not in used
+    )
+    assert uncalled == []

@@ -43,9 +43,6 @@ background_spacing = 0.05 0.05
 background_counts = 30 20
 solid_mesh = flap.mesh
 solid_rigid = false
-embedded_origin = 0.1 0.05
-embedded_spacing = 0.025 0.025
-embedded_counts = 8 6
 
 [materials]
 young = 500.0
@@ -111,7 +108,6 @@ class TestParsing:
         assert cfg.background_origin == (-0.75, -0.5)
         assert cfg.background_counts == (30, 20)
         assert cfg.solid_mesh == "flap.mesh"
-        assert cfg.embedded_counts == (8, 6)
         assert cfg.young == 500.0
         assert cfg.poisson == 0.3
         assert cfg.solid_density == 100.0
@@ -230,13 +226,23 @@ class TestErrors:
         with pytest.raises(ConfigError, match="inlet_profile missing"):
             parse_config_text(text)
 
-    def test_partial_embedded_patch(self):
-        text = MINIMAL.replace(
-            "background_counts = 10 5",
-            "background_counts = 10 5\nembedded_origin = 0.1 0.1",
-        )
-        with pytest.raises(ConfigError, match="embedded patch needs"):
-            parse_config_text(text)
+    def test_embedded_patch_keys_are_unknown(self):
+        # An overlapping patch is built through the Python API only; a case
+        # file that names one is refused rather than silently ignored.
+        for key, value in (
+            ("embedded_origin", "0.1 0.1"),
+            ("embedded_spacing", "0.025 0.025"),
+            ("embedded_counts", "8 6"),
+        ):
+            text = MINIMAL.replace(
+                "background_counts = 10 5",
+                f"background_counts = 10 5\n{key} = {value}",
+            )
+            (line,) = _lines_with(text, key)
+            with pytest.raises(
+                ConfigError, match=f"line {line}: unknown key '{key}'"
+            ):
+                parse_config_text(text)
 
     def test_zero_stride(self):
         with pytest.raises(ConfigError, match="stride must be at least 1"):
@@ -339,14 +345,6 @@ class TestBuilders:
         cfg = parse_config_text(MINIMAL)
         assert cfg.build_solid() is None
         assert cfg.build_problem().solid is None
-
-    def test_build_patch(self):
-        cfg = parse_config_text(FULL)
-        patch = cfg.build_patch()
-        assert patch is not None
-        assert patch.grid.counts == (8, 6)
-        assert patch.params == cfg.fluid_params()
-        assert parse_config_text(MINIMAL).build_patch() is None
 
     def test_build_driver_config(self):
         cfg = parse_config_text(FULL)

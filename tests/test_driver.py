@@ -39,6 +39,7 @@ from cutfsi.meshes import StructuredGrid, rectangle_fitted_mesh
 from cutfsi.solid import (
     GenAlphaParams,
     NeoHookeanMaterial,
+    SolidInversionError,
     SolidModel,
     SolidState,
     genalpha_displacement_residual,
@@ -483,6 +484,51 @@ class TestNewtonLoop:
         assert str(err.value) == NEWTON_MESSAGE
         assert NEWTON_MESSAGE == "maximum number of Newton-Raphson iterations reached!"
 
+    @staticmethod
+    def _flap_newton_with_inversions(monkeypatch, inverted_trials):
+        """Newton on the gentle flap from rest, with the admissibility check
+        of the first `inverted_trials` structural updates reporting an
+        inverted element; returns the result and the number of checks."""
+        problem = _gentle_flap_problem()
+        model = problem.solid.model
+        grid = problem.fluid.grid
+        n = grid.n_nodes
+        history = _rest_history(model, n)
+        config = DriverConfig(dt=0.05, n_steps=1, nitsche=GAMMA)
+        cfg = build_cut_configuration(
+            grid, model.mesh.nodes[problem.solid.loop_nodes], problem.solid.wet_mask
+        )
+        checks = []
+        original = SolidModel.internal_force
+
+        def internal_force(self, d, tangent=True):
+            if not tangent:
+                checks.append(d)
+                if len(checks) <= inverted_trials:
+                    raise SolidInversionError("forced inversion")
+            return original(self, d, tangent=tangent)
+
+        monkeypatch.setattr(SolidModel, "internal_force", internal_force)
+        result = newton_loop(
+            problem, config, cfg, np.zeros(2 * n), np.zeros(n),
+            np.zeros(model.n_dofs), history, time=config.dt, theta=1.0,
+        )
+        return result, len(checks)
+
+    @pytest.mark.parametrize("k", [0, 1, 3])
+    def test_inverting_increment_is_halved_until_admissible(self, monkeypatch, k):
+        res, checks = self._flap_newton_with_inversions(monkeypatch, k)
+        assert res.status == "converged"
+        assert res.iterations == len(res.records) > 1
+        assert res.records[0].step_scale == 0.5**k
+        assert all(r.step_scale == 1.0 for r in res.records[1:])
+        # one admissibility check per accepted update plus one per halving
+        assert checks == len(res.records) - 1 + k
+
+    def test_halving_budget_exhaustion_message(self, monkeypatch):
+        with pytest.raises(SolidInversionError, match="after 8 increment halvings"):
+            self._flap_newton_with_inversions(monkeypatch, 10**6)
+
 
 class TestTimeLoop:
     def test_rest_state_stays_identically_zero(self):
@@ -779,6 +825,23 @@ class TestOverlapSolver:
         assert abs(norms["mass_defect"]) < 1e-3
         # the recirculating flow stays bounded by the lid speed
         assert np.abs(sol.U2).max() < 1.1
+        # one record per iteration, per block, and only the last converged
+        assert sol.iterations == len(sol.records) > 1
+        blocks = {"u1", "p1", "u2", "p2"}
+        for record in sol.records:
+            assert set(record.residual) == set(record.increment) == blocks
+            assert set(record.residual_abs) == blocks
+            assert record.step_scale == 1.0
+
+        def worst(record):
+            return max(
+                max(pair)
+                for group in (record.residual, record.increment)
+                for pair in group.values()
+            )
+
+        assert worst(sol.records[-1]) < 1e-8
+        assert all(worst(r) >= 1e-8 for r in sol.records[:-1])
 
     def test_mismatched_constants_rejected(self):
         background = FluidProblem(

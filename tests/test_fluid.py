@@ -10,9 +10,6 @@ from cutfsi.fluid import (
     assemble_ghost_penalties,
     assemble_navier_stokes,
     basis_tables,
-    boundary_traction_load,
-    interpolate_scalar,
-    interpolate_velocity,
     stabilization_times,
 )
 from cutfsi.meshes import StructuredGrid
@@ -510,31 +507,3 @@ def test_ghost_penalty_symmetric_psd():
         assert np.allclose(A, A.T, atol=1e-14)
         w = np.linalg.eigvalsh(A)
         assert w.min() > -1e-12 * max(1.0, w.max())
-
-
-def test_boundary_traction_total_force():
-    grid = StructuredGrid((0.0, 0.0), (0.25, 0.25), (4, 4))
-
-    def traction(pts, t):
-        out = np.zeros((pts.shape[0], 2))
-        out[:, 0] = 2.0  # constant pull in x on the right side
-        return out
-
-    load = boundary_traction_load(grid, "right", traction)
-    assert load[0::2].sum() == pytest.approx(2.0 * 1.0, rel=1e-13)
-    assert load[1::2].sum() == pytest.approx(0.0, abs=1e-14)
-    right = set(grid.boundary_nodes("right").tolist())
-    nz = np.flatnonzero(load)
-    assert all((d // 2) in right for d in nz)
-
-
-def test_interpolation_helpers():
-    grid = StructuredGrid((0.0, 0.0), (0.5, 0.5), (2, 2))
-
-    def vel(pts, t):
-        return np.column_stack([pts[:, 0] + t, pts[:, 1]])
-
-    U = interpolate_velocity(grid, vel, time=2.0)
-    assert U[2 * grid.node_id(1, 1)] == pytest.approx(0.5 + 2.0)
-    S = interpolate_scalar(grid, lambda pts, t: pts[:, 0] * pts[:, 1], time=0.0)
-    assert S[grid.node_id(2, 1)] == pytest.approx(0.5)

@@ -8,7 +8,6 @@ from cutfsi.linalg import (
     BlockSystem,
     LinearSolveError,
     TripletAccumulator,
-    block_gauss_seidel,
     export_matrix_market,
     factor_solve,
 )
@@ -56,26 +55,6 @@ def test_factor_solve_rejects_singular():
     A = sp.csr_matrix(np.array([[1.0, 1.0], [1.0, 1.0]]))
     with pytest.raises(LinearSolveError):
         factor_solve(A, np.array([1.0, 0.0]))
-
-
-def test_block_gauss_seidel_converges_on_dominant_system():
-    # forward sweeps on a block lower-triangular-dominant system
-    sys = BlockSystem({"a": 2, "b": 2})
-    A = np.array([[4.0, 1.0], [1.0, 4.0]])
-    B = np.array([[5.0, 0.0], [0.0, 5.0]])
-    C = np.array([[0.1, 0.0], [0.0, 0.1]])
-    sys.set_block("a", "a", A)
-    sys.set_block("b", "b", B)
-    sys.set_block("a", "b", C)
-    sys.set_block("b", "a", C)
-    rng = np.random.default_rng(1)
-    ra, rb = rng.standard_normal(2), rng.standard_normal(2)
-    sys.set_residual("a", ra)
-    sys.set_residual("b", rb)
-    dx = block_gauss_seidel(sys, ["a", "b"], sweeps=40)
-    full = sys.assemble().toarray()
-    want = np.linalg.solve(full, -sys.residual)
-    assert np.allclose(np.concatenate([dx["a"], dx["b"]]), want, atol=1e-10)
 
 
 def test_matrix_market_roundtrip(tmp_path):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from cutfsi import projection
 from cutfsi.cutting import NodeRole, build_cut_configuration
 from cutfsi.meshes import StructuredGrid
 from cutfsi.projection import (
@@ -12,8 +13,6 @@ from cutfsi.projection import (
     ProjectionError,
     SpaceProjector,
     _extension_matrix,
-    extension_solve,
-    transfer_copy,
 )
 
 GRID = StructuredGrid((0.0, 0.0), (0.25, 0.25), (8, 4))
@@ -38,8 +37,9 @@ class TestTransferCopy:
         cfg = _half_plane_cfg(1.1)
         vals = _linear(GRID)
         vals[cfg.node_role == NodeRole.INACTIVE] = 0.0
-        out, corr = transfer_copy(cfg, cfg, vals)
-        assert np.array_equal(out, vals)
+        proj = SpaceProjector(cfg, cfg)
+        assert np.array_equal(proj.apply(vals), vals)
+        corr = proj.correspondence
         assert corr.extension_nodes.size == 0
         active = np.flatnonzero(cfg.node_role != NodeRole.INACTIVE)
         assert np.array_equal(corr.copied_nodes, active)
@@ -51,34 +51,36 @@ class TestTransferCopy:
         cfg_prev = _half_plane_cfg(1.1)
         cfg_curr = _half_plane_cfg(1.3)
         vals = np.where(cfg_prev.node_role != NodeRole.INACTIVE, _linear(GRID), 0.0)
-        out, corr = transfer_copy(cfg_prev, cfg_curr, vals)
-        moved = [
-            n
-            for n in range(GRID.n_nodes)
-            if cfg_prev.node_role[n] == NodeRole.GHOST
-            and cfg_curr.node_role[n] == NodeRole.STANDARD
-        ]
-        assert moved, "test geometry should flip at least one ghost to standard"
-        for n in moved:
-            assert corr.status[n] == DofStatus.COPIED
-            assert out[n] == vals[n]
+        proj = SpaceProjector(cfg_prev, cfg_curr)
+        out = proj.apply(vals)
+        moved = np.flatnonzero(
+            (cfg_prev.node_role == NodeRole.GHOST)
+            & (cfg_curr.node_role == NodeRole.STANDARD)
+        )
+        assert moved.size, "test geometry should flip at least one ghost to standard"
+        assert np.all(proj.correspondence.status[moved] == DofStatus.COPIED)
+        assert np.array_equal(out[moved], vals[moved])
 
     def test_fresh_ghost_layer_needs_extension(self):
         cfg_prev = _half_plane_cfg(1.1)
         cfg_curr = _half_plane_cfg(1.35)
         vals = np.where(cfg_prev.node_role != NodeRole.INACTIVE, _linear(GRID), 0.0)
-        out, corr = transfer_copy(cfg_prev, cfg_curr, vals)
+        proj = SpaceProjector(cfg_prev, cfg_curr)
+        out = proj.apply(vals)
+        corr = proj.correspondence
         new_ghosts = corr.extension_nodes
         assert new_ghosts.size > 0
         assert np.all(cfg_curr.node_role[new_ghosts] == NodeRole.GHOST)
-        assert np.all(out[new_ghosts] == 0.0)
+        assert np.all(cfg_prev.node_role[new_ghosts] == NodeRole.INACTIVE)
+        # copied entries are untouched by the extension solve
+        copied = corr.copied_nodes
+        assert np.array_equal(out[copied], vals[copied])
 
     def test_two_layer_jump_violates_step_condition(self):
         cfg_prev = _half_plane_cfg(1.1)
         cfg_curr = _half_plane_cfg(1.65)
-        vals = np.zeros(GRID.n_nodes)
         with pytest.raises(ProjectionError) as err:
-            transfer_copy(cfg_prev, cfg_curr, vals)
+            SpaceProjector(cfg_prev, cfg_curr)
         assert str(err.value) == CFL_MESSAGE
         corr = err.value.correspondence
         assert corr is not None and corr.violation_nodes.size > 0
@@ -87,11 +89,14 @@ class TestTransferCopy:
 
 class TestExtension:
     def test_no_free_nodes_returns_input(self):
+        # Without extension nodes the projector only copies: active values
+        # pass through bitwise and inactive ones are dropped.
         cfg = _half_plane_cfg(1.1)
         vals = _linear(GRID)
-        out, corr = transfer_copy(cfg, cfg, vals)
-        filled = extension_solve(cfg, out, corr)
-        assert np.array_equal(filled, out)
+        proj = SpaceProjector(cfg, cfg)
+        assert proj.correspondence.extension_nodes.size == 0
+        active = cfg.node_role != NodeRole.INACTIVE
+        assert np.array_equal(proj.apply(vals), np.where(active, vals, 0.0))
 
     def test_linear_field_extended_exactly(self):
         # A globally linear interpolant has no normal-derivative jumps, so
@@ -100,10 +105,10 @@ class TestExtension:
         cfg_curr = _half_plane_cfg(1.35)
         exact = _linear(GRID)
         vals = np.where(cfg_prev.node_role != NodeRole.INACTIVE, exact, 0.0)
-        partial, corr = transfer_copy(cfg_prev, cfg_curr, vals)
-        filled = extension_solve(cfg_curr, partial, corr)
-        for n in corr.extension_nodes:
-            assert abs(filled[n] - exact[n]) < 1e-10
+        proj = SpaceProjector(cfg_prev, cfg_curr)
+        filled = proj.apply(vals)
+        free = proj.correspondence.extension_nodes
+        assert np.abs(filled[free] - exact[free]).max() < 1e-10
 
     def test_symmetric_configuration_extends_symmetrically(self):
         cfg_prev = _half_plane_cfg(1.1)
@@ -112,9 +117,9 @@ class TestExtension:
         vals = np.where(
             cfg_prev.node_role != NodeRole.INACTIVE, 1.0 + xy[:, 0] ** 2, 0.0
         )
-        partial, corr = transfer_copy(cfg_prev, cfg_curr, vals)
-        filled = extension_solve(cfg_curr, partial, corr)
-        free = corr.extension_nodes
+        proj = SpaceProjector(cfg_prev, cfg_curr)
+        filled = proj.apply(vals)
+        free = proj.correspondence.extension_nodes
         ys = xy[free, 1]
         for n, y in zip(free, ys):
             mirror = free[np.argmin(np.abs(ys - (1.0 - y)))]
@@ -122,24 +127,27 @@ class TestExtension:
 
     def test_extension_system_is_spd_on_free_set(self):
         cfg_curr = _half_plane_cfg(1.35)
-        corr = transfer_copy(_half_plane_cfg(1.1), cfg_curr, np.zeros(GRID.n_nodes))[1]
+        corr = SpaceProjector(_half_plane_cfg(1.1), cfg_curr).correspondence
         A = _extension_matrix(cfg_curr, widened=False)
         free = corr.extension_nodes
         A_ff = A[np.ix_(free, free)].toarray()
         assert np.allclose(A_ff, A_ff.T, atol=1e-14)
         assert np.linalg.eigvalsh(A_ff).min() > 0.0
 
-    def test_unreachable_free_node_is_an_error(self):
+    def test_unreachable_free_node_is_an_error(self, monkeypatch):
         cfg = _half_plane_cfg(1.35)
         status = np.full(GRID.n_nodes, DofStatus.INACTIVE, dtype=np.int8)
         status[0] = DofStatus.NEEDS_EXTENSION  # far corner, no facet nearby
         corr = DofCorrespondence(
             status=status, source=np.full(GRID.n_nodes, -1, dtype=np.int64)
         )
-        with pytest.raises(ProjectionError, match="cannot reach"):
-            extension_solve(cfg, np.zeros(GRID.n_nodes), corr)
+        monkeypatch.setattr(projection, "_build_correspondence", lambda *_: corr)
+        with pytest.raises(ProjectionError, match="cannot reach") as err:
+            SpaceProjector(cfg, cfg)
+        assert err.value.correspondence is corr
 
     def test_multicomponent_and_flat_vectors_agree(self):
+        # A two-component vector maps like its two components separately.
         cfg_prev = _half_plane_cfg(1.1)
         cfg_curr = _half_plane_cfg(1.35)
         rng = np.random.default_rng(9)
@@ -148,11 +156,11 @@ class TestExtension:
             rng.normal(size=(GRID.n_nodes, 2)),
             0.0,
         )
-        partial, corr = transfer_copy(cfg_prev, cfg_curr, nodal)
-        filled = extension_solve(cfg_curr, partial, corr)
         proj = SpaceProjector(cfg_prev, cfg_curr)
-        flat = proj.apply(nodal.ravel())
-        assert np.allclose(flat.reshape(-1, 2), filled, atol=1e-13)
+        assert proj.correspondence.extension_nodes.size > 0
+        flat = proj.apply(nodal.ravel()).reshape(-1, 2)
+        for comp in range(2):
+            assert np.allclose(flat[:, comp], proj.apply(nodal[:, comp]), atol=1e-13)
 
     def test_projector_is_idempotent(self):
         cfg_prev = _half_plane_cfg(1.1)

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from cutfsi.quadrature import (
     QuadratureRule,
     fan_triangulate,
-    gauss_segment,
     polygon_rule,
     rectangle_rule,
     triangle_rule,
@@ -36,30 +35,6 @@ def _poly_moment(poly, px, py):
         # closed curve CCW: area integral = -oint f dx with f = x^px y^(py+1)/(py+1)
         total -= np.sum(wi * (x**px) * (y ** (py + 1)) / (py + 1) * dx)
     return total
-
-
-def test_segment_rule_length_and_linear():
-    rule = gauss_segment((0.0, 0.0), (2.0, 0.0), npts=2)
-    assert rule.total == pytest.approx(2.0, abs=1e-14)
-    assert np.sum(rule.weights * rule.points[:, 0]) == pytest.approx(2.0, abs=1e-14)
-
-
-def test_segment_rule_diagonal_length():
-    rule = gauss_segment((0.0, 0.0), (1.0, 1.0), npts=3)
-    assert rule.total == pytest.approx(np.sqrt(2.0), abs=1e-14)
-
-
-def test_segment_rule_polynomial_exactness():
-    # npts Gauss points integrate degree 2*npts-1 exactly; check x^5 on [0,1]
-    rule = gauss_segment((0.0, 0.0), (1.0, 0.0), npts=3)
-    val = np.sum(rule.weights * rule.points[:, 0] ** 5)
-    assert val == pytest.approx(1.0 / 6.0, abs=1e-15)
-
-
-def test_segment_normals_carried():
-    rule = gauss_segment((0.0, 0.0), (1.0, 0.0), npts=2, normal=(0.0, 1.0))
-    assert rule.normals.shape == (2, 2)
-    assert np.allclose(rule.normals, [[0.0, 1.0], [0.0, 1.0]])
 
 
 def test_triangle_rule_area_and_first_moment():
@@ -132,11 +107,13 @@ def test_polygon_rule_rejects_clockwise():
 
 
 def test_concat_and_empty():
-    r1 = gauss_segment((0, 0), (1, 0), npts=2)
-    r2 = gauss_segment((1, 0), (1, 1), npts=2)
-    cat = QuadratureRule.concat([r1, r2, QuadratureRule.empty()])
-    assert len(cat) == 4
-    assert cat.total == pytest.approx(2.0, abs=1e-14)
+    r1 = rectangle_rule(0.0, 0.0, 1.0, 0.5, npts=2)
+    r2 = triangle_rule((1.0, 0.0), (2.0, 0.0), (1.0, 1.0))
+    cat = QuadratureRule.concat([r1, QuadratureRule.empty(), r2])
+    assert len(cat) == len(r1) + len(r2) == 10
+    assert cat.total == pytest.approx(1.0, abs=1e-14)
+    assert np.array_equal(cat.points, np.vstack([r1.points, r2.points]))
+    assert len(QuadratureRule.concat([QuadratureRule.empty()])) == 0
 
 
 @st.composite
