@@ -8,6 +8,16 @@ of a cut configuration. ``assemble_ff_coupling`` couples two overlapping
 fluid meshes along the boundary of the embedded one with weighted-average
 fluxes, jump penalties, and interface transport terms.
 
+Each call integrates over one interface rule: the two-point Gauss rule on
+every interface segment (fluid-solid), or on every piece the embedded grid's
+lines cut a segment into (fluid-fluid, and ``interface_jump_norms``). The
+rule holds the points (S, 2, 2), weights (S, 2) and normals (S, 2) of all S
+segments or pieces, with the owner connectivity and basis tables N (S, 2, 4)
+and grad N (S, 2, 4, 2) on each mesh. Every residual and derivative term is
+an einsum over all points at once: each term is a point vector (or, for the
+derivatives, its table over the trial dofs) tested with a basis table, and
+each block is scattered with one accumulator call.
+
 Interface geometry (segment positions, normals, integration weights) is
 treated as data: the derivative blocks returned by the assemblers are taken
 at fixed geometry, so interface motion enters Newton updates in a
@@ -66,32 +76,123 @@ class NitscheParams:
             raise ValueError("flux_weight_first must lie in [0, 1]")
 
 
-def _segment_quadrature(seg, grid):
-    """Gauss points of a segment with basis data on its owner element.
+@dataclass(frozen=True)
+class _Rule:
+    """Two-point Gauss rule on S interface segments or pieces of them."""
 
-    Returns (points, weights, N, g, conn) where ``g[q, b]`` is the gradient
-    of basis function ``b`` at point ``q`` and ``conn`` the owner's nodes.
-    """
-    conn = grid.elem_nodes(seg.elem)
-    x0, y0, _, _ = grid.elem_bbox(seg.elem)
+    elem: np.ndarray  # (S,) owner element on the cut grid
+    pts: np.ndarray  # (S, 2, 2)
+    w: np.ndarray  # (S, 2)
+    normal: np.ndarray  # (S, 2), from the fluid into the covered side
+
+
+@dataclass(frozen=True)
+class _Side:
+    """Basis data of one mesh at the points of a rule."""
+
+    conn: np.ndarray  # (S, 4) owner element nodes
+    N: np.ndarray  # (S, 2, 4)
+    g: np.ndarray  # (S, 2, 4, 2); g[..., b, i] = dN_b / dx_i
+
+    @property
+    def udofs(self) -> np.ndarray:
+        return (2 * self.conn[..., None] + np.arange(2)).reshape(-1, 8)
+
+
+def _interface_rule(cfg: CutConfiguration, pieces=None) -> _Rule:
+    """Rule on every segment of ``cfg``, or on the pieces ``(seg, a0, a1)``:
+    segment indices with start and end parameters along their segment."""
+    segs = cfg.segments
+    for s in segs:
+        if cfg.status[s.elem] == ElemStatus.COVERED:
+            raise GeometryError(
+                f"interface segment owned by element {s.elem} which has no fluid"
+            )
+    p0 = np.array([s.p0 for s in segs], dtype=float).reshape(-1, 2)
+    d = np.array([s.p1 for s in segs], dtype=float).reshape(-1, 2) - p0
+    length = np.hypot(d[:, 0], d[:, 1])
+    if pieces is None:
+        seg = np.arange(len(segs))
+        a0, a1 = np.zeros(seg.size), np.ones(seg.size)
+    else:
+        seg, a0, a1 = pieces
+    apts = (a0[:, None] + _G2_PTS * (a1 - a0)[:, None])[..., None]
+    return _Rule(
+        elem=np.array([s.elem for s in segs], dtype=np.int64)[seg],
+        pts=p0[seg, None] + apts * d[seg, None],
+        w=_G2_WTS * (a1 - a0)[:, None] * length[seg, None],
+        normal=np.array([s.normal for s in segs], dtype=float).reshape(-1, 2)[seg],
+    )
+
+
+def _grid_side(grid: StructuredGrid, elems, pts, clip: bool = False) -> _Side:
+    """Basis tables of ``elems`` at ``pts`` (S, Q, 2), one per point set;
+    ``clip`` clamps the local coordinates onto the element."""
     hx, hy = grid.spacing
-    pts = seg.p0 + _G2_PTS[:, None] * (seg.p1 - seg.p0)
-    wq = _G2_WTS * seg.length
-    s = (pts[:, 0] - x0) / hx
-    t = (pts[:, 1] - y0) / hy
+    x0 = grid.origin[0] + (elems % grid.nx) * hx
+    y0 = grid.origin[1] + (elems // grid.nx) * hy
+    s = (pts[..., 0] - x0[:, None]) / hx
+    t = (pts[..., 1] - y0[:, None]) / hy
+    if clip:
+        s, t = np.clip(s, 0.0, 1.0), np.clip(t, 0.0, 1.0)
     N, Dx, Dy, _ = basis_tables(hx, hy, s, t)
-    g = np.stack([Dx, Dy], axis=-1)
-    return pts, wq, N, g, conn
+    return _Side(grid.all_elem_nodes()[elems], N, np.stack([Dx, Dy], axis=-1))
 
 
-def _traction_derivative(mu, g, gn, nvec):
-    """d(2 mu eps(u) n)_i / d u_{b,k} as an (i, b, k) array."""
-    return mu * (np.einsum("ik,b->ibk", _I2, gn) + np.einsum("bi,k->ibk", g, nvec))
+def _traction_tables(mu, side: _Side, nrm):
+    """d(2 mu eps(u) n)_i / d u_{b,k} at every point, as (S, Q, i, b, k)."""
+    gn = np.einsum("sqbl,sl->sqb", side.g, nrm)
+    return mu * (
+        np.einsum("ik,sqb->sqibk", _I2, gn) + np.einsum("sqbi,sk->sqibk", side.g, nrm)
+    )
 
 
-def _adjoint_rows(mu, g, gn, nvec):
-    """d(2 mu eps(v) n . j)/d j for v = N_a e_i, as an (a, i, k) array."""
-    return mu * (np.einsum("ak,i->aik", g, nvec) + np.einsum("a,ik->aik", gn, _I2))
+def _jump_tables(N, scale):
+    """d j_l / d u_{b,k} = scale N_b delta_lk, as (S, Q, l, b, k)."""
+    return scale * np.einsum("lk,sqb->sqlbk", _I2, N)
+
+
+def _normal_part(nrm, v):
+    """n . v over the first axis after the points: (S, Q, 2, ...) -> (S, Q, ...)."""
+    return np.einsum("sl,sql...->sq...", nrm, v)
+
+
+def _penalty(pen_v, pen_n, nrm, v):
+    """pen_v v + pen_n (n . v) n for a jump or a jump table ``v``."""
+    return pen_v * v + np.einsum("sq,si,sq...->sqi...", pen_n, nrm, _normal_part(nrm, v))
+
+
+def _test(w, T, v):
+    """Integral of T_a v over the rule: (S, Q, a) x (S, Q, ...) -> (S, a, ...)."""
+    return np.einsum("sq,sqa,sq...->sa...", w, T, v)
+
+
+def _test_adjoint(w, dtr, v):
+    """Integral of the adjoint flux 2 mu eps(N_a e_i) n . v: (S, a, i, ...)."""
+    return np.einsum("sq,sqlai,sql...->sai...", w, dtr, v)
+
+
+def _pointwise(c, table):
+    """Scale a (S, Q, ...) table by the point values ``c`` (S, Q)."""
+    return c.reshape(c.shape + (1,) * (table.ndim - 2)) * table
+
+
+def _scatter(sizes, dofs, residuals, blocks):
+    """Sum per-segment vectors and blocks into global residuals and CSR
+    matrices; ``dofs[key]`` (S, m) numbers the local entries of ``key``."""
+    res = {}
+    for key, local in residuals.items():
+        res[key] = np.zeros(sizes[key])
+        np.add.at(res[key], dofs[key].ravel(), local.ravel())
+    if blocks is None:
+        return res, None
+    jac = {}
+    for (r, c), local in blocks.items():
+        acc = TripletAccumulator(sizes[r], sizes[c])
+        shape = (dofs[r].shape[0], dofs[r].shape[1], dofs[c].shape[1])
+        acc.add_block(dofs[r], dofs[c], local.reshape(shape))
+        jac[r, c] = acc.tocsr()
+    return res, jac
 
 
 def assemble_fs_coupling(
@@ -133,133 +234,61 @@ def assemble_fs_coupling(
     h = grid.elem_diameter()
     pen_v = gamma * mu / h
     vel_scale = 1.0 / (theta_iface * dt)
-    L = len(loop_nodes)
 
-    Uv = U.reshape(n, 2)
-    Cv = C_frozen.reshape(n, 2)
-    Sv = solid_velocity.reshape(-1, 2)
+    rule = _interface_rule(cfg)
+    w, nrm = rule.w, rule.normal
+    fl = _grid_side(grid, rule.elem, rule.pts)
+    segs = cfg.segments
+    k = np.array([s.loop_index for s in segs], dtype=np.int64)
+    loop_nodes = np.asarray(loop_nodes)
+    edge = np.stack([loop_nodes[k], loop_nodes[(k + 1) % len(loop_nodes)]], axis=1)
+    t0 = np.array([s.t0 for s in segs], dtype=float)
+    t1 = np.array([s.t1 for s in segs], dtype=float)
+    tpar = t0[:, None] + _G2_PTS * (t1 - t0)[:, None]
+    phi = np.stack([1.0 - tpar, tpar], axis=-1)  # (S, Q, 2) solid edge basis
 
-    ru = np.zeros(2 * n)
-    rp = np.zeros(n)
-    rd = np.zeros(nd)
-    acc = None
-    if tangent:
-        acc = {
-            ("u", "u"): TripletAccumulator(2 * n, 2 * n),
-            ("u", "p"): TripletAccumulator(2 * n, n),
-            ("u", "d"): TripletAccumulator(2 * n, nd),
-            ("p", "u"): TripletAccumulator(n, 2 * n),
-            ("p", "d"): TripletAccumulator(n, nd),
-            ("d", "u"): TripletAccumulator(nd, 2 * n),
-            ("d", "p"): TripletAccumulator(nd, n),
-            ("d", "d"): TripletAccumulator(nd, nd),
-        }
+    ue = U.reshape(n, 2)[fl.conn]
+    dtr = _traction_tables(mu, fl, nrm)
+    tr = np.einsum("sqibk,sbk->sqi", dtr, ue)
+    pf = np.einsum("sqa,sa->sq", fl.N, P[fl.conn])
+    cmag = np.linalg.norm(fl.N @ C_frozen.reshape(n, 2)[fl.conn], axis=-1)
+    pen_n = gamma * (rho * sigma * h + rho * cmag + mu / h)
+    jmp = fl.N @ ue - phi @ solid_velocity.reshape(-1, 2)[edge]
 
-    for seg in cfg.segments:
-        if cfg.status[seg.elem] == ElemStatus.COVERED:
-            raise GeometryError(
-                f"interface segment owned by element {seg.elem} which has no fluid"
-            )
-        pts, wq, N, g, conn = _segment_quadrature(seg, grid)
-        nvec = seg.normal
-        gn = g @ nvec
-
-        ue = Uv[conn]
-        pe = P[conn]
-        uf = N @ ue
-        pf = N @ pe
-        cmag = np.linalg.norm(N @ Cv[conn], axis=1)
-
-        edge = np.array(
-            [loop_nodes[seg.loop_index], loop_nodes[(seg.loop_index + 1) % L]]
-        )
-        tpar = seg.t0 + _G2_PTS * (seg.t1 - seg.t0)
-        phi = np.column_stack([1.0 - tpar, tpar])
-        us = phi @ Sv[edge]
-
-        tr = mu * (gn @ ue + np.einsum("qbi,b->qi", g, ue @ nvec))
-        jmp = uf - us
-        jn = jmp @ nvec
-        pen_n = gamma * (rho * sigma * h + rho * cmag + mu / h)
-
-        ru_loc = np.zeros((4, 2))
-        rp_loc = np.zeros(4)
-        rd_loc = np.zeros((2, 2))
-        if tangent:
-            juu = np.zeros((4, 2, 4, 2))
-            jup = np.zeros((4, 2, 4))
-            jud = np.zeros((4, 2, 2, 2))
-            jpu = np.zeros((4, 4, 2))
-            jpd = np.zeros((4, 2, 2))
-            jdu = np.zeros((2, 2, 4, 2))
-            jdp = np.zeros((2, 2, 4))
-            jdd = np.zeros((2, 2, 2, 2))
-
-        for q in range(len(wq)):
-            w = float(wq[q])
-            Nq, gq, gnq, phq = N[q], g[q], gn[q], phi[q]
-            j, tq, pq, jnq, pn = jmp[q], tr[q], float(pf[q]), float(jn[q]), pen_n[q]
-
-            # Traction and pressure consistency, tested with the jump v - w.
-            ru_loc += w * (-np.outer(Nq, tq) + pq * np.outer(Nq, nvec))
-            rd_loc += w * (np.outer(phq, tq) - pq * np.outer(phq, nvec))
-            # Adjoint terms carry fluid test functions only.
-            adj = mu * (np.outer(gq @ j, nvec) + np.outer(gnq, j))
-            ru_loc += sign * w * adj
-            rp_loc += -w * jnq * Nq
-            # Viscous and directional penalties, tested with the jump.
-            ru_loc += w * (pen_v * np.outer(Nq, j) + pn * jnq * np.outer(Nq, nvec))
-            rd_loc -= w * (pen_v * np.outer(phq, j) + pn * jnq * np.outer(phq, nvec))
-
-            if not tangent:
-                continue
-            dtr = _traction_derivative(mu, gq, gnq, nvec)
-            B = _adjoint_rows(mu, gq, gnq, nvec)
-            nn = np.outer(nvec, nvec)
-            juu += w * (
-                -np.einsum("a,ibk->aibk", Nq, dtr)
-                + sign * np.einsum("aik,b->aibk", B, Nq)
-                + pen_v * np.einsum("a,b,ik->aibk", Nq, Nq, _I2)
-                + pn * np.einsum("a,b,ik->aibk", Nq, Nq, nn)
-            )
-            jud += -w * vel_scale * (
-                sign * np.einsum("aik,c->aick", B, phq)
-                + pen_v * np.einsum("a,c,ik->aick", Nq, phq, _I2)
-                + pn * np.einsum("a,c,ik->aick", Nq, phq, nn)
-            )
-            jup += w * np.einsum("a,i,b->aib", Nq, nvec, Nq)
-            jpu += -w * np.einsum("a,b,k->abk", Nq, Nq, nvec)
-            jpd += w * vel_scale * np.einsum("a,c,k->ack", Nq, phq, nvec)
-            jdu += w * (
-                np.einsum("c,ibk->cibk", phq, dtr)
-                - pen_v * np.einsum("c,b,ik->cibk", phq, Nq, _I2)
-                - pn * np.einsum("c,b,ik->cibk", phq, Nq, nn)
-            )
-            jdp += -w * np.einsum("c,i,b->cib", phq, nvec, Nq)
-            jdd += w * vel_scale * (
-                pen_v * np.einsum("c,e,ik->ciek", phq, phq, _I2)
-                + pn * np.einsum("c,e,ik->ciek", phq, phq, nn)
-            )
-
-        udofs = (2 * conn[:, None] + np.arange(2)).ravel()
-        ddofs = (2 * edge[:, None] + np.arange(2)).ravel()
-        np.add.at(ru, udofs, ru_loc.ravel())
-        np.add.at(rp, conn, rp_loc)
-        np.add.at(rd, ddofs, rd_loc.ravel())
-        if tangent:
-            acc[("u", "u")].add_block(udofs, udofs, juu.reshape(8, 8))
-            acc[("u", "p")].add_block(udofs, conn, jup.reshape(8, 4))
-            acc[("u", "d")].add_block(udofs, ddofs, jud.reshape(8, 4))
-            acc[("p", "u")].add_block(conn, udofs, jpu.reshape(4, 8))
-            acc[("p", "d")].add_block(conn, ddofs, jpd.reshape(4, 4))
-            acc[("d", "u")].add_block(ddofs, udofs, jdu.reshape(4, 8))
-            acc[("d", "p")].add_block(ddofs, conn, jdp.reshape(4, 4))
-            acc[("d", "d")].add_block(ddofs, ddofs, jdd.reshape(4, 4))
-
-    res = {"u": ru, "p": rp, "d": rd}
+    # Traction and pressure consistency plus the viscous and directional
+    # penalties form one point force F, tested with the jump v - w; the
+    # adjoint term carries fluid test functions only.
+    F = -tr + pf[..., None] * nrm[:, None] + _penalty(pen_v, pen_n, nrm, jmp)
+    residuals = {
+        "u": _test(w, fl.N, F) + sign * _test_adjoint(w, dtr, jmp),
+        "p": -_test(w, fl.N, _normal_part(nrm, jmp)),
+        "d": -_test(w, phi, F),
+    }
+    dofs = {
+        "u": fl.udofs,
+        "p": fl.conn,
+        "d": (2 * edge[..., None] + np.arange(2)).reshape(-1, 4),
+    }
+    sizes = {"u": 2 * n, "p": n, "d": nd}
     if not tangent:
-        return res, None
-    return res, {key: a.tocsr() for key, a in acc.items()}
+        return _scatter(sizes, dofs, residuals, None)
+
+    dj_u = _jump_tables(fl.N, 1.0)
+    dj_d = _jump_tables(phi, -vel_scale)
+    dF_u = -dtr + _penalty(pen_v, pen_n, nrm, dj_u)
+    dF_d = _penalty(pen_v, pen_n, nrm, dj_d)
+    dF_p = np.einsum("si,sqb->sqib", nrm, fl.N)
+    blocks = {
+        ("u", "u"): _test(w, fl.N, dF_u) + sign * _test_adjoint(w, dtr, dj_u),
+        ("u", "p"): _test(w, fl.N, dF_p),
+        ("u", "d"): _test(w, fl.N, dF_d) + sign * _test_adjoint(w, dtr, dj_d),
+        ("p", "u"): -_test(w, fl.N, _normal_part(nrm, dj_u)),
+        ("p", "d"): -_test(w, fl.N, _normal_part(nrm, dj_d)),
+        ("d", "u"): -_test(w, phi, dF_u),
+        ("d", "p"): -_test(w, phi, dF_p),
+        ("d", "d"): -_test(w, phi, dF_d),
+    }
+    return _scatter(sizes, dofs, residuals, blocks)
 
 
 def _embedded_pieces(seg, grid2: StructuredGrid):
@@ -292,6 +321,22 @@ def _embedded_element(grid2: StructuredGrid, seg, a0, a1):
         raise GeometryError(
             "interface quadrature point lies outside the embedded mesh"
         ) from None
+
+
+def _two_mesh_rule(grid1: StructuredGrid, cfg1: CutConfiguration, grid2: StructuredGrid):
+    """Rule on the embedded-grid pieces of the background interface, with
+    the basis tables of both meshes."""
+    pieces = [
+        (k, a0, a1, _embedded_element(grid2, seg, a0, a1))
+        for k, seg in enumerate(cfg1.segments)
+        for a0, a1 in _embedded_pieces(seg, grid2)
+    ]
+    cols = np.array(pieces, dtype=float).reshape(-1, 4)
+    seg, e2 = cols[:, 0].astype(np.int64), cols[:, 3].astype(np.int64)
+    rule = _interface_rule(cfg1, (seg, cols[:, 1], cols[:, 2]))
+    side1 = _grid_side(grid1, rule.elem, rule.pts)
+    side2 = _grid_side(grid2, e2, rule.pts, clip=True)
+    return rule, side1, side2
 
 
 def assemble_ff_coupling(
@@ -333,191 +378,68 @@ def assemble_ff_coupling(
         w1 * mu * nitsche.trace_constant / h1 + w2 * mu * nitsche.trace_constant / h2
     )
 
-    U1v, C1v = U1.reshape(n1, 2), C1_frozen.reshape(n1, 2)
-    U2v, C2v = U2.reshape(n2, 2), C2_frozen.reshape(n2, 2)
+    rule, s1, s2 = _two_mesh_rule(grid1, cfg1, grid2)
+    w, nrm = rule.w, rule.normal
+    ue1, ue2 = U1.reshape(n1, 2)[s1.conn], U2.reshape(n2, 2)[s2.conn]
+    cmax1 = np.abs(C1_frozen.reshape(n1, 2)[s1.conn]).max(axis=(1, 2))
+    cmax2 = np.abs(C2_frozen.reshape(n2, 2)[s2.conn]).max(axis=(1, 2))
+    phi1 = nu + params.c_conv * cmax1 * h1 + params.c_react * sigma * h1 * h1
+    phi2 = nu + params.c_conv * cmax2 * h2 + params.c_react * sigma * h2 * h2
+    pen_n = gamma * 0.5 * (w1 * rho * phi1 / h1 + w2 * rho * phi2 / h2)
+    pen_n = np.repeat(pen_n[:, None], 2, axis=1)
 
-    res = {
-        "u1": np.zeros(2 * n1),
-        "p1": np.zeros(n1),
-        "u2": np.zeros(2 * n2),
-        "p2": np.zeros(n2),
+    dtr1, dtr2 = _traction_tables(mu, s1, nrm), _traction_tables(mu, s2, nrm)
+    flux = w1 * np.einsum("sqibk,sbk->sqi", dtr1, ue1)
+    flux += w2 * np.einsum("sqibk,sbk->sqi", dtr2, ue2)
+    pavg = w1 * np.einsum("sqa,sa->sq", s1.N, P1[s1.conn])
+    pavg += w2 * np.einsum("sqa,sa->sq", s2.N, P2[s2.conn])
+    uf1, uf2 = s1.N @ ue1, s2.N @ ue2
+    jmp = uf1 - uf2
+    jn = _normal_part(nrm, jmp)
+    m = rho * 0.5 * _normal_part(nrm, uf1 + uf2)
+    up1, up2 = 0.5 * (m + np.abs(m)), 0.5 * (m - np.abs(m))
+    cm = 0.5 * (1.0 + np.sign(m))
+
+    # (1) weighted flux and pressure consistency and (3, 4) the viscous and
+    # directional jump penalties, tested with the jump; (5) interface
+    # transport against the mean test function and (6) its upwind companion
+    # against the jump; (2) adjoint terms tested with the weighted fluxes.
+    F = -flux + pavg[..., None] * nrm[:, None] + _penalty(pen_v, pen_n, nrm, jmp)
+    residuals = {
+        "u1": _test(w, s1.N, F + up1[..., None] * jmp)
+        + sign * w1 * _test_adjoint(w, dtr1, jmp),
+        "u2": _test(w, s2.N, -F + up2[..., None] * jmp)
+        + sign * w2 * _test_adjoint(w, dtr2, jmp),
+        "p1": -w1 * _test(w, s1.N, jn),
+        "p2": -w2 * _test(w, s2.N, jn),
     }
-    acc = None
-    if tangent:
-        sizes = {"u1": 2 * n1, "p1": n1, "u2": 2 * n2, "p2": n2}
-        pairs = [
-            ("u1", "u1"), ("u1", "p1"), ("u1", "u2"), ("u1", "p2"),
-            ("u2", "u1"), ("u2", "p1"), ("u2", "u2"), ("u2", "p2"),
-            ("p1", "u1"), ("p1", "u2"), ("p2", "u1"), ("p2", "u2"),
-        ]
-        acc = {(r, c): TripletAccumulator(sizes[r], sizes[c]) for r, c in pairs}
-
-    hx2, hy2 = grid2.spacing
-
-    for seg in cfg1.segments:
-        if cfg1.status[seg.elem] == ElemStatus.COVERED:
-            raise GeometryError(
-                f"interface segment owned by element {seg.elem} which has no fluid"
-            )
-        nvec = seg.normal
-        d = seg.p1 - seg.p0
-        conn1 = grid1.elem_nodes(seg.elem)
-        bb1 = grid1.elem_bbox(seg.elem)
-        cmax1 = float(np.max(np.abs(C1v[conn1])))
-        phi1 = nu + params.c_conv * cmax1 * h1 + params.c_react * sigma * h1 * h1
-
-        for a0, a1 in _embedded_pieces(seg, grid2):
-            e2 = _embedded_element(grid2, seg, a0, a1)
-            conn2 = grid2.elem_nodes(e2)
-            bb2 = grid2.elem_bbox(e2)
-            cmax2 = float(np.max(np.abs(C2v[conn2])))
-            phi2 = nu + params.c_conv * cmax2 * h2 + params.c_react * sigma * h2 * h2
-            pen_n = gamma * 0.5 * (w1 * rho * phi1 / h1 + w2 * rho * phi2 / h2)
-
-            pts = seg.p0 + (a0 + _G2_PTS * (a1 - a0))[:, None] * d
-            wq = _G2_WTS * (a1 - a0) * seg.length
-
-            s1 = (pts[:, 0] - bb1[0]) / grid1.spacing[0]
-            t1 = (pts[:, 1] - bb1[1]) / grid1.spacing[1]
-            N1, Dx1, Dy1, _ = basis_tables(grid1.spacing[0], grid1.spacing[1], s1, t1)
-            g1 = np.stack([Dx1, Dy1], axis=-1)
-            s2 = np.clip((pts[:, 0] - bb2[0]) / hx2, 0.0, 1.0)
-            t2 = np.clip((pts[:, 1] - bb2[1]) / hy2, 0.0, 1.0)
-            N2, Dx2, Dy2, _ = basis_tables(hx2, hy2, s2, t2)
-            g2 = np.stack([Dx2, Dy2], axis=-1)
-
-            ue1, pe1 = U1v[conn1], P1[conn1]
-            ue2, pe2 = U2v[conn2], P2[conn2]
-            gn1 = g1 @ nvec
-            gn2 = g2 @ nvec
-            tr1 = mu * (gn1 @ ue1 + np.einsum("qbi,b->qi", g1, ue1 @ nvec))
-            tr2 = mu * (gn2 @ ue2 + np.einsum("qbi,b->qi", g2, ue2 @ nvec))
-            uf1, uf2 = N1 @ ue1, N2 @ ue2
-            p1q, p2q = N1 @ pe1, N2 @ pe2
-
-            r1 = np.zeros((4, 2))
-            r2 = np.zeros((4, 2))
-            q1 = np.zeros(4)
-            q2 = np.zeros(4)
-            if tangent:
-                j11 = np.zeros((4, 2, 4, 2))
-                j12 = np.zeros((4, 2, 4, 2))
-                j21 = np.zeros((4, 2, 4, 2))
-                j22 = np.zeros((4, 2, 4, 2))
-                ju1p1 = np.zeros((4, 2, 4))
-                ju1p2 = np.zeros((4, 2, 4))
-                ju2p1 = np.zeros((4, 2, 4))
-                ju2p2 = np.zeros((4, 2, 4))
-                jp1u1 = np.zeros((4, 4, 2))
-                jp1u2 = np.zeros((4, 4, 2))
-                jp2u1 = np.zeros((4, 4, 2))
-                jp2u2 = np.zeros((4, 4, 2))
-
-            for q in range(len(wq)):
-                w = float(wq[q])
-                N1q, g1q, gn1q = N1[q], g1[q], gn1[q]
-                N2q, g2q, gn2q = N2[q], g2[q], gn2[q]
-                flux = w1 * tr1[q] + w2 * tr2[q]
-                pavg = w1 * float(p1q[q]) + w2 * float(p2q[q])
-                j = uf1[q] - uf2[q]
-                jn = float(j @ nvec)
-                m = rho * 0.5 * float((uf1[q] + uf2[q]) @ nvec)
-                am, sm = abs(m), np.sign(m)
-
-                # (1) weighted flux and pressure consistency, tested with the jump.
-                r1 += w * (-np.outer(N1q, flux) + pavg * np.outer(N1q, nvec))
-                r2 += w * (np.outer(N2q, flux) - pavg * np.outer(N2q, nvec))
-                # (2) adjoint terms, tested with the weighted-average fluxes.
-                adj1 = mu * (np.outer(g1q @ j, nvec) + np.outer(gn1q, j))
-                adj2 = mu * (np.outer(g2q @ j, nvec) + np.outer(gn2q, j))
-                r1 += sign * w * w1 * adj1
-                r2 += sign * w * w2 * adj2
-                q1 += -w * w1 * jn * N1q
-                q2 += -w * w2 * jn * N2q
-                # (3, 4) viscous and directional jump penalties.
-                pen = pen_v * j + pen_n * jn * nvec
-                r1 += w * np.outer(N1q, pen)
-                r2 -= w * np.outer(N2q, pen)
-                # (5) interface transport against the mean test function and
-                # (6) its upwind companion against the jump.
-                r1 += w * 0.5 * (m + am) * np.outer(N1q, j)
-                r2 += w * 0.5 * (m - am) * np.outer(N2q, j)
-
-                if not tangent:
-                    continue
-                dtr1 = _traction_derivative(mu, g1q, gn1q, nvec)
-                dtr2 = _traction_derivative(mu, g2q, gn2q, nvec)
-                B1 = _adjoint_rows(mu, g1q, gn1q, nvec)
-                B2 = _adjoint_rows(mu, g2q, gn2q, nvec)
-                nn = np.outer(nvec, nvec)
-                # Jump derivative: +N1 on mesh-1 columns, -N2 on mesh-2 ones;
-                # mean-flux derivative d m / d u_{b,k} is one half on both.
-                dm1 = 0.5 * rho * np.outer(N1q, nvec)
-                dm2 = 0.5 * rho * np.outer(N2q, nvec)
-                cj1 = pen_v + 0.5 * (m + am)
-                cj2 = -pen_v + 0.5 * (m - am)
-                cm = 0.5 * (1.0 + sm)
-
-                j11 += w * (
-                    -w1 * np.einsum("a,ibk->aibk", N1q, dtr1)
-                    + sign * w1 * np.einsum("aik,b->aibk", B1, N1q)
-                    + cj1 * np.einsum("a,b,ik->aibk", N1q, N1q, _I2)
-                    + pen_n * np.einsum("a,b,ik->aibk", N1q, N1q, nn)
-                    + cm * np.einsum("a,bk,i->aibk", N1q, dm1, j)
-                )
-                j12 += w * (
-                    -w2 * np.einsum("a,ibk->aibk", N1q, dtr2)
-                    - sign * w1 * np.einsum("aik,b->aibk", B1, N2q)
-                    - cj1 * np.einsum("a,b,ik->aibk", N1q, N2q, _I2)
-                    - pen_n * np.einsum("a,b,ik->aibk", N1q, N2q, nn)
-                    + cm * np.einsum("a,bk,i->aibk", N1q, dm2, j)
-                )
-                j21 += w * (
-                    w1 * np.einsum("a,ibk->aibk", N2q, dtr1)
-                    + sign * w2 * np.einsum("aik,b->aibk", B2, N1q)
-                    + cj2 * np.einsum("a,b,ik->aibk", N2q, N1q, _I2)
-                    - pen_n * np.einsum("a,b,ik->aibk", N2q, N1q, nn)
-                    + (1.0 - cm) * np.einsum("a,bk,i->aibk", N2q, dm1, j)
-                )
-                j22 += w * (
-                    w2 * np.einsum("a,ibk->aibk", N2q, dtr2)
-                    - sign * w2 * np.einsum("aik,b->aibk", B2, N2q)
-                    - cj2 * np.einsum("a,b,ik->aibk", N2q, N2q, _I2)
-                    + pen_n * np.einsum("a,b,ik->aibk", N2q, N2q, nn)
-                    + (1.0 - cm) * np.einsum("a,bk,i->aibk", N2q, dm2, j)
-                )
-                ju1p1 += w * w1 * np.einsum("a,i,b->aib", N1q, nvec, N1q)
-                ju1p2 += w * w2 * np.einsum("a,i,b->aib", N1q, nvec, N2q)
-                ju2p1 += -w * w1 * np.einsum("a,i,b->aib", N2q, nvec, N1q)
-                ju2p2 += -w * w2 * np.einsum("a,i,b->aib", N2q, nvec, N2q)
-                jp1u1 += -w * w1 * np.einsum("a,b,k->abk", N1q, N1q, nvec)
-                jp1u2 += w * w1 * np.einsum("a,b,k->abk", N1q, N2q, nvec)
-                jp2u1 += -w * w2 * np.einsum("a,b,k->abk", N2q, N1q, nvec)
-                jp2u2 += w * w2 * np.einsum("a,b,k->abk", N2q, N2q, nvec)
-
-            u1d = (2 * conn1[:, None] + np.arange(2)).ravel()
-            u2d = (2 * conn2[:, None] + np.arange(2)).ravel()
-            res["u1"][u1d] += r1.ravel()
-            res["u2"][u2d] += r2.ravel()
-            res["p1"][conn1] += q1
-            res["p2"][conn2] += q2
-            if tangent:
-                acc[("u1", "u1")].add_block(u1d, u1d, j11.reshape(8, 8))
-                acc[("u1", "u2")].add_block(u1d, u2d, j12.reshape(8, 8))
-                acc[("u2", "u1")].add_block(u2d, u1d, j21.reshape(8, 8))
-                acc[("u2", "u2")].add_block(u2d, u2d, j22.reshape(8, 8))
-                acc[("u1", "p1")].add_block(u1d, conn1, ju1p1.reshape(8, 4))
-                acc[("u1", "p2")].add_block(u1d, conn2, ju1p2.reshape(8, 4))
-                acc[("u2", "p1")].add_block(u2d, conn1, ju2p1.reshape(8, 4))
-                acc[("u2", "p2")].add_block(u2d, conn2, ju2p2.reshape(8, 4))
-                acc[("p1", "u1")].add_block(conn1, u1d, jp1u1.reshape(4, 8))
-                acc[("p1", "u2")].add_block(conn1, u2d, jp1u2.reshape(4, 8))
-                acc[("p2", "u1")].add_block(conn2, u1d, jp2u1.reshape(4, 8))
-                acc[("p2", "u2")].add_block(conn2, u2d, jp2u2.reshape(4, 8))
-
+    dofs = {"u1": s1.udofs, "p1": s1.conn, "u2": s2.udofs, "p2": s2.conn}
+    sizes = {"u1": 2 * n1, "p1": n1, "u2": 2 * n2, "p2": n2}
     if not tangent:
-        return res, None
-    return res, {key: a.tocsr() for key, a in acc.items()}
+        return _scatter(sizes, dofs, residuals, None)
+
+    # Jump derivative: +N1 on mesh-1 columns, -N2 on mesh-2 ones; the mean
+    # normal flux m has derivative rho/2 N_b n_k on both.
+    blocks = {}
+    for c, side, dtr, wc, jsign in (("1", s1, dtr1, w1, 1.0), ("2", s2, dtr2, w2, -1.0)):
+        dj = _jump_tables(side.N, jsign)
+        dF = -wc * dtr + _penalty(pen_v, pen_n, nrm, dj)
+        jdm = 0.5 * rho * np.einsum("sqi,sqb,sk->sqibk", jmp, side.N, nrm)
+        dF_p = wc * np.einsum("si,sqb->sqib", nrm, side.N)
+        djn = _normal_part(nrm, dj)
+        blocks["u1", "u" + c] = (
+            _test(w, s1.N, dF + _pointwise(up1, dj) + _pointwise(cm, jdm))
+            + sign * w1 * _test_adjoint(w, dtr1, dj)
+        )
+        blocks["u2", "u" + c] = (
+            _test(w, s2.N, -dF + _pointwise(up2, dj) + _pointwise(1.0 - cm, jdm))
+            + sign * w2 * _test_adjoint(w, dtr2, dj)
+        )
+        blocks["u1", "p" + c] = _test(w, s1.N, dF_p)
+        blocks["u2", "p" + c] = -_test(w, s2.N, dF_p)
+        blocks["p1", "u" + c] = -w1 * _test(w, s1.N, djn)
+        blocks["p2", "u" + c] = -w2 * _test(w, s2.N, djn)
+    return _scatter(sizes, dofs, residuals, blocks)
 
 
 def interface_jump_norms(
@@ -532,31 +454,10 @@ def interface_jump_norms(
     Returns a dict with the interface length, the L2 norm of the velocity
     jump, and the signed mass defect (integral of the normal jump).
     """
-    n1, n2 = grid1.n_nodes, grid2.n_nodes
-    U1v, U2v = U1.reshape(n1, 2), U2.reshape(n2, 2)
-    hx2, hy2 = grid2.spacing
-    length = 0.0
-    jump_sq = 0.0
-    mass = 0.0
-    for seg in cfg1.segments:
-        nvec = seg.normal
-        d = seg.p1 - seg.p0
-        conn1 = grid1.elem_nodes(seg.elem)
-        bb1 = grid1.elem_bbox(seg.elem)
-        for a0, a1 in _embedded_pieces(seg, grid2):
-            e2 = _embedded_element(grid2, seg, a0, a1)
-            conn2 = grid2.elem_nodes(e2)
-            bb2 = grid2.elem_bbox(e2)
-            pts = seg.p0 + (a0 + _G2_PTS * (a1 - a0))[:, None] * d
-            wq = _G2_WTS * (a1 - a0) * seg.length
-            s1 = (pts[:, 0] - bb1[0]) / grid1.spacing[0]
-            t1 = (pts[:, 1] - bb1[1]) / grid1.spacing[1]
-            N1 = basis_tables(grid1.spacing[0], grid1.spacing[1], s1, t1)[0]
-            s2 = np.clip((pts[:, 0] - bb2[0]) / hx2, 0.0, 1.0)
-            t2 = np.clip((pts[:, 1] - bb2[1]) / hy2, 0.0, 1.0)
-            N2 = basis_tables(hx2, hy2, s2, t2)[0]
-            j = N1 @ U1v[conn1] - N2 @ U2v[conn2]
-            length += float(np.sum(wq))
-            jump_sq += float(np.sum(wq * np.sum(j * j, axis=1)))
-            mass += float(np.sum(wq * (j @ nvec)))
-    return {"length": length, "jump_l2": np.sqrt(jump_sq), "mass_defect": mass}
+    rule, s1, s2 = _two_mesh_rule(grid1, cfg1, grid2)
+    j = s1.N @ U1.reshape(-1, 2)[s1.conn] - s2.N @ U2.reshape(-1, 2)[s2.conn]
+    return {
+        "length": float(np.sum(rule.w)),
+        "jump_l2": np.sqrt(float(np.sum(rule.w * np.sum(j * j, axis=-1)))),
+        "mass_defect": float(np.sum(rule.w * _normal_part(rule.normal, j))),
+    }

@@ -294,9 +294,23 @@ def _identity_constrain(A: sp.spmatrix, r: np.ndarray, fixed: np.ndarray):
     """Zero the rows and columns of fixed unknowns and put ones on their
     diagonal; the matching residual entries become zero.  Valid because the
     prescribed values are already written into the iterate, so the fixed
-    increments vanish."""
-    keep = sp.diags((~fixed).astype(float))
-    A = (keep @ A @ keep + sp.diags(fixed.astype(float))).tocsr()
+    increments vanish.  The mask is structural: every stored entry of a free
+    row and column is kept, zero or not, so the pattern depends only on the
+    assembled pattern and the fixed set."""
+    A = sp.csr_matrix(A)
+    keep = ~(np.repeat(fixed, np.diff(A.indptr)) | fixed[A.indices])
+    kept = np.concatenate([[0], np.cumsum(keep)])[A.indptr]
+    # a fixed row keeps no entry and gets its diagonal one as the only entry
+    indptr = np.concatenate([[0], np.cumsum(np.diff(kept) + fixed)])
+    diag = indptr[:-1][fixed]
+    indices = np.empty(indptr[-1], dtype=A.indices.dtype)
+    data = np.ones(indptr[-1])
+    free = np.ones(indptr[-1], dtype=bool)
+    free[diag] = False
+    indices[free] = A.indices[keep]
+    indices[diag] = np.flatnonzero(fixed)
+    data[free] = A.data[keep]
+    A = sp.csr_matrix((data, indices, indptr), shape=A.shape)
     return A, np.where(fixed, 0.0, r)
 
 
@@ -919,31 +933,29 @@ def assemble_overlap_system(
     U1, P1, U2, P2,
     *,
     dt: float,
-    theta: float,
-    history1: tuple[np.ndarray, np.ndarray],
-    history2: tuple[np.ndarray, np.ndarray],
-    time: float = 0.0,
 ) -> CoupledSystem:
     """Four-block residual/tangent of two overlapping flow meshes.
 
-    The background rows see the embedded boundary through the two-sided
+    One implicit Euler step of length `dt` from rest, at time zero.  The
+    background rows see the embedded boundary through the two-sided
     interface operator; the patch mesh is boundary-fitted and uncut.  The
     current velocities are the frozen convection fields; constraints are
     applied last.
     """
     c_res, c_jac = assemble_ff_coupling(
         background.grid, cfg1, patch.grid, background.params, nitsche,
-        U1, P1, U2, P2, U1, U2, 1.0 / (theta * dt),
+        U1, P1, U2, P2, U1, U2, 1.0 / dt,
     )
     n1, n2 = background.grid.n_nodes, patch.grid.n_nodes
     system = BlockSystem({"u1": 2 * n1, "p1": n1, "u2": 2 * n2, "p2": n2})
-    for u, p, fluid, cfg, U, P, hist in (
-        ("u1", "p1", background, cfg1, U1, P1, history1),
-        ("u2", "p2", patch, cfg2, U2, P2, history2),
+    for u, p, fluid, cfg, U, P in (
+        ("u1", "p1", background, cfg1, U1, P1),
+        ("u2", "p2", patch, cfg2, U2, P2),
     ):
+        rest = (np.zeros_like(U), np.zeros_like(U))
         _add_flow_blocks(
-            system, u, p, fluid, cfg, U, P, hist, U, c_res,
-            dt=dt, theta=theta, time=time,
+            system, u, p, fluid, cfg, U, P, rest, U, c_res,
+            dt=dt, theta=1.0, time=0.0,
         )
     for key, block in c_jac.items():
         system.add_to_block(key[0], key[1], block)
@@ -981,16 +993,13 @@ def solve_overlapping_fluid(
     )
     cfg2 = build_cut_configuration(patch.grid, None)
     n1, n2 = background.grid.n_nodes, patch.grid.n_nodes
-    hist1 = (np.zeros(2 * n1), np.zeros(2 * n1))
-    hist2 = (np.zeros(2 * n2), np.zeros(2 * n2))
 
     def assemble(x):
         _apply_fluid_values(background, cfg1, x["u1"], x["p1"], 0.0)
         _apply_fluid_values(patch, cfg2, x["u2"], x["p2"], 0.0)
         return assemble_overlap_system(
             background, patch, nitsche, cfg1, cfg2,
-            x["u1"], x["p1"], x["u2"], x["p2"],
-            dt=dt_eff, theta=1.0, history1=hist1, history2=hist2,
+            x["u1"], x["p1"], x["u2"], x["p2"], dt=dt_eff,
         )
 
     start = {

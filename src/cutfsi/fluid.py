@@ -29,6 +29,7 @@ __all__ = [
     "stabilization_times",
     "assemble_navier_stokes",
     "assemble_ghost_penalties",
+    "facet_jump_grams",
 ]
 
 
@@ -172,13 +173,6 @@ def _ns_kernel(params, sigma, hist_ratio, dt, hx, hy, N, Dx, Dy, D2, w, Ue, Pe, 
     return Rv, Rq[..., 0], Juu, Jup, Jpu, Jpp
 
 
-def _local_coords(bbox, pts):
-    x0, y0, x1, y1 = bbox
-    s = (pts[:, 0] - x0) / (x1 - x0)
-    t = (pts[:, 1] - y0) / (y1 - y0)
-    return s, t
-
-
 def _eval_force(body_force, pts, time):
     if body_force is None:
         return np.zeros((pts.shape[0], 2))
@@ -241,26 +235,10 @@ def assemble_navier_stokes(
         pdofs = conn
         np.add.at(Ru, udofs, Rv.reshape(E, 8))
         np.add.at(Rp, pdofs, Rq)
-        acc_uu.add(
-            np.repeat(udofs, 8, axis=1).ravel(),
-            np.tile(udofs, (1, 8)).ravel(),
-            Juu.reshape(E, 8, 8).ravel(),
-        )
-        acc_up.add(
-            np.repeat(udofs, 4, axis=1).ravel(),
-            np.tile(pdofs, (1, 8)).ravel(),
-            Jup.reshape(E, 8, 4).ravel(),
-        )
-        acc_pu.add(
-            np.repeat(pdofs, 8, axis=1).ravel(),
-            np.tile(udofs, (1, 4)).ravel(),
-            Jpu.reshape(E, 4, 8).ravel(),
-        )
-        acc_pp.add(
-            np.repeat(pdofs, 4, axis=1).ravel(),
-            np.tile(pdofs, (1, 4)).ravel(),
-            Jpp.reshape(E, 4, 4).ravel(),
-        )
+        acc_uu.add_block(udofs, udofs, Juu.reshape(E, 8, 8))
+        acc_up.add_block(udofs, pdofs, Jup.reshape(E, 8, 4))
+        acc_pu.add_block(pdofs, udofs, Jpu.reshape(E, 4, 8))
+        acc_pp.add_block(pdofs, pdofs, Jpp)
 
     # Uncut elements: one shared 3x3 tensor rule.
     xy = grid.node_coords()
@@ -301,6 +279,48 @@ def assemble_navier_stokes(
     return Ru, Rp, acc_uu.tocsr(), acc_up.tocsr(), acc_pu.tocsr(), acc_pp.tocsr()
 
 
+def facet_jump_grams(grid: StructuredGrid, facets: np.ndarray):
+    """Gram matrices of the basis-gradient jumps across interior grid facets.
+
+    `facets` holds (elem_left, elem_right, node_a, node_b) rows as listed by
+    `CutConfiguration.ghost_facets`. A facet couples the corners of its two
+    elements, `nodes` (F, 8): the left (lower) element's, then the right
+    (upper) one's, so shared corners appear twice and scattered blocks sum
+    over them. The jump (left minus right) is sampled at the facet's two
+    Gauss points. On the uniform grid the jump tables depend only on the
+    facet's orientation, so they are built once for vertical and once for
+    horizontal facets, from one basis evaluation.
+
+    Returns (nodes, length, Mn, Mg): the facet lengths (F,), the Gram
+    matrices of the normal-derivative jump, int [dN_a/dn][dN_b/dn] (F, 8, 8),
+    and of the divergence jump over the velocity dofs 2*node + comp of
+    `nodes`, (F, 16, 16).
+    """
+    hx, hy = grid.spacing
+    conn = grid.all_elem_nodes()
+    nodes = np.concatenate([conn[facets[:, 0]], conn[facets[:, 1]]], axis=1)
+    orient = (facets[:, 3] - facets[:, 2] == 1).astype(np.int64)  # 1: horizontal
+
+    gp, gw = np.polynomial.legendre.leggauss(2)
+    r = 0.5 * (gp + 1.0)
+    one, zero = np.ones(2), np.zeros(2)
+    # local coordinates (orientation, side, point): vertical facets lie at
+    # s = 1 of the left and s = 0 of the right element, horizontal ones at
+    # t = 1 of the lower and t = 0 of the upper element
+    s = np.array([[one, zero], [r, r]])
+    t = np.array([[r, r], [one, zero]])
+    _, Dx, Dy, _ = basis_tables(hx, hy, s, t)
+    grad = np.stack([Dx, Dy], axis=-1)  # (orientation, side, Q, 4, 2)
+    jump = np.concatenate([grad[:, 0], -grad[:, 1]], axis=2)  # (orientation, Q, 8, 2)
+    length = np.array([hy, hx])
+    wq = 0.5 * gw * length[:, None]
+    jn = np.stack([jump[0, ..., 0], jump[1, ..., 1]])
+    jdiv = jump.reshape(2, 2, 16)
+    Mn = np.einsum("oq,oqa,oqb->oab", wq, jn, jn)
+    Mg = np.einsum("oq,oqa,oqb->oab", wq, jdiv, jdiv)
+    return nodes, length[orient], Mn[orient], Mg[orient]
+
+
 def assemble_ghost_penalties(
     grid: StructuredGrid,
     cfg: CutConfiguration,
@@ -316,86 +336,44 @@ def assemble_ghost_penalties(
     velocity, and pressure vectors; the residual contribution is K @ vec.
     The three penalties weight the normal-derivative jump of the velocity,
     the divergence jump, and the normal-derivative jump of the pressure.
+
+    All facets of `cfg.ghost_facets` are handled at once: the jump Gram
+    matrices come from `facet_jump_grams` (shared with the extension of
+    `projection`), the per-facet scalings from array operations over the
+    facets' element pairs, and each operator is scattered with one
+    accumulator call.
     """
     n = grid.n_nodes
-    hx, hy = grid.spacing
     h_elem = grid.elem_diameter()
     sigma = 1.0 / (theta * dt)
     rho = params.density
     nu = params.kinematic_viscosity
-    Cv = C_frozen.reshape(n, 2)
 
+    facets = np.array(cfg.ghost_facets(widened=widened), dtype=np.int64).reshape(-1, 4)
+    nodes, length, Mn, Mg = facet_jump_grams(grid, facets)
+
+    # per-facet scalings from the advection maxima of both elements
+    cinf_elem = np.abs(C_frozen.reshape(n, 2))[grid.all_elem_nodes()].max(axis=(1, 2))
+    cinf = cinf_elem[facets[:, :2]]
+    phi = nu + params.c_conv * cinf * h_elem + params.c_react * sigma * h_elem**2
+    phi_mean = 0.5 * (phi[:, 0] + phi[:, 1])
+    phi_c_mean = 0.5 * (h_elem**2 / phi[:, 0] + h_elem**2 / phi[:, 1])
+    cinf_f = cinf.max(axis=1)
+    coef_c = (
+        params.gamma_conv
+        * rho
+        * (nu + phi_c_mean * cinf_f**2 + sigma * length**2)
+        * length
+    )
+    coef_d = params.gamma_div * phi_mean * rho * length
+    coef_p = params.gamma_press * phi_c_mean / rho * length
+
+    comp = 2 * nodes[:, None, :] + np.arange(2)[:, None]  # (F, 2, 8), per component
+    udofs = (2 * nodes[..., None] + np.arange(2)).reshape(-1, 16)
     acc_c = TripletAccumulator(2 * n, 2 * n)
     acc_d = TripletAccumulator(2 * n, 2 * n)
     acc_p = TripletAccumulator(n, n)
-
-    gp2, gw2 = np.polynomial.legendre.leggauss(2)
-    conn_all = grid.all_elem_nodes()
-    xy = grid.node_coords()
-
-    for el, er, na, nb in cfg.ghost_facets(widened=widened):
-        pa, pb = xy[na], xy[nb]
-        length = float(np.hypot(*(pb - pa)))
-        qp_t = 0.5 * (gp2 + 1.0)
-        pts = pa[None, :] + qp_t[:, None] * (pb - pa)[None, :]
-        wq = 0.5 * gw2 * length
-        vertical = abs(pa[0] - pb[0]) < abs(pa[1] - pb[1])
-        normal_axis = 0 if vertical else 1
-
-        nodes: list[int] = []
-        for e in (el, er):
-            for nd in conn_all[e]:
-                if int(nd) not in nodes:
-                    nodes.append(int(nd))
-        nodes = np.array(nodes, dtype=int)
-        idx = {int(nd): i for i, nd in enumerate(nodes)}
-        m = len(nodes)
-
-        # jump tables over the union dofs: side el enters +, side er enters -
-        jump_dn = np.zeros((len(wq), m))
-        jump_grad = np.zeros((len(wq), m, 2))
-        for sign, e in ((1.0, el), (-1.0, er)):
-            s, t = _local_coords(grid.elem_bbox(e), pts)
-            _, Dx, Dy, _ = basis_tables(hx, hy, s, t)
-            Dn = Dx if normal_axis == 0 else Dy
-            for a_loc, nd in enumerate(conn_all[e]):
-                col = idx[int(nd)]
-                jump_dn[:, col] += sign * Dn[:, a_loc]
-                jump_grad[:, col, 0] += sign * Dx[:, a_loc]
-                jump_grad[:, col, 1] += sign * Dy[:, a_loc]
-
-        cinf = [float(np.max(np.abs(Cv[conn_all[e]]))) for e in (el, er)]
-        phi = [
-            nu + params.c_conv * ci * h_elem + params.c_react * sigma * h_elem**2
-            for ci in cinf
-        ]
-        phi_mean = 0.5 * (phi[0] + phi[1])
-        phi_c_mean = 0.5 * (h_elem**2 / phi[0] + h_elem**2 / phi[1])
-        cinf_f = max(cinf)
-
-        coef_c = (
-            params.gamma_conv
-            * rho
-            * (nu + phi_c_mean * cinf_f**2 + sigma * length**2)
-            * length
-        )
-        coef_d = params.gamma_div * phi_mean * rho * length
-        coef_p = params.gamma_press * phi_c_mean / rho * length
-
-        Mc = np.einsum("q,qa,qb->ab", wq, jump_dn, jump_dn)
-        block = np.zeros((2 * m, 2 * m))
-        block[0::2, 0::2] = coef_c * Mc
-        block[1::2, 1::2] = coef_c * Mc
-        udofs = np.empty(2 * m, dtype=int)
-        udofs[0::2] = 2 * nodes
-        udofs[1::2] = 2 * nodes + 1
-        acc_c.add_block(udofs, udofs, block)
-
-        # divergence jump: dof order of the C-reshape matches udofs
-        Jdiv = jump_grad.reshape(len(wq), 2 * m)
-        Md = np.einsum("q,qa,qb->ab", wq, Jdiv, Jdiv)
-        acc_d.add_block(udofs, udofs, coef_d * Md)
-
-        acc_p.add_block(nodes, nodes, coef_p * Mc)
-
+    acc_c.add_block(comp, comp, (coef_c[:, None, None] * Mn)[:, None])
+    acc_d.add_block(udofs, udofs, coef_d[:, None, None] * Mg)
+    acc_p.add_block(nodes, nodes, coef_p[:, None, None] * Mn)
     return acc_c.tocsr(), acc_d.tocsr(), acc_p.tocsr()

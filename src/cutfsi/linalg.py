@@ -44,13 +44,19 @@ class TripletAccumulator:
         self._vals.append(vals)
 
     def add_block(self, row_ids, col_ids, dense):
-        """Scatter a dense (len(row_ids), len(col_ids)) block."""
+        """Scatter dense (..., r, c) blocks at rows `row_ids` (..., r) and
+        columns `col_ids` (..., c); leading axes batch several blocks and
+        broadcast against each other."""
         row_ids = np.asarray(row_ids, dtype=np.int64)
         col_ids = np.asarray(col_ids, dtype=np.int64)
-        dense = np.asarray(dense, dtype=float)
-        r = np.repeat(row_ids, col_ids.size)
-        c = np.tile(col_ids, row_ids.size)
-        self.add(r, c, dense.ravel())
+        shape = np.broadcast_shapes(row_ids.shape[:-1], col_ids.shape[:-1]) + (
+            row_ids.shape[-1], col_ids.shape[-1],
+        )
+        self.add(
+            np.broadcast_to(row_ids[..., :, None], shape),
+            np.broadcast_to(col_ids[..., None, :], shape),
+            np.broadcast_to(np.asarray(dense, dtype=float), shape),
+        )
 
     def tocsr(self) -> sp.csr_matrix:
         if not self._rows:

@@ -20,7 +20,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .cutting import CutConfiguration, NodeRole
-from .fluid import basis_tables
+from .fluid import facet_jump_grams
 from .linalg import TripletAccumulator
 
 __all__ = [
@@ -98,41 +98,10 @@ def _extension_matrix(cfg: CutConfiguration, widened: bool) -> sp.csr_matrix:
     continuous bilinear basis, so only the first-order term contributes;
     it is scaled by the cube of the facet length.
     """
-    grid = cfg.grid
-    n = grid.n_nodes
-    hx, hy = grid.spacing
-    acc = TripletAccumulator(n, n)
-    gp2, gw2 = np.polynomial.legendre.leggauss(2)
-    conn_all = grid.all_elem_nodes()
-    xy = grid.node_coords()
-
-    for el, er, na, nb in cfg.ghost_facets(widened=widened):
-        pa, pb = xy[na], xy[nb]
-        length = float(np.hypot(*(pb - pa)))
-        qp_t = 0.5 * (gp2 + 1.0)
-        pts = pa[None, :] + qp_t[:, None] * (pb - pa)[None, :]
-        wq = 0.5 * gw2 * length
-        normal_axis = 0 if abs(pa[0] - pb[0]) < abs(pa[1] - pb[1]) else 1
-
-        nodes: list[int] = []
-        for e in (el, er):
-            for nd in conn_all[e]:
-                if int(nd) not in nodes:
-                    nodes.append(int(nd))
-        idx = {nd: i for i, nd in enumerate(nodes)}
-        jump_dn = np.zeros((len(wq), len(nodes)))
-        for sign, e in ((1.0, el), (-1.0, er)):
-            x0, y0, _, _ = grid.elem_bbox(e)
-            s = (pts[:, 0] - x0) / hx
-            t = (pts[:, 1] - y0) / hy
-            _, Dx, Dy, _ = basis_tables(hx, hy, s, t)
-            Dn = Dx if normal_axis == 0 else Dy
-            for a_loc, nd in enumerate(conn_all[e]):
-                jump_dn[:, idx[int(nd)]] += sign * Dn[:, a_loc]
-
-        M = length**3 * np.einsum("q,qa,qb->ab", wq, jump_dn, jump_dn)
-        node_arr = np.array(nodes, dtype=int)
-        acc.add_block(node_arr, node_arr, M)
+    facets = np.array(cfg.ghost_facets(widened=widened), dtype=np.int64).reshape(-1, 4)
+    nodes, length, Mn, _ = facet_jump_grams(cfg.grid, facets)
+    acc = TripletAccumulator(cfg.grid.n_nodes, cfg.grid.n_nodes)
+    acc.add_block(nodes, nodes, length[:, None, None] ** 3 * Mn)
     return acc.tocsr()
 
 
@@ -150,7 +119,6 @@ class SpaceProjector:
         cfg_curr: CutConfiguration,
         widened: bool = False,
     ):
-        self.cfg_curr = cfg_curr
         self.correspondence = _build_correspondence(cfg_prev, cfg_curr)
         bad = self.correspondence.violation_nodes
         if bad.size:

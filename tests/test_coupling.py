@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cutfsi import coupling
 from cutfsi.coupling import (
     NitscheParams,
     assemble_ff_coupling,
@@ -12,7 +13,8 @@ from cutfsi.coupling import (
     interface_jump_norms,
 )
 from cutfsi.cutting import CutConfiguration, GeometryError, build_cut_configuration
-from cutfsi.fluid import FluidParams
+from cutfsi.driver import patch_boundary_loop
+from cutfsi.fluid import FluidParams, basis_tables
 from cutfsi.meshes import StructuredGrid
 
 PARAMS = FluidParams(density=1.2, viscosity=0.03)
@@ -451,3 +453,98 @@ class TestFluidFluidCoupling:
         assert np.isclose(out["mass_defect"], 0.0, atol=1e-12)
         same = interface_jump_norms(grid1, cfg1, grid2, U1, np.tile([1.0, 0.0], grid2.n_nodes))
         assert same["jump_l2"] < 1e-13
+
+
+class TestBatchedRule:
+    def test_fs_residual_is_independent_of_the_tangent_flag(self):
+        # the force-balance suite compares stored and recomputed interface
+        # forces bitwise
+        grid, cfg, loop_nodes, n_solid = _fs_setup()
+        rng = np.random.default_rng(13)
+        n = grid.n_nodes
+        args = (
+            rng.normal(size=2 * n), rng.normal(size=n), rng.normal(size=2 * n),
+            rng.normal(size=2 * n_solid), NitscheParams(gamma=17.0),
+        )
+        with_tangent, _ = _fs_assemble(grid, cfg, loop_nodes, *args)
+        without, jac = _fs_assemble(grid, cfg, loop_nodes, *args, tangent=False)
+        assert jac is None
+        for key in ("u", "p", "d"):
+            assert np.array_equal(with_tangent[key], without[key]), key
+
+    def test_ff_residual_is_independent_of_the_tangent_flag(self):
+        grid1, cfg1, grid2, _ = _ff_setup()
+        state = _random_ff_state(grid1, grid2, 14)
+        nit = NitscheParams(gamma=9.0, flux_weight_first=0.35)
+        with_tangent, _ = assemble_ff_coupling(
+            grid1, cfg1, grid2, PARAMS, nit, *state, SIGMA
+        )
+        without, jac = assemble_ff_coupling(
+            grid1, cfg1, grid2, PARAMS, nit, *state, SIGMA, tangent=False
+        )
+        assert jac is None
+        for key in ("u1", "p1", "u2", "p2"):
+            assert np.array_equal(with_tangent[key], without[key]), key
+
+    def test_ff_background_segments_through_patch_nodes(self):
+        # background lines x = 0.5 and y = 0.5 pass exactly through patch
+        # nodes (all coordinates are dyadic), so background segments start,
+        # end and split at patch nodes
+        grid1 = StructuredGrid((0.0, 0.0), (0.25, 0.25), (6, 5))
+        grid2 = StructuredGrid((0.3125, 0.1875), (0.1875, 0.15625), (4, 4))
+        corners = np.array([[0.3125, 0.1875], [1.0625, 0.1875], [1.0625, 0.8125], [0.3125, 0.8125]])
+        cfg1 = build_cut_configuration(grid1, corners)
+        patch_nodes = {tuple(p) for p in grid2.node_coords()}
+        ends = [tuple(p) for s in cfg1.segments for p in (s.p0, s.p1)]
+        assert (0.5, 0.1875) in ends and (0.3125, 0.5) in ends
+        assert all(p in patch_nodes for p in [(0.5, 0.1875), (0.3125, 0.5)])
+
+        U1, P1, U2, P2, C1, C2 = _random_ff_state(grid1, grid2, 23)
+        nit = NitscheParams(gamma=9.0, flux_weight_first=0.3)
+        res, _ = assemble_ff_coupling(
+            grid1, cfg1, grid2, PARAMS, nit, U1, P1, U2, P2, C1, C2, SIGMA,
+            tangent=False,
+        )
+        ref = _ff_oracle(grid1, grid2, corners, PARAMS, nit, U1, P1, U2, P2, C1, C2, SIGMA)
+        for key in ("u1", "p1", "u2", "p2"):
+            scale = np.linalg.norm(ref[key]) + 1.0
+            assert np.allclose(res[key], ref[key], atol=1e-11 * scale), key
+        out = interface_jump_norms(grid1, cfg1, grid2, U1, U2)
+        assert np.isclose(out["length"], 2 * (0.75 + 0.625), atol=1e-12)
+
+    def test_basis_evaluations_do_not_scale_with_the_segment_count(self, monkeypatch):
+        calls = []
+
+        def counting(*args):
+            calls.append(1)
+            return basis_tables(*args)
+
+        monkeypatch.setattr(coupling, "basis_tables", counting)
+        grid = StructuredGrid((0.0, 0.0), (0.1, 0.1), (12, 12))
+        counts, n_segments = [], []
+        for half in (0.12, 0.37):
+            loop = 0.6 + half * np.array([[-1.0, -0.9], [1.0, -0.8], [0.9, 1.0], [-0.8, 0.9]])
+            cfg = build_cut_configuration(grid, loop)
+            n_segments.append(len(cfg.segments))
+            n = grid.n_nodes
+            zeros = np.zeros(2 * n)
+            calls.clear()
+            assemble_fs_coupling(
+                grid, cfg, PARAMS, NitscheParams(), zeros, np.zeros(n), zeros,
+                np.arange(4), np.zeros(8), THETA_IFACE, DT, SIGMA,
+            )
+            counts.append(len(calls))
+        assert n_segments[0] < n_segments[1] and counts == [1, 1]
+
+        grid1 = StructuredGrid((0.0, 0.0), (0.1, 0.1), (12, 12))
+        counts, n_segments = [], []
+        for cells in (2, 6):
+            grid2 = StructuredGrid((0.23, 0.27), (0.09, 0.08), (cells, cells))
+            cfg1 = build_cut_configuration(grid1, patch_boundary_loop(grid2))
+            n_segments.append(len(cfg1.segments))
+            state = _random_ff_state(grid1, grid2, 5)
+            calls.clear()
+            assemble_ff_coupling(grid1, cfg1, grid2, PARAMS, NitscheParams(), *state, SIGMA)
+            interface_jump_norms(grid1, cfg1, grid2, state[0], state[2])
+            counts.append(len(calls))
+        assert n_segments[0] < n_segments[1] and counts == [4, 4]

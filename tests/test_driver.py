@@ -3,12 +3,12 @@ cycles, restart files, and the two-mesh overlapping flow solver."""
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cutfsi.coupling import (
     NitscheParams,
-    _segment_quadrature,
     assemble_fs_coupling,
     interface_jump_norms,
 )
@@ -25,6 +25,7 @@ from cutfsi.driver import (
     SolidProblem,
     StepHistory,
     VelocityDirichlet,
+    _identity_constrain,
     assemble_coupled_system,
     fluid_acceleration_update,
     interface_velocity,
@@ -34,7 +35,7 @@ from cutfsi.driver import (
     solve_overlapping_fluid,
     time_loop,
 )
-from cutfsi.fluid import FluidParams, assemble_navier_stokes
+from cutfsi.fluid import FluidParams, assemble_navier_stokes, basis_tables
 from cutfsi.meshes import StructuredGrid, rectangle_fitted_mesh
 from cutfsi.solid import (
     GenAlphaParams,
@@ -284,6 +285,20 @@ class TestCoupledAssembly:
         )
         scale = 1.0 / (1.0 - ga.alpha_f)
         assert np.allclose(blocks["d"], scale * R_s, rtol=1e-14, atol=0.0)
+
+    def test_identity_constraint_masks_structurally(self):
+        # a stored 0.0 in a free row and column survives; fixed rows and
+        # columns keep only their unit diagonal
+        rows = np.array([0, 0, 0, 1, 1, 2, 2])
+        cols = np.array([0, 1, 2, 1, 2, 0, 2])
+        vals = np.array([2.0, 0.0, 5.0, 7.0, 4.0, 1.0, 3.0])
+        A = sp.csr_matrix((vals, (rows, cols)), shape=(3, 3))
+        fixed = np.array([False, False, True])
+        M, r = _identity_constrain(A, np.array([1.0, 2.0, 3.0]), fixed)
+        M = M.tocoo()
+        entries = dict(zip(zip(M.row.tolist(), M.col.tolist()), M.data.tolist()))
+        assert entries == {(0, 0): 2.0, (0, 1): 0.0, (1, 1): 7.0, (2, 2): 1.0}
+        assert r.tolist() == [1.0, 2.0, 0.0]
 
     def test_dirichlet_rows_are_identity_rows(self):
         problem = _gentle_flap_problem()
@@ -717,11 +732,18 @@ class TestTimeLoop:
             cfg = build_cut_configuration(
                 grid, mesh.nodes[problem.solid.loop_nodes], problem.solid.wet_mask
             )
+            # two-point Gauss rule per segment; the obstacle velocity is zero
+            hx, hy = grid.spacing
+            xg, wg = np.polynomial.legendre.leggauss(2)
             total = 0.0
             for seg in cfg.segments:
-                pts, wq, N, _, conn = _segment_quadrature(seg, grid)
-                u = N @ state.U.reshape(-1, 2)[conn]  # obstacle velocity is zero
-                total += float(np.sum(wq * np.sum(u**2, axis=1)))
+                conn = grid.elem_nodes(seg.elem)
+                x0, y0, _, _ = grid.elem_bbox(seg.elem)
+                for a, w in zip(0.5 * (xg + 1.0), 0.5 * wg * seg.length):
+                    x = seg.p0 + a * (seg.p1 - seg.p0)
+                    N = basis_tables(hx, hy, (x[0] - x0) / hx, (x[1] - y0) / hy)[0]
+                    u = N @ state.U.reshape(-1, 2)[conn]
+                    total += w * float(u @ u)
             return np.sqrt(total)
 
         jumps = [run(g) for g in (10.0, 35.0, 100.0)]

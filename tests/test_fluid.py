@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from cutfsi import fluid, projection
 from cutfsi.cutting import CutConfiguration, ElemStatus, NodeRole, build_cut_configuration
 from cutfsi.fluid import (
     FluidParams,
@@ -507,3 +508,109 @@ def test_ghost_penalty_symmetric_psd():
         assert np.allclose(A, A.T, atol=1e-14)
         w = np.linalg.eigvalsh(A)
         assert w.min() > -1e-12 * max(1.0, w.max())
+
+
+# --- facet-jump builder shared by the ghost penalties and the extension ---
+
+FACET_GRID = StructuredGrid((0.1, -0.2), (0.3, 0.2), (7, 6))
+FACET_SOLID = np.array([[0.83, 0.07], [1.52, 0.15], [1.47, 0.61], [0.88, 0.55]])
+
+
+def _facet_reference(grid, el, er, na, nb):
+    """Union nodes, weights, length, normal axis and gradient jump tables
+    (Q, m, 2) of one facet, from hat products written out point by point."""
+    xy = grid.node_coords()
+    hx, hy = grid.spacing
+    pa, pb = xy[na], xy[nb]
+    length = float(np.hypot(*(pb - pa)))
+    gp, gw = np.polynomial.legendre.leggauss(2)
+    pts = pa + 0.5 * (gp + 1.0)[:, None] * (pb - pa)
+    axis = 0 if abs(pb[0] - pa[0]) < abs(pb[1] - pa[1]) else 1
+    nodes = list(dict.fromkeys([*grid.elem_nodes(el), *grid.elem_nodes(er)]))
+    grad = np.zeros((2, len(nodes), 2))
+    for sign, e in ((1.0, el), (-1.0, er)):
+        centre = xy[grid.elem_nodes(e)].mean(axis=0)
+        for nd in grid.elem_nodes(e):
+            # one-sided hat gradient, taken from inside element e
+            sx, sy = np.sign(xy[nd] - centre)
+            fx = 1.0 - np.abs(pts[:, 0] - xy[nd, 0]) / hx
+            fy = 1.0 - np.abs(pts[:, 1] - xy[nd, 1]) / hy
+            grad[:, nodes.index(nd)] += sign * np.column_stack([sx / hx * fy, fx * sy / hy])
+    return np.array(nodes), 0.5 * gw * length, length, axis, grad
+
+
+def _ghost_reference(grid, cfg, par, dt, theta, C, widened):
+    n = grid.n_nodes
+    sigma = 1.0 / (theta * dt)
+    h = grid.elem_diameter()
+    rho, nu = par.density, par.kinematic_viscosity
+    Kc, Kd, Kp = np.zeros((2 * n, 2 * n)), np.zeros((2 * n, 2 * n)), np.zeros((n, n))
+    for el, er, na, nb in cfg.ghost_facets(widened=widened):
+        nodes, w, length, axis, grad = _facet_reference(grid, el, er, na, nb)
+        cinf = [np.abs(C.reshape(n, 2)[grid.elem_nodes(e)]).max() for e in (el, er)]
+        phi = [nu + par.c_conv * c * h + par.c_react * sigma * h**2 for c in cinf]
+        phi_c = 0.5 * sum(h**2 / p for p in phi)
+        Mn = np.einsum("q,qa,qb->ab", w, grad[..., axis], grad[..., axis])
+        div = grad.reshape(len(w), -1)
+        Md = np.einsum("q,qa,qb->ab", w, div, div)
+        for comp in (0, 1):
+            dofs = 2 * nodes + comp
+            Kc[np.ix_(dofs, dofs)] += (
+                par.gamma_conv * rho * (nu + phi_c * max(cinf) ** 2 + sigma * length**2)
+                * length * Mn
+            )
+        udofs = (2 * nodes[:, None] + np.arange(2)).ravel()
+        Kd[np.ix_(udofs, udofs)] += par.gamma_div * 0.5 * sum(phi) * rho * length * Md
+        Kp[np.ix_(nodes, nodes)] += par.gamma_press * phi_c / rho * length * Mn
+    return Kc, Kd, Kp
+
+
+@pytest.mark.parametrize("widened", [False, True])
+def test_ghost_penalties_match_per_facet_reference(widened):
+    cfg = build_cut_configuration(FACET_GRID, FACET_SOLID)
+    facets = np.array(cfg.ghost_facets(widened=widened))
+    vertical = facets[:, 3] - facets[:, 2] != 1
+    assert vertical.any() and not vertical.all()
+    par = FluidParams(density=1.3, viscosity=0.02, gamma_conv=0.04, gamma_div=0.06, gamma_press=0.08)
+    C = np.random.default_rng(4).standard_normal(2 * FACET_GRID.n_nodes)
+    got = assemble_ghost_penalties(FACET_GRID, cfg, par, 0.05, 0.7, C, widened=widened)
+    want = _ghost_reference(FACET_GRID, cfg, par, 0.05, 0.7, C, widened)
+    for K, ref in zip(got, want):
+        assert np.abs(K.toarray() - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("widened", [False, True])
+def test_extension_matrix_matches_per_facet_reference(widened):
+    cfg = build_cut_configuration(FACET_GRID, FACET_SOLID)
+    n = FACET_GRID.n_nodes
+    want = np.zeros((n, n))
+    for el, er, na, nb in cfg.ghost_facets(widened=widened):
+        nodes, w, length, axis, grad = _facet_reference(FACET_GRID, el, er, na, nb)
+        dn = grad[..., axis]
+        want[np.ix_(nodes, nodes)] += length**3 * np.einsum("q,qa,qb->ab", w, dn, dn)
+    got = projection._extension_matrix(cfg, widened).toarray()
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def test_facet_operators_evaluate_the_basis_once_per_call(monkeypatch):
+    # the jump tables are built per facet orientation, not per facet
+    calls = []
+
+    def counting(*args):
+        calls.append(1)
+        return basis_tables(*args)
+
+    monkeypatch.setattr(fluid, "basis_tables", counting)
+    small = np.array([[0.83, 0.07], [1.12, 0.07], [1.12, 0.31], [0.83, 0.31]])
+    counts, n_facets = [], []
+    for solid in (small, FACET_SOLID):
+        cfg = build_cut_configuration(FACET_GRID, solid)
+        n_facets.append(len(cfg.ghost_facets(widened=True)))
+        calls.clear()
+        assemble_ghost_penalties(
+            FACET_GRID, cfg, PAR, 0.1, 1.0, np.zeros(2 * FACET_GRID.n_nodes), widened=True
+        )
+        projection._extension_matrix(cfg, True)
+        counts.append(len(calls))
+    assert n_facets[0] < n_facets[1]
+    assert counts == [2, 2]
