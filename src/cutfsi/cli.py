@@ -190,7 +190,7 @@ def _cmd_run(args) -> int:
         write_snapshot(
             outdir,
             index,
-            driver._cut_from(s.d_space),
+            driver.configuration(s),
             s.U,
             s.P,
             mesh=mesh,
@@ -259,7 +259,7 @@ def _dump_matrix(driver: FsiDriver, state, report, directory: Path) -> None:
     asm = assemble_coupled_system(
         problem,
         driver.config,
-        driver._cut_from(state.d_space),
+        driver.configuration(state),
         state.U,
         state.P,
         state.solid.d,
@@ -310,7 +310,7 @@ def _cmd_inspect(args) -> int:
     state = driver.initial_state()
     while state.time < args.time - 1e-12:
         state, _ = driver.step(state)
-    cfg = driver._cut_from(state.d_space)
+    cfg = driver.configuration(state)
 
     status = cfg.status
     n_fluid = int(np.sum(status == ElemStatus.FLUID))

@@ -25,7 +25,6 @@ __all__ = [
     "InterfaceSegment",
     "CutConfiguration",
     "build_cut_configuration",
-    "point_in_polygon",
     "snap_to_grid",
     "jump",
     "avg",
@@ -70,34 +69,32 @@ def avg_conjugate(fi, fj, wi):
     return (1.0 - wi) * fi + wi * fj
 
 
-def point_in_polygon(p, poly):
-    """Strictly-inside test by ray crossing; points on the boundary are not
-    guaranteed either way and must be filtered by the caller."""
-    x, y = float(p[0]), float(p[1])
-    inside = False
-    n = poly.shape[0]
-    j = n - 1
-    for i in range(n):
-        yi, yj = poly[i, 1], poly[j, 1]
-        if (yi > y) != (yj > y):
-            x_cross = poly[j, 0] + (y - yj) / (yi - yj) * (poly[i, 0] - poly[j, 0])
-            if x < x_cross:
-                inside = not inside
-        j = i
-    return inside
+def _inside(points, poly):
+    """Crossing-number (even-odd) test of (P, 2) points against a closed
+    polygon, as one (points x edges) expression: (P,) bool, True strictly
+    inside. Points on the boundary are not guaranteed either way and must be
+    filtered by the caller."""
+    x, y = points[:, :1], points[:, 1:]
+    xi, yi = poly[:, 0], poly[:, 1]
+    xj, yj = np.roll(xi, 1), np.roll(yi, 1)  # edge j -> i
+    straddles = (yi > y) != (yj > y)
+    # a non-straddling edge gets a unit denominator; its crossing is unused
+    x_cross = xj + (y - yj) / np.where(straddles, yi - yj, 1.0) * (xi - xj)
+    return np.count_nonzero(straddles & (x < x_cross), axis=1) % 2 == 1
 
 
-def _dist_to_segments(p, poly):
+def _dist_to_segments(points, poly):
+    """Distance of each of the (P, 2) points to the closed polygon."""
     a = poly
     b = np.roll(poly, -1, axis=0)
     ab = b - a
-    ap = p[None, :] - a
+    ap = points[:, None, :] - a[None]
     denom = np.einsum("ij,ij->i", ab, ab)
     # a zero-length edge (repeated vertex) projects onto its start point
-    t = np.divide(np.einsum("ij,ij->i", ap, ab), denom, out=np.zeros_like(denom), where=denom > 0)
-    t = np.clip(t, 0.0, 1.0)
-    closest = a + t[:, None] * ab
-    return float(np.min(np.hypot(*(p[None, :] - closest).T)))
+    t = np.clip(np.einsum("pij,ij->pi", ap, ab) / np.where(denom > 0, denom, 1.0), 0.0, 1.0)
+    closest = a[None] + t[..., None] * ab[None]
+    off = points[:, None, :] - closest
+    return np.min(np.hypot(off[..., 0], off[..., 1]), axis=1)
 
 
 def snap_to_grid(grid: StructuredGrid, vertices: np.ndarray) -> np.ndarray:
@@ -162,31 +159,21 @@ def _signed_area(poly):
     return 0.5 * float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
 
 
-def _segment_param_in_rect(a, b, rect):
-    """Liang-Barsky: parameter window [t0, t1] of segment a->b inside the
-    closed rectangle, or None."""
-    x0, y0, x1, y1 = rect
-    t0, t1 = 0.0, 1.0
-    d = (b[0] - a[0], b[1] - a[1])
-    p = (-d[0], d[0], -d[1], d[1])
-    q = (a[0] - x0, x1 - a[0], a[1] - y0, y1 - a[1])
-    for pi, qi in zip(p, q):
-        if pi == 0.0:
-            if qi < 0.0:
-                return None
-        else:
-            r = qi / pi
-            if pi < 0.0:
-                if r > t1:
-                    return None
-                t0 = max(t0, r)
-            else:
-                if r < t0:
-                    return None
-                t1 = min(t1, r)
-    if t1 - t0 <= 1e-14:
-        return None
-    return t0, t1
+def _segment_windows(a, b, rects):
+    """Liang-Barsky: parameter windows [t0, t1] of segment a->b inside each
+    closed rectangle (x0, y0, x1, y1) of `rects` (R, 4). Returns (t0, t1,
+    meets); `meets` marks the windows longer than 1e-14."""
+    d = b - a
+    p = np.array([-d[0], d[0], -d[1], d[1]])
+    q = np.column_stack(
+        [a[0] - rects[:, 0], rects[:, 2] - a[0], a[1] - rects[:, 1], rects[:, 3] - a[1]]
+    )
+    r = q / np.where(p == 0.0, 1.0, p)
+    # + 0.0 turns a -0.0 entry parameter into 0.0, the start of the window
+    t0 = np.max(np.where(p < 0.0, r, 0.0), axis=1) + 0.0
+    t1 = np.min(np.where(p > 0.0, r, 1.0), axis=1)
+    parallel_outside = np.any((p == 0.0) & (q < 0.0), axis=1)
+    return t0, t1, ~parallel_outside & (t1 - t0 > 1e-14)
 
 
 @dataclass(frozen=True)
@@ -225,6 +212,7 @@ class CutConfiguration:
         self.segments = segments  # list[InterfaceSegment]
         self.loop = loop  # snapped closed CCW polygon or None
         self.node_role = node_role  # (n_nodes,) NodeRole values
+        self.cut_batch = None  # padded cut-element rules, set by the flow assembly
         self.active_elems = np.flatnonzero(status != ElemStatus.COVERED)
         self.active_nodes = np.flatnonzero(node_role != NodeRole.INACTIVE)
 
@@ -301,43 +289,52 @@ def build_cut_configuration(
     cell_area = hx * hy
     tol_line = 1e-12 * diam
 
-    # Candidate cut elements: cells overlapped by each edge's bounding box.
+    # Cell rectangles (x0, y0, x1, y1), built as `StructuredGrid.elem_bbox`.
+    xy = grid.node_coords()
+    conn = grid.all_elem_nodes()
+    lower_left = xy[conn[:, 0]]
+    rects = np.column_stack([lower_left, lower_left[:, 0] + hx, lower_left[:, 1] + hy])
+
+    # Crossing pairs: cells in an edge's bounding box that the edge meets.
     edges = [(loop[k], loop[(k + 1) % m]) for k in range(m)]
-    crossing: dict[int, list[int]] = {}
+    hits = np.zeros((grid.n_elems, m), dtype=bool)
     for k, (a, b) in enumerate(edges):
         i0 = int(np.floor((min(a[0], b[0]) - grid.origin[0]) / hx - 1e-12))
         i1 = int(np.floor((max(a[0], b[0]) - grid.origin[0]) / hx + 1e-12))
         j0 = int(np.floor((min(a[1], b[1]) - grid.origin[1]) / hy - 1e-12))
         j1 = int(np.floor((max(a[1], b[1]) - grid.origin[1]) / hy + 1e-12))
-        for j in range(max(j0, 0), min(j1, grid.ny - 1) + 1):
-            for i in range(max(i0, 0), min(i1, grid.nx - 1) + 1):
-                e = grid.elem_id(i, j)
-                rect = grid.elem_bbox(e)
-                if _segment_param_in_rect(a, b, rect) is not None:
-                    crossing.setdefault(e, []).append(k)
+        cols = np.arange(max(i0, 0), min(i1, grid.nx - 1) + 1)
+        rows = np.arange(max(j0, 0), min(j1, grid.ny - 1) + 1)
+        cells = (rows[:, None] * grid.nx + cols[None, :]).ravel()
+        hits[cells, k] = _segment_windows(a, b, rects[cells])[2]
+    crossed = hits.any(axis=1)
 
+    # Uncrossed cells are classified by their centre.
     status = np.empty(grid.n_elems, dtype=np.int8)
-    pieces: dict[int, list[np.ndarray]] = {}
-    xy = grid.node_coords()
-    for e in range(grid.n_elems):
-        rect = grid.elem_bbox(e)
-        if e not in crossing:
-            cx, cy = 0.5 * (rect[0] + rect[2]), 0.5 * (rect[1] + rect[3])
-            inside = point_in_polygon((cx, cy), loop)
-            status[e] = ElemStatus.COVERED if inside else ElemStatus.FLUID
+    centres = 0.5 * (rects[~crossed, :2] + rects[~crossed, 2:])
+    status[~crossed] = np.where(
+        _inside(centres, loop), ElemStatus.COVERED, ElemStatus.FLUID
+    )
+
+    # Crossed cells are clipped by each edge's line into convex parts.
+    lines = []
+    for a, b in edges:
+        nrm = np.array([-(b[1] - a[1]), b[0] - a[0]])
+        nlen = np.hypot(*nrm)
+        if nlen == 0.0:
+            lines.append(None)
             continue
-        poly0 = np.array(
-            [[rect[0], rect[1]], [rect[2], rect[1]], [rect[2], rect[3]], [rect[0], rect[3]]]
-        )
-        parts = [poly0]
-        for k in crossing[e]:
-            a, b = edges[k]
-            nrm = np.array([-(b[1] - a[1]), b[0] - a[0]])
-            nlen = np.hypot(*nrm)
-            if nlen == 0.0:
+        nrm /= nlen
+        lines.append((nrm, float(nrm @ a)))
+    cut_cells = np.flatnonzero(crossed)
+    cell_parts: list[list[np.ndarray]] = []
+    for e in cut_cells:
+        x0, y0, x1, y1 = rects[e]
+        parts = [np.array([[x0, y0], [x1, y0], [x1, y1], [x0, y1]])]
+        for k in np.flatnonzero(hits[e]):
+            if lines[k] is None:
                 continue
-            nrm /= nlen
-            c = float(nrm @ a)
+            nrm, c = lines[k]
             nxt: list[np.ndarray] = []
             for poly in parts:
                 lo, hi = _split_convex(poly, poly @ nrm - c, tol_line)
@@ -346,7 +343,14 @@ def build_cut_configuration(
                 if hi is not None:
                     nxt.append(hi)
             parts = nxt
-        fluid_parts = [p for p in parts if not point_in_polygon(p.mean(axis=0), loop)]
+        cell_parts.append(parts)
+
+    # A part is fluid when its vertex mean lies outside the polygon.
+    means = np.array([p.mean(axis=0) for parts in cell_parts for p in parts])
+    is_fluid = iter(~_inside(means.reshape(-1, 2), loop))
+    pieces: dict[int, list[np.ndarray]] = {}
+    for e, parts in zip(cut_cells.tolist(), cell_parts):
+        fluid_parts = [p for p in parts if next(is_fluid)]
         a_f = sum(abs(_signed_area(p)) for p in fluid_parts)
         if a_f <= AREA_TOL_REL * cell_area:
             status[e] = ElemStatus.COVERED
@@ -359,11 +363,13 @@ def build_cut_configuration(
     # Partition wet edges into per-element interface segments; pieces outside
     # the grid carry no coupling and are dropped.
     eps = 1e-6 * min(hx, hy)
-    grid_box = (
-        grid.origin[0],
-        grid.origin[1],
-        grid.origin[0] + grid.nx * hx,
-        grid.origin[1] + grid.ny * hy,
+    grid_box = np.array(
+        [[
+            grid.origin[0],
+            grid.origin[1],
+            grid.origin[0] + grid.nx * hx,
+            grid.origin[1] + grid.ny * hy,
+        ]]
     )
     segments: list[InterfaceSegment] = []
     for k, (a, b) in enumerate(edges):
@@ -373,9 +379,10 @@ def build_cut_configuration(
         length = float(np.hypot(*d))
         if length == 0.0:
             continue
-        window = _segment_param_in_rect(a, b, grid_box)
-        if window is None:
+        w0, w1, meets = _segment_windows(a, b, grid_box)
+        if not meets[0]:
             continue
+        window = (w0[0], w1[0])
         nrm = np.array([-d[1], d[0]]) / length  # unit, fluid -> covered side
         ts = set(window)
         for axis, h, o in ((0, hx, grid.origin[0]), (1, hy, grid.origin[1])):
@@ -412,20 +419,12 @@ def build_cut_configuration(
     # Node roles: nodes of active elements are active; those strictly inside
     # the interface polygon only support the discrete extension (ghost role).
     node_role = np.full(grid.n_nodes, NodeRole.INACTIVE, dtype=np.int8)
-    conn = grid.all_elem_nodes()
     fluid_nodes = np.unique(conn[status == ElemStatus.FLUID])
     node_role[fluid_nodes] = NodeRole.STANDARD
     cut_nodes = np.unique(conn[status == ElemStatus.CUT])
-    on_tol = 1e-12 * diam
-    for n in cut_nodes:
-        if node_role[n] == NodeRole.STANDARD:
-            continue
-        p = xy[n]
-        if _dist_to_segments(p, loop) <= on_tol:
-            node_role[n] = NodeRole.STANDARD
-        elif point_in_polygon(p, loop):
-            node_role[n] = NodeRole.GHOST
-        else:
-            node_role[n] = NodeRole.STANDARD
+    cut_nodes = cut_nodes[node_role[cut_nodes] != NodeRole.STANDARD]
+    p = xy[cut_nodes]
+    ghost = (_dist_to_segments(p, loop) > 1e-12 * diam) & _inside(p, loop)
+    node_role[cut_nodes] = np.where(ghost, NodeRole.GHOST, NodeRole.STANDARD)
 
     return CutConfiguration(grid, status, pieces, segments, loop, node_role)

@@ -205,7 +205,11 @@ class FsiState:
     `u_iface` is the interface-velocity history of the one-step interface
     scheme, `f_iface` the stored interface force tested with the solid
     weights, and `d_space` the displacement whose cut generated this level's
-    active function space (used to rebuild the space for the next transfer).
+    active function space. `cfg` carries that cut, the accepted configuration
+    of the step that produced the state; it is not checkpointed, `copy()`
+    shares it, and `FsiDriver.configuration` rebuilds it from `d_space` when
+    it is None (the initial state and loaded checkpoints) or was cut on
+    another grid.
     """
 
     time: float
@@ -217,6 +221,7 @@ class FsiState:
     u_iface: np.ndarray
     f_iface: np.ndarray
     d_space: np.ndarray
+    cfg: CutConfiguration | None = field(default=None, repr=False, compare=False)
 
     def copy(self) -> "FsiState":
         return FsiState(
@@ -229,6 +234,7 @@ class FsiState:
             self.u_iface.copy(),
             self.f_iface.copy(),
             self.d_space.copy(),
+            self.cfg,
         )
 
 
@@ -719,6 +725,15 @@ class FsiDriver:
             self.problem.fluid.grid, _deformed_loop(solid, d), solid.wet_mask
         )
 
+    def configuration(self, state: FsiState) -> CutConfiguration:
+        """The cut of `state.d_space`: the carried one, or a fresh cut that
+        the state then carries when it has none or carries the cut of
+        another grid (a state handed on from a driver of a rebuilt
+        problem)."""
+        if state.cfg is None or state.cfg.grid is not self.problem.fluid.grid:
+            state.cfg = self._cut_from(state.d_space)
+        return state.cfg
+
     def _predict(self, state: FsiState) -> np.ndarray:
         if self.config.predictor == "velocity":
             return state.solid.d + self.config.dt * state.solid.v
@@ -738,8 +753,11 @@ class FsiDriver:
         )
 
         d_pred = self._predict(state)
-        cfg_prev = self._cut_from(state.d_space)
-        cfg = self._cut_from(d_pred)
+        cfg_prev = self.configuration(state)
+        if d_pred.tobytes() == state.d_space.tobytes():
+            cfg = cfg_prev
+        else:
+            cfg = self._cut_from(d_pred)
         carry = SpaceProjector(cfg_prev, cfg)
         history = StepHistory(
             U_tilde=carry.apply(state.U),
@@ -815,6 +833,7 @@ class FsiDriver:
             u_iface=u_if,
             f_iface=result.coupling_force.copy(),
             d_space=result.d_geometry.copy(),
+            cfg=result.cfg,
         )
         report = StepReport(
             step=n_step, time=t_new, theta=theta,
@@ -862,8 +881,10 @@ def save_checkpoint(path, state: FsiState) -> None:
 
     The file is a NumPy ``.npz`` archive with the arrays ``U, P, A`` (flow),
     ``d, v, a`` (structure), ``u_iface, f_iface, d_space`` (interface
-    history), and scalars ``version, step, time``.  Reloading on the same
-    platform reproduces the state bitwise.
+    history), and scalars ``version, step, time``.  The carried cut
+    configuration is not stored: it is a function of ``d_space`` and is
+    rebuilt on first use.  Reloading on the same platform reproduces the
+    state, and the run resumed from it, bitwise.
     """
     np.savez(
         path,

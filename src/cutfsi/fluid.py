@@ -253,23 +253,9 @@ def assemble_navier_stokes(
         pts = lower_left[:, None, :] + np.column_stack([s * hx, t * hy])[None]
         run_batch(full, N, Dx, Dy, D2, w[None], pts)
 
-    # Cut elements: one batch of their polygon rules, padded to a common
-    # length with zero weights at a repeated real point.
-    rules = [
-        (e, QuadratureRule.concat([polygon_rule(p) for p in polys]))
-        for e, polys in cfg.pieces.items()
-    ]
-    rules = [(e, rule) for e, rule in rules if len(rule)]
-    if rules:
-        cut = np.array([e for e, _ in rules])
-        Q = max(len(rule) for _, rule in rules)
-        pts = np.empty((cut.size, Q, 2))
-        w = np.zeros((cut.size, Q))
-        for k, (_, rule) in enumerate(rules):
-            m = len(rule)
-            pts[k, :m] = rule.points
-            pts[k, m:] = rule.points[0]
-            w[k, :m] = rule.weights
+    # Cut elements: one batch of their polygon rules.
+    cut, pts, w = _cut_batch(cfg)
+    if cut.size:
         lower_left = xy[conn_all[cut, 0]]
         s = (pts[..., 0] - lower_left[:, :1]) / hx
         t = (pts[..., 1] - lower_left[:, 1:]) / hy
@@ -277,6 +263,29 @@ def assemble_navier_stokes(
         run_batch(cut, N, Dx, Dy, D2, w, pts)
 
     return Ru, Rp, acc_uu.tocsr(), acc_up.tocsr(), acc_pu.tocsr(), acc_pp.tocsr()
+
+
+def _cut_batch(cfg):
+    """The cut elements with a nonempty fluid rule and their polygon rules,
+    padded to a common length Q with zero weights at a repeated real point:
+    (elems (E,), points (E, Q, 2), weights (E, Q)). Built on first use and
+    kept on the configuration, which is fixed across Newton iterations."""
+    if cfg.cut_batch is None:
+        rules = [
+            (e, QuadratureRule.concat([polygon_rule(p) for p in polys]))
+            for e, polys in cfg.pieces.items()
+        ]
+        rules = [(e, rule) for e, rule in rules if len(rule)]
+        Q = max((len(rule) for _, rule in rules), default=0)
+        pts = np.empty((len(rules), Q, 2))
+        w = np.zeros((len(rules), Q))
+        for k, (_, rule) in enumerate(rules):
+            m = len(rule)
+            pts[k, :m] = rule.points
+            pts[k, m:] = rule.points[0]
+            w[k, :m] = rule.weights
+        cfg.cut_batch = (np.array([e for e, _ in rules], dtype=int), pts, w)
+    return cfg.cut_batch
 
 
 def facet_jump_grams(grid: StructuredGrid, facets: np.ndarray):

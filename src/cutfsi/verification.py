@@ -803,7 +803,6 @@ def _check_jacobian_newton(tol_scale: float) -> CheckResult:
     micro-case, and the nested iteration stays within its budgets."""
     tol_fd = 1e-6 * tol_scale
     problem = _micro_flap_problem()
-    solid = problem.solid
     grid = problem.fluid.grid
     config = DriverConfig(dt=0.05, n_steps=1, nitsche=NitscheParams(gamma=35.0))
     driver = FsiDriver(problem, config)
@@ -816,12 +815,7 @@ def _check_jacobian_newton(tol_scale: float) -> CheckResult:
     U = state.U + 0.01 * rng.standard_normal(state.U.shape)
     P = state.P + 0.01 * rng.standard_normal(state.P.shape)
     D = state.solid.d + 0.002 * rng.standard_normal(state.solid.d.shape)
-    cfg = build_cut_configuration(
-        grid,
-        solid.model.mesh.nodes[solid.loop_nodes]
-        + state.d_space.reshape(-1, 2)[solid.loop_nodes],
-        solid.wet_mask,
-    )
+    cfg = driver.configuration(state)
     history = _history_from_state(driver, state0)
     frozen = U.copy()
 
@@ -945,10 +939,11 @@ def _flap_trajectory() -> SimpleNamespace:
     config = DriverConfig(
         dt=0.01, n_steps=500, theta=1.0, nitsche=NitscheParams(gamma=10.0)
     )
+    driver = FsiDriver(problem, config)
     failure = None
     states, reports = [], []
     try:
-        states, reports = time_loop(problem, config)
+        states, reports = driver.run()
     except Exception as err:  # noqa: BLE001 - the suite reports any failure
         failure = repr(err)
 
@@ -961,12 +956,7 @@ def _flap_trajectory() -> SimpleNamespace:
                 flap, state.solid.d.reshape(-1, 2), (1.04, 0.63)
             )
         )
-        cfg = build_cut_configuration(
-            grid,
-            flap.nodes[solid.loop_nodes]
-            + state.d_space.reshape(-1, 2)[solid.loop_nodes],
-            solid.wet_mask,
-        )
+        cfg = driver.configuration(state)
         u_if = interface_velocity(
             state.solid.d, prev.solid.d, prev.u_iface,
             config.theta_interface, config.dt,

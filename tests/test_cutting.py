@@ -6,15 +6,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cutfsi.cutting import (
+    AREA_TOL_REL,
+    SNAP_REL,
     ElemStatus,
     GeometryError,
     NodeRole,
     _dist_to_segments,
+    _inside,
+    _signed_area,
+    _split_convex,
     avg,
     avg_conjugate,
     build_cut_configuration,
     jump,
-    point_in_polygon,
     snap_to_grid,
 )
 from cutfsi.meshes import StructuredGrid
@@ -40,6 +44,131 @@ def _angle_sum_inside(p, poly):
 
 def _rect_loop(x0, y0, w, h):
     return np.array([[x0, y0], [x0 + w, y0], [x0 + w, y0 + h], [x0, y0 + h]])
+
+
+def _point_in_polygon(p, poly):
+    """Scalar ray-crossing oracle, one point and one edge at a time."""
+    x, y = float(p[0]), float(p[1])
+    inside = False
+    n = poly.shape[0]
+    j = n - 1
+    for i in range(n):
+        yi, yj = poly[i, 1], poly[j, 1]
+        if (yi > y) != (yj > y):
+            x_cross = poly[j, 0] + (y - yj) / (yi - yj) * (poly[i, 0] - poly[j, 0])
+            if x < x_cross:
+                inside = not inside
+        j = i
+    return inside
+
+
+def _segment_param_in_rect(a, b, rect):
+    """Scalar Liang-Barsky window of segment a->b in a closed rectangle."""
+    x0, y0, x1, y1 = rect
+    t0, t1 = 0.0, 1.0
+    d = (b[0] - a[0], b[1] - a[1])
+    for pi, qi in zip((-d[0], d[0], -d[1], d[1]), (a[0] - x0, x1 - a[0], a[1] - y0, y1 - a[1])):
+        if pi == 0.0:
+            if qi < 0.0:
+                return None
+        else:
+            r = qi / pi
+            if pi < 0.0:
+                if r > t1:
+                    return None
+                t0 = max(t0, r)
+            else:
+                if r < t0:
+                    return None
+                t1 = min(t1, r)
+    if t1 - t0 <= 1e-14:
+        return None
+    return t0, t1
+
+
+def _scalar_dist(p, poly):
+    best = np.inf
+    for k in range(poly.shape[0]):
+        a, b = poly[k], poly[(k + 1) % poly.shape[0]]
+        ab, ap = b - a, p - a
+        denom = ab[0] * ab[0] + ab[1] * ab[1]
+        t = 0.0 if denom == 0.0 else min(max((ap[0] * ab[0] + ap[1] * ab[1]) / denom, 0.0), 1.0)
+        best = min(best, float(np.hypot(*(p - (a + t * ab)))))
+    return best
+
+
+def _scalar_reference_cut(grid, loop_vertices):
+    """Element status, fluid pieces and node roles of the cut, computed cell
+    by cell and node by node with the scalar oracles above."""
+    loop = snap_to_grid(grid, loop_vertices)
+    m = loop.shape[0]
+    hx, hy = grid.spacing
+    diam = grid.elem_diameter()
+    edges = [(loop[k], loop[(k + 1) % m]) for k in range(m)]
+    crossing = {}
+    for k, (a, b) in enumerate(edges):
+        i0 = int(np.floor((min(a[0], b[0]) - grid.origin[0]) / hx - 1e-12))
+        i1 = int(np.floor((max(a[0], b[0]) - grid.origin[0]) / hx + 1e-12))
+        j0 = int(np.floor((min(a[1], b[1]) - grid.origin[1]) / hy - 1e-12))
+        j1 = int(np.floor((max(a[1], b[1]) - grid.origin[1]) / hy + 1e-12))
+        for j in range(max(j0, 0), min(j1, grid.ny - 1) + 1):
+            for i in range(max(i0, 0), min(i1, grid.nx - 1) + 1):
+                e = grid.elem_id(i, j)
+                if _segment_param_in_rect(a, b, grid.elem_bbox(e)) is not None:
+                    crossing.setdefault(e, []).append(k)
+    status = np.empty(grid.n_elems, dtype=np.int8)
+    pieces = {}
+    for e in range(grid.n_elems):
+        rect = grid.elem_bbox(e)
+        if e not in crossing:
+            centre = (0.5 * (rect[0] + rect[2]), 0.5 * (rect[1] + rect[3]))
+            status[e] = ElemStatus.COVERED if _point_in_polygon(centre, loop) else ElemStatus.FLUID
+            continue
+        parts = [
+            np.array([[rect[0], rect[1]], [rect[2], rect[1]], [rect[2], rect[3]], [rect[0], rect[3]]])
+        ]
+        for k in crossing[e]:
+            a, b = edges[k]
+            nrm = np.array([-(b[1] - a[1]), b[0] - a[0]])
+            nlen = np.hypot(*nrm)
+            if nlen == 0.0:
+                continue
+            nrm /= nlen
+            c = float(nrm @ a)
+            nxt = []
+            for poly in parts:
+                nxt += [q for q in _split_convex(poly, poly @ nrm - c, 1e-12 * diam) if q is not None]
+            parts = nxt
+        fluid = [q for q in parts if not _point_in_polygon(q.mean(axis=0), loop)]
+        a_f = sum(abs(_signed_area(q)) for q in fluid)
+        if a_f <= AREA_TOL_REL * hx * hy:
+            status[e] = ElemStatus.COVERED
+        elif a_f >= (1.0 - AREA_TOL_REL) * hx * hy:
+            status[e] = ElemStatus.FLUID
+        else:
+            status[e] = ElemStatus.CUT
+            pieces[e] = fluid
+    node_role = np.full(grid.n_nodes, NodeRole.INACTIVE, dtype=np.int8)
+    conn = grid.all_elem_nodes()
+    node_role[np.unique(conn[status == ElemStatus.FLUID])] = NodeRole.STANDARD
+    xy = grid.node_coords()
+    for n in np.unique(conn[status == ElemStatus.CUT]):
+        if node_role[n] == NodeRole.STANDARD:
+            continue
+        ghost = _scalar_dist(xy[n], loop) > 1e-12 * diam and _point_in_polygon(xy[n], loop)
+        node_role[n] = NodeRole.GHOST if ghost else NodeRole.STANDARD
+    return status, pieces, node_role
+
+
+def _assert_matches_scalar_reference(grid, cfg, loop_vertices):
+    status, pieces, node_role = _scalar_reference_cut(grid, loop_vertices)
+    assert cfg.status.tobytes() == status.tobytes()
+    assert cfg.node_role.tobytes() == node_role.tobytes()
+    assert list(cfg.pieces) == list(pieces)
+    for e, polys in pieces.items():
+        assert len(cfg.pieces[e]) == len(polys)
+        for got, ref in zip(cfg.pieces[e], polys):
+            assert got.tobytes() == ref.tobytes()
 
 
 GRID = StructuredGrid((0.0, 0.0), (1.0 / 8, 1.0 / 8), (8, 8))
@@ -218,10 +347,10 @@ def test_repeated_vertex_distance_and_roles_match_deduplicated_loop():
     solid = _rect_loop(0.3111, 0.2777, 0.31, 0.27)
     repeated = np.insert(solid, 2, solid[1], axis=0)
     xy = GRID.node_coords()
-    for p in [xy[37], solid[1], np.array([0.7, 0.2]), np.array([0.45, 0.41])]:
-        got = _dist_to_segments(p, repeated)
-        assert np.isfinite(got)
-        assert got == _dist_to_segments(p, solid)
+    pts = np.array([xy[37], solid[1], [0.7, 0.2], [0.45, 0.41]])
+    got = _dist_to_segments(pts, repeated)
+    assert np.all(np.isfinite(got))
+    assert np.array_equal(got, _dist_to_segments(pts, solid))
     cfg = build_cut_configuration(GRID, repeated)
     ref = build_cut_configuration(GRID, solid)
     assert np.array_equal(cfg.status, ref.status)
@@ -281,11 +410,36 @@ def test_same_active_space_detects_changes():
 
 
 def test_point_in_polygon_matches_oracle():
+    # the array test agrees with the scalar crossing oracle and with the
+    # independent turning-angle oracle, also on points with the y of a vertex
     poly = np.array([[0.0, 0.0], [2.0, 0.0], [2.0, 1.0], [1.0, 1.0], [1.0, 2.0], [0.0, 2.0]])
     rng = np.random.default_rng(11)
     pts = rng.uniform(-0.5, 2.5, size=(300, 2))
-    for p in pts:
-        assert point_in_polygon(p, poly) == _angle_sum_inside(p, poly)
+    pts[:40, 1] = rng.choice([0.0, 1.0, 2.0], size=40)
+    pts[:40, 0] = rng.uniform(0.1, 0.9, size=40) + rng.choice([-1.0, 0.0, 1.5], size=40)
+    got = _inside(pts, poly)
+    assert got.shape == (300,)
+    for p, inside in zip(pts, got):
+        assert inside == _point_in_polygon(p, poly)
+        if _scalar_dist(p, poly) > 1e-9:
+            assert inside == _angle_sum_inside(p, poly)
+    assert _inside(np.empty((0, 2)), poly).shape == (0,)
+
+
+def test_flap_cut_matches_scalar_reference():
+    grid = StructuredGrid((0.0, 0.0), (2.5 / 60, 1.1 / 26), (60, 26))
+    rng = np.random.default_rng(5)
+    corners = np.array([[1.0, 0.0], [1.04, 0.0], [1.04, 0.6], [1.0, 0.6]])
+    base = np.concatenate(
+        [corners[k] + np.linspace(0.0, 1.0, 5)[:-1, None] * (corners[(k + 1) % 4] - corners[k]) for k in range(4)]
+    )
+    wet = np.ones(16, dtype=bool)
+    wet[:4] = False  # the clamped bottom
+    for _ in range(5):
+        loop = base + rng.normal(scale=0.01, size=base.shape) * (base[:, 1:] > 0.0)
+        cfg = build_cut_configuration(grid, loop, wet)
+        assert cfg.pieces
+        _assert_matches_scalar_reference(grid, cfg, loop)
 
 
 @given(
@@ -301,3 +455,86 @@ def test_jump_average_product_identity(fi, fj, gi, gj, wi):
     rhs = jump(fi, fj) * avg(gi, gj, wi) + avg_conjugate(fi, fj, wi) * jump(gi, gj)
     scale = max(1.0, abs(fi), abs(fj), abs(gi), abs(gj)) ** 2
     assert abs(lhs - rhs) <= 1e-14 * scale
+
+
+# ---------------------------------------------------------------------------
+# property campaign: star-shaped CCW polygons with grid-degenerate vertices
+
+CAMPAIGN_GRIDS = (
+    GRID,
+    StructuredGrid((-0.3, 0.2), (0.1, 0.07), (10, 12)),
+)
+VERTEX_KINDS = ("free", "line", "node", "near", "sliver", "along")
+
+
+@st.composite
+def _star_polygons(draw):
+    """A CCW polygon star-shaped about a centre near the middle of the grid,
+    vertex k in the open angular sector (k, k + 1) * 2 pi / n, at 0.12 to 0.3
+    of the shorter grid side from the centre. Vertices are free, on a grid
+    line, on a grid node, within SNAP_REL of a line, 1e-9 to 1e-5 cells
+    beyond a line (slivers), or on the line of the previous vertex (an edge
+    along a grid line); a vertex whose ray misses the chosen line or node
+    inside the radius band stays free."""
+    grid = draw(st.sampled_from(CAMPAIGN_GRIDS))
+    hx, hy = grid.spacing
+    width, height = grid.nx * hx, grid.ny * hy
+    n = draw(st.integers(4, 9))
+    centre = np.array(grid.origin) + np.array(
+        [draw(st.floats(0.45, 0.55)) * width, draw(st.floats(0.45, 0.55)) * height]
+    )
+    rmin, rmax = 0.12 * min(width, height), 0.3 * min(width, height)
+    nodes = grid.node_coords()
+    verts = []
+    prev_line = None  # (axis, coordinate) of the previous vertex's line
+    for k in range(n):
+        lo, hi = 2 * np.pi * k / n, 2 * np.pi * (k + 1) / n
+        theta = lo + draw(st.floats(0.1, 0.9)) * (hi - lo)
+        direction = np.array([np.cos(theta), np.sin(theta)])
+        free = centre + draw(st.floats(rmin, rmax)) * direction
+        kind = draw(st.sampled_from(VERTEX_KINDS))
+        axis = draw(st.integers(0, 1))
+        v, line = free, None
+        if kind == "node":
+            rel = nodes - centre
+            ang = np.mod(np.arctan2(rel[:, 1], rel[:, 0]), 2 * np.pi)
+            rad = np.hypot(rel[:, 0], rel[:, 1])
+            ok = (ang > lo) & (ang < hi) & (rad >= rmin) & (rad <= rmax)
+            if ok.any():
+                v = nodes[np.flatnonzero(ok)[np.argmin(np.hypot(*(nodes[ok] - free).T))]]
+        elif kind != "free":
+            if kind == "along" and prev_line is not None:
+                axis, coord = prev_line
+            else:
+                h, o = grid.spacing[axis], grid.origin[axis]
+                coord = o + np.round((free[axis] - o) / h) * h
+            if abs(direction[axis]) > 1e-3:
+                r = (coord - centre[axis]) / direction[axis]
+                if rmin <= r <= rmax:
+                    v = centre + r * direction
+                    v[axis] = coord
+                    line = (axis, coord)
+            if line is not None and kind in ("near", "sliver"):
+                snap = np.log10(SNAP_REL)
+                exponent = draw(
+                    st.floats(-15.0, snap - 0.05) if kind == "near" else st.floats(snap + 0.05, -5.0)
+                )
+                sign = draw(st.sampled_from((-1.0, 1.0)))
+                v[axis] += sign * 10.0**exponent * grid.spacing[axis]
+                line = None
+        verts.append(v)
+        prev_line = line
+    return grid, np.array(verts)
+
+
+@given(_star_polygons())
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+def test_cut_properties_on_degenerate_polygons(case):
+    grid, loop_vertices = case
+    cfg = build_cut_configuration(grid, loop_vertices)
+    total = grid.nx * grid.ny * grid.spacing[0] * grid.spacing[1]
+    assert cfg.fluid_area() + _shoelace(cfg.loop) == pytest.approx(total, rel=1e-12)
+    assert cfg.interface_length() == pytest.approx(_perimeter(cfg.loop), rel=1e-12)
+    for s in cfg.segments:
+        assert cfg.status[s.elem] != ElemStatus.COVERED
+    _assert_matches_scalar_reference(grid, cfg, loop_vertices)

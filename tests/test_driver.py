@@ -7,6 +7,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cutfsi.driver as driver_module
 from cutfsi.coupling import (
     NitscheParams,
     assemble_fs_coupling,
@@ -748,6 +749,102 @@ class TestTimeLoop:
 
         jumps = [run(g) for g in (10.0, 35.0, 100.0)]
         assert jumps[0] > jumps[1] > jumps[2]
+
+
+def _same_cut(a, b):
+    assert a.status.tobytes() == b.status.tobytes()
+    assert a.node_role.tobytes() == b.node_role.tobytes()
+    assert list(a.pieces) == list(b.pieces)
+    for e, polys in a.pieces.items():
+        assert [p.tobytes() for p in polys] == [p.tobytes() for p in b.pieces[e]]
+    assert [(s.elem, s.loop_index, s.p0.tobytes(), s.p1.tobytes()) for s in a.segments] == [
+        (s.elem, s.loop_index, s.p0.tobytes(), s.p1.tobytes()) for s in b.segments
+    ]
+
+
+class TestCarriedConfiguration:
+    """Each accepted state carries the cut of its `d_space`, so a step cuts
+    only the displacements it has not cut before."""
+
+    @staticmethod
+    def _count_cuts(monkeypatch):
+        calls = []
+        cut = driver_module.build_cut_configuration
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return cut(*args, **kwargs)
+
+        monkeypatch.setattr(driver_module, "build_cut_configuration", counting)
+        return calls
+
+    @staticmethod
+    def _fresh_cut(problem, state):
+        solid = problem.solid
+        loop = (
+            solid.model.mesh.nodes[solid.loop_nodes]
+            + state.d_space.reshape(-1, 2)[solid.loop_nodes]
+        )
+        return build_cut_configuration(problem.fluid.grid, loop, solid.wet_mask)
+
+    @pytest.mark.parametrize("predictor", ["constant", "velocity"])
+    def test_one_cut_per_new_displacement(self, monkeypatch, predictor):
+        problem = _gentle_flap_problem()
+        config = DriverConfig(dt=0.05, n_steps=3, nitsche=GAMMA, predictor=predictor)
+        driver = FsiDriver(problem, config)
+        state = driver.initial_state()
+        driver.configuration(state)
+        calls = self._count_cuts(monkeypatch)
+        for _ in range(3):
+            before = len(calls)
+            moving = np.any(state.solid.v != 0.0)
+            state, report = driver.step(state)
+            assert report.space_changes == 0
+            iterations = report.newton[0].iterations
+            assert iterations >= 2
+            # one re-cut per Newton iteration after the first, plus the
+            # predicted displacement when it differs from the carried one
+            predicted = predictor == "velocity" and moving
+            assert len(calls) - before == iterations - 1 + predicted
+        assert predictor == "constant" or moving
+
+    def test_carried_configuration_is_the_cut_of_d_space(self):
+        problem = _channel_with_flap(young=40.0, umax=3.0)
+        config = DriverConfig(dt=0.1, n_steps=4, nitsche=GAMMA)
+        states, reports = time_loop(problem, config)
+        assert sum(r.space_changes for r in reports) > 0
+        for state in states:
+            _same_cut(state.cfg, self._fresh_cut(problem, state))
+            assert state.copy().cfg is state.cfg
+
+    def test_loaded_state_rebuilds_the_configuration(self, tmp_path):
+        problem = _gentle_flap_problem()
+        config = DriverConfig(dt=0.05, n_steps=2, nitsche=GAMMA)
+        driver = FsiDriver(problem, config)
+        states, _ = driver.run()
+        path = tmp_path / "level2.npz"
+        save_checkpoint(path, states[-1])
+        loaded = load_checkpoint(path)
+        assert loaded.cfg is None
+        cfg = driver.configuration(loaded)
+        assert loaded.cfg is cfg
+        _same_cut(cfg, states[-1].cfg)
+        a, _ = driver.step(states[-1])
+        b, _ = driver.step(load_checkpoint(path))
+        for name in ("U", "P", "A", "u_iface", "f_iface", "d_space"):
+            assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
+        _same_cut(a.cfg, b.cfg)
+
+    def test_state_continues_on_a_rebuilt_problem(self):
+        config = DriverConfig(dt=0.05, n_steps=4, nitsche=GAMMA)
+        straight, _ = FsiDriver(_gentle_flap_problem(), config).run()
+        first, _ = FsiDriver(_gentle_flap_problem(), config).run(n_steps=2)
+        rebuilt = FsiDriver(_gentle_flap_problem(), config)
+        cont, reports = rebuilt.run(first[-1], n_steps=2)
+        assert all(r.space_changes == 0 for r in reports)
+        assert cont[-1].cfg.grid is rebuilt.problem.fluid.grid
+        for name in ("U", "P", "A", "u_iface", "f_iface", "d_space"):
+            assert getattr(straight[-1], name).tobytes() == getattr(cont[-1], name).tobytes()
 
 
 class TestCheckpoint:

@@ -266,6 +266,30 @@ def test_cut_batch_equals_sum_of_single_cut_element_assemblies():
         assert np.allclose(block, want, rtol=0.0, atol=1e-12 * scale)
 
 
+def test_cut_rules_are_built_once_per_configuration(monkeypatch):
+    # the configuration is fixed across Newton iterations, so the second
+    # assembly on it reuses the padded cut batch of the first, bitwise
+    grid, cfg = _triangle_cut_config()
+    rng = np.random.default_rng(4)
+    n = grid.n_nodes
+    U, Uo, Ao, Cb = (rng.standard_normal(2 * n) for _ in range(4))
+    args = (PAR, 0.2, 0.6, U, rng.standard_normal(n), Uo, Ao, Cb)
+    n_pieces = sum(len(polys) for polys in cfg.pieces.values())
+    calls = []
+    rule = fluid.polygon_rule
+    monkeypatch.setattr(fluid, "polygon_rule", lambda poly: calls.append(1) or rule(poly))
+    first = assemble_navier_stokes(grid, cfg, *args, body_force=_swirl_force)
+    second = assemble_navier_stokes(grid, cfg, *args, body_force=_swirl_force)
+    assert len(calls) == n_pieces
+    for a, b in zip(first, second):
+        if sp.issparse(a):
+            a, b = a.toarray(), b.toarray()
+        assert a.tobytes() == b.tobytes()
+    # another configuration builds its own rules
+    assemble_navier_stokes(grid, build_cut_configuration(grid, cfg.loop), *args)
+    assert len(calls) == 2 * n_pieces
+
+
 def test_cut_batch_force_load_matches_shape_function_integrals():
     # at rest with no advection the residual is the force load alone:
     # Rv_a = -rho * int f N_a and Rq_a = -rho * tau_m * int f . grad N_a
