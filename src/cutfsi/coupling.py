@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cutting import CutConfiguration, ElemStatus, GeometryError
-from .fluid import FluidParams, basis_tables
+from .fluid import FluidParams, grid_basis
 from .linalg import TripletAccumulator
 from .meshes import StructuredGrid
 
@@ -128,14 +128,7 @@ def _interface_rule(cfg: CutConfiguration, pieces=None) -> _Rule:
 def _grid_side(grid: StructuredGrid, elems, pts, clip: bool = False) -> _Side:
     """Basis tables of ``elems`` at ``pts`` (S, Q, 2), one per point set;
     ``clip`` clamps the local coordinates onto the element."""
-    hx, hy = grid.spacing
-    x0 = grid.origin[0] + (elems % grid.nx) * hx
-    y0 = grid.origin[1] + (elems // grid.nx) * hy
-    s = (pts[..., 0] - x0[:, None]) / hx
-    t = (pts[..., 1] - y0[:, None]) / hy
-    if clip:
-        s, t = np.clip(s, 0.0, 1.0), np.clip(t, 0.0, 1.0)
-    N, Dx, Dy, _ = basis_tables(hx, hy, s, t)
+    N, Dx, Dy, _ = grid_basis(grid, elems, pts, clip)
     return _Side(grid.all_elem_nodes()[elems], N, np.stack([Dx, Dy], axis=-1))
 
 

@@ -17,6 +17,7 @@ from enum import IntEnum
 import numpy as np
 
 from .meshes import StructuredGrid
+from .quadrature import signed_area
 
 __all__ = [
     "ElemStatus",
@@ -149,14 +150,9 @@ def _finalize_poly(pts, tol):
     while len(keep) > 1 and np.hypot(*(arr[keep[-1]] - arr[keep[0]])) <= tol:
         keep.pop()
     arr = arr[keep]
-    if arr.shape[0] < 3 or abs(_signed_area(arr)) <= tol * tol:
+    if arr.shape[0] < 3 or abs(signed_area(arr)) <= tol * tol:
         return None
     return arr
-
-
-def _signed_area(poly):
-    x, y = poly[:, 0], poly[:, 1]
-    return 0.5 * float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
 
 
 def _segment_windows(a, b, rects):
@@ -220,7 +216,7 @@ class CutConfiguration:
         hx, hy = self.grid.spacing
         full = float(np.count_nonzero(self.status == ElemStatus.FLUID)) * hx * hy
         part = sum(
-            abs(_signed_area(p)) for polys in self.pieces.values() for p in polys
+            abs(signed_area(p)) for polys in self.pieces.values() for p in polys
         )
         return full + part
 
@@ -279,7 +275,7 @@ def build_cut_configuration(
     m = loop.shape[0]
     if m < 3:
         raise GeometryError("interface polygon needs at least 3 vertices")
-    if _signed_area(loop) <= 0.0:
+    if signed_area(loop) <= 0.0:
         raise GeometryError("interface polygon must be counterclockwise")
     if wet_mask is None:
         wet_mask = np.ones(m, dtype=bool)
@@ -351,7 +347,7 @@ def build_cut_configuration(
     pieces: dict[int, list[np.ndarray]] = {}
     for e, parts in zip(cut_cells.tolist(), cell_parts):
         fluid_parts = [p for p in parts if next(is_fluid)]
-        a_f = sum(abs(_signed_area(p)) for p in fluid_parts)
+        a_f = sum(abs(signed_area(p)) for p in fluid_parts)
         if a_f <= AREA_TOL_REL * cell_area:
             status[e] = ElemStatus.COVERED
         elif a_f >= (1.0 - AREA_TOL_REL) * cell_area:

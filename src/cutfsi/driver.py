@@ -338,7 +338,6 @@ class CoupledSystem:
     system: BlockSystem
     matrix: sp.csr_matrix
     residual: np.ndarray
-    fixed: np.ndarray
     coupling_force: np.ndarray
 
 
@@ -468,7 +467,7 @@ def assemble_coupled_system(
         parts.append(fix_d)
     fixed = np.concatenate(parts)
     matrix, residual = _identity_constrain(system.assemble(), system.residual, fixed)
-    return CoupledSystem(system, matrix, residual, fixed, coupling_force)
+    return CoupledSystem(system, matrix, residual, coupling_force)
 
 
 # ----------------------------------------------------------------------------
@@ -985,7 +984,7 @@ def assemble_overlap_system(
     fix_u2, fix_p2 = _fluid_fixed_masks(patch, cfg2)
     fixed = np.concatenate([fix_u1, fix_p1, fix_u2, fix_p2])
     matrix, residual = _identity_constrain(system.assemble(), system.residual, fixed)
-    return CoupledSystem(system, matrix, residual, fixed, np.zeros(0))
+    return CoupledSystem(system, matrix, residual, np.zeros(0))
 
 
 def solve_overlapping_fluid(

@@ -26,6 +26,8 @@ from .quadrature import QuadratureRule, polygon_rule
 __all__ = [
     "FluidParams",
     "basis_tables",
+    "grid_basis",
+    "volume_batches",
     "stabilization_times",
     "assemble_navier_stokes",
     "assemble_ghost_penalties",
@@ -222,7 +224,7 @@ def assemble_navier_stokes(
     Av = A_old.reshape(n, 2)
     Cv = C_frozen.reshape(n, 2)
 
-    def run_batch(elems, N, Dx, Dy, D2, w, pts):
+    for elems, pts, w, (N, Dx, Dy, D2) in volume_batches(cfg):
         # pts (E, Q, 2): one force evaluation covers the whole batch
         conn = conn_all[elems]
         E, Q = pts.shape[:2]
@@ -240,29 +242,44 @@ def assemble_navier_stokes(
         acc_pu.add_block(pdofs, udofs, Jpu.reshape(E, 4, 8))
         acc_pp.add_block(pdofs, pdofs, Jpp)
 
-    # Uncut elements: one shared 3x3 tensor rule.
-    xy = grid.node_coords()
+    return Ru, Rp, acc_uu.tocsr(), acc_up.tocsr(), acc_pu.tocsr(), acc_pp.tocsr()
+
+
+def grid_basis(grid: StructuredGrid, elems: np.ndarray, pts: np.ndarray, clip: bool = False):
+    """`basis_tables` of the grid elements ``elems`` (E,) at the physical
+    points ``pts`` (E, Q, 2), one point set per element; ``clip`` clamps the
+    local coordinates onto the element."""
+    hx, hy = grid.spacing
+    x0 = grid.origin[0] + (elems % grid.nx) * hx
+    y0 = grid.origin[1] + (elems // grid.nx) * hy
+    s = (pts[..., 0] - x0[:, None]) / hx
+    t = (pts[..., 1] - y0[:, None]) / hy
+    if clip:
+        s, t = np.clip(s, 0.0, 1.0), np.clip(t, 0.0, 1.0)
+    return basis_tables(hx, hy, s, t)
+
+
+def volume_batches(cfg: CutConfiguration):
+    """The volume rules of the fluid part of the active elements of `cfg`:
+    the uncut elements with one shared 3x3 Gauss rule and the cut elements
+    with their padded polygon rules, as nonempty batches (elems (E,), points
+    (E, Q, 2), weights (E|1, Q), `basis_tables` at the points)."""
+    grid = cfg.grid
+    hx, hy = grid.spacing
+    batches = []
     full = np.flatnonzero(cfg.status == ElemStatus.FLUID)
     if full.size:
         xi, wi = np.polynomial.legendre.leggauss(3)
         s = np.repeat(0.5 * (xi + 1.0), 3)
         t = np.tile(0.5 * (xi + 1.0), 3)
         w = (np.repeat(wi, 3) * np.tile(wi, 3)) * 0.25 * hx * hy
-        N, Dx, Dy, D2 = basis_tables(hx, hy, s[None], t[None])
-        lower_left = xy[conn_all[full, 0]]
+        lower_left = grid.node_coords()[grid.all_elem_nodes()[full, 0]]
         pts = lower_left[:, None, :] + np.column_stack([s * hx, t * hy])[None]
-        run_batch(full, N, Dx, Dy, D2, w[None], pts)
-
-    # Cut elements: one batch of their polygon rules.
+        batches.append((full, pts, w[None], basis_tables(hx, hy, s[None], t[None])))
     cut, pts, w = _cut_batch(cfg)
     if cut.size:
-        lower_left = xy[conn_all[cut, 0]]
-        s = (pts[..., 0] - lower_left[:, :1]) / hx
-        t = (pts[..., 1] - lower_left[:, 1:]) / hy
-        N, Dx, Dy, D2 = basis_tables(hx, hy, s, t)
-        run_batch(cut, N, Dx, Dy, D2, w, pts)
-
-    return Ru, Rp, acc_uu.tocsr(), acc_up.tocsr(), acc_pu.tocsr(), acc_pp.tocsr()
+        batches.append((cut, pts, w, grid_basis(grid, cut, pts)))
+    return batches
 
 
 def _cut_batch(cfg):

@@ -17,9 +17,10 @@ from pathlib import Path
 import numpy as np
 
 from .cutting import CutConfiguration, ElemStatus
+from .fluid import grid_basis
 from .meshes import FittedMesh, StructuredGrid
 from .quadrature import fan_triangulate
-from .solid import _quad_shape, _quad_shape_grad
+from .solid import quad_shape, quad_shape_grad
 
 __all__ = [
     "write_fluid_vtk",
@@ -35,29 +36,13 @@ __all__ = [
 # -- element-local interpolation ------------------------------------------------
 
 
-def _grid_local_coords(grid: StructuredGrid, e: int, pts: np.ndarray) -> np.ndarray:
-    """Unit-square coordinates of `pts` inside grid element `e`."""
-    i, j = grid.elem_ij(e)
-    x0 = grid.origin[0] + i * grid.spacing[0]
-    y0 = grid.origin[1] + j * grid.spacing[1]
-    out = (np.asarray(pts, dtype=float) - (x0, y0)) / grid.spacing
-    return out
-
-
-def _grid_shape_values(local: np.ndarray) -> np.ndarray:
-    """Bilinear basis on the unit square for rows of `local`, ordered
-    counterclockwise from the lower-left node."""
-    s, t = local[:, 0], local[:, 1]
-    return np.column_stack([(1 - s) * (1 - t), s * (1 - t), s * t, (1 - s) * t])
-
-
 def evaluate_grid_probe(
     grid: StructuredGrid, nodal: np.ndarray, point
 ) -> np.ndarray:
     """Interpolate a nodal field (n_nodes, k) of the background grid at a
     physical point."""
     e = grid.locate(point)
-    N = _grid_shape_values(_grid_local_coords(grid, e, np.asarray([point])))[0]
+    N = grid_basis(grid, np.array([e]), np.reshape(point, (1, 1, 2)))[0][0, 0]
     values = np.asarray(nodal, dtype=float).reshape(grid.n_nodes, -1)
     return N @ values[grid.elem_nodes(e)]
 
@@ -85,11 +70,11 @@ def _invert_bilinear(X: np.ndarray, p: np.ndarray):
     scale = max(1.0, float(np.max(np.abs(X))))
     xi = np.zeros(2)
     for _ in range(30):
-        N = _quad_shape(xi[0], xi[1])
+        N = quad_shape(xi[0], xi[1])
         r = N @ X - p
         if np.max(np.abs(r)) < 1e-13 * scale:
             break
-        J = _quad_shape_grad(xi[0], xi[1]).T @ X
+        J = quad_shape_grad(xi[0], xi[1]).T @ X
         try:
             xi = xi - np.linalg.solve(J.T, r)
         except np.linalg.LinAlgError:
@@ -105,7 +90,7 @@ def evaluate_fitted_probe(mesh: FittedMesh, nodal: np.ndarray, point) -> np.ndar
     """Interpolate a nodal field (n_nodes, k) of a fitted mesh at a reference
     point."""
     e, xi, eta = locate_reference(mesh, point)
-    N = _quad_shape(xi, eta)
+    N = quad_shape(xi, eta)
     return N @ np.asarray(nodal, dtype=float).reshape(mesh.n_nodes, -1)[mesh.elems[e]]
 
 
@@ -168,20 +153,20 @@ def write_fluid_vtk(path, cfg: CutConfiguration, U, P, title="flow snapshot"):
         mask.append(0)
     for e, polys in sorted(cfg.pieces.items()):
         nodes = grid.elem_nodes(e)
-        for poly in polys:
-            for tri in fan_triangulate(poly):
-                ids = []
-                local = _grid_local_coords(grid, e, tri)
-                values_u = _grid_shape_values(local) @ u[nodes]
-                values_p = _grid_shape_values(local) @ p[nodes]
-                for k in range(3):
-                    ids.append(len(points))
-                    points.append((float(tri[k, 0]), float(tri[k, 1])))
-                    point_u.append((float(values_u[k, 0]), float(values_u[k, 1])))
-                    point_p.append(float(values_p[k]))
-                cells.append(tuple(ids))
-                types.append(5)  # VTK_TRIANGLE
-                mask.append(1)
+        tris = [tri for poly in polys for tri in fan_triangulate(poly)]
+        N = grid_basis(grid, np.full(len(tris), e), np.array(tris))[0]
+        for tri, N_tri in zip(tris, N):
+            values_u = N_tri @ u[nodes]
+            values_p = N_tri @ p[nodes]
+            ids = []
+            for k in range(3):
+                ids.append(len(points))
+                points.append((float(tri[k, 0]), float(tri[k, 1])))
+                point_u.append((float(values_u[k, 0]), float(values_u[k, 1])))
+                point_p.append(float(values_p[k]))
+            cells.append(tuple(ids))
+            types.append(5)  # VTK_TRIANGLE
+            mask.append(1)
     lines = _vtk_lines(
         title,
         points,

@@ -14,6 +14,7 @@ __all__ = [
     "rectangle_rule",
     "polygon_rule",
     "fan_triangulate",
+    "signed_area",
 ]
 
 # Degree-4 rule on the reference triangle, 6 points, all weights positive.
@@ -100,9 +101,9 @@ def rectangle_rule(x0, y0, hx, hy, npts=3):
     return QuadratureRule(pts, (WX * WY).ravel())
 
 
-def _polygon_signed_area(poly):
-    x = poly[:, 0]
-    y = poly[:, 1]
+def signed_area(poly):
+    """Shoelace area of the polygon `poly` (n, 2), positive when CCW."""
+    x, y = poly[:, 0], poly[:, 1]
     return 0.5 * float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
 
 
@@ -183,8 +184,8 @@ def polygon_rule(poly):
     Zero-area polygons yield an empty rule.
     """
     poly = np.asarray(poly, dtype=float)
-    if poly.shape[0] < 3 or _polygon_signed_area(poly) == 0.0:
+    if poly.shape[0] < 3 or signed_area(poly) == 0.0:
         return QuadratureRule.empty()
-    if _polygon_signed_area(poly) < 0.0:
+    if signed_area(poly) < 0.0:
         raise ValueError("polygon must be counterclockwise")
     return QuadratureRule.concat([triangle_rule(*t) for t in fan_triangulate(poly)])

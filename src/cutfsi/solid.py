@@ -24,6 +24,8 @@ __all__ = [
     "genalpha_recover_acceleration",
     "genalpha_recover_velocity",
     "interface_chain",
+    "quad_shape",
+    "quad_shape_grad",
 ]
 
 
@@ -92,7 +94,8 @@ class NeoHookeanMaterial:
         return t1 + 2.0 * (mu - lam * lnJ) * sym
 
 
-def _quad_shape(xi: float, eta: float) -> np.ndarray:
+def quad_shape(xi: float, eta: float) -> np.ndarray:
+    """Bilinear shape functions at (xi, eta) in [-1, 1]^2, CCW from (-1, -1)."""
     return 0.25 * np.array(
         [
             (1 - xi) * (1 - eta),
@@ -103,7 +106,7 @@ def _quad_shape(xi: float, eta: float) -> np.ndarray:
     )
 
 
-def _quad_shape_grad(xi: float, eta: float) -> np.ndarray:
+def quad_shape_grad(xi: float, eta: float) -> np.ndarray:
     """d N_a / d (xi, eta) as a (4, 2) array."""
     return 0.25 * np.array(
         [
@@ -148,8 +151,8 @@ class SolidModel:
             X = self.mesh.nodes[nodes]
             Me = np.zeros((4, 4))
             for xi, eta, w in _gauss_points(3):
-                N = _quad_shape(xi, eta)
-                J = _quad_shape_grad(xi, eta).T @ X
+                N = quad_shape(xi, eta)
+                J = quad_shape_grad(xi, eta).T @ X
                 detJ = float(np.linalg.det(J))
                 Me += self.density * w * detJ * np.outer(N, N)
             dofs = np.empty(8, dtype=int)
@@ -177,11 +180,11 @@ class SolidModel:
             fe = np.zeros((4, 2))
             Ke = np.zeros((4, 2, 4, 2)) if tangent else None
             for xi, eta, w in _gauss_points(2):
-                J = _quad_shape_grad(xi, eta).T @ X
+                J = quad_shape_grad(xi, eta).T @ X
                 detJ = float(np.linalg.det(J))
                 if detJ <= 0.0:
                     raise SolidInversionError(f"element {e} has inverted geometry")
-                dN = _quad_shape_grad(xi, eta) @ np.linalg.inv(J).T
+                dN = quad_shape_grad(xi, eta) @ np.linalg.inv(J).T
                 F = _I2 + de.T @ dN
                 if float(np.linalg.det(F)) <= 0.0:
                     raise SolidInversionError(f"element {e} inverted during deformation")
@@ -212,8 +215,8 @@ class SolidModel:
             X = self.mesh.nodes[nodes]
             fe = np.zeros((4, 2))
             for xi, eta, w in _gauss_points(2):
-                N = _quad_shape(xi, eta)
-                J = _quad_shape_grad(xi, eta).T @ X
+                N = quad_shape(xi, eta)
+                J = quad_shape_grad(xi, eta).T @ X
                 fe += self.density * w * float(np.linalg.det(J)) * np.outer(N, load)
             f[2 * nodes] += fe[:, 0]
             f[2 * nodes + 1] += fe[:, 1]

@@ -22,7 +22,6 @@ import numpy as np
 
 from .coupling import NitscheParams, assemble_fs_coupling, interface_jump_norms
 from .cutting import (
-    ElemStatus,
     NodeRole,
     avg,
     avg_conjugate,
@@ -44,11 +43,10 @@ from .driver import (
     solve_overlapping_fluid,
     time_loop,
 )
-from .fluid import FluidParams
+from .fluid import FluidParams, volume_batches
 from .meshes import StructuredGrid, rectangle_fitted_mesh
-from .output import _grid_local_coords, _grid_shape_values, evaluate_fitted_probe
+from .output import evaluate_fitted_probe
 from .projection import CFL_MESSAGE, ProjectionError, SpaceProjector
-from .quadrature import polygon_rule, rectangle_rule
 from .solid import (
     GenAlphaParams,
     NeoHookeanMaterial,
@@ -154,34 +152,20 @@ def _rest_history(model: SolidModel, n_nodes: int) -> StepHistory:
     )
 
 
-def _element_rules(grid, cfg, npts=3):
-    """Quadrature over the uncovered part of every active element."""
-    hx, hy = grid.spacing
-    for e in cfg.active_elems:
-        if cfg.status[e] == ElemStatus.CUT:
-            for poly in cfg.pieces.get(e, []):
-                yield e, polygon_rule(poly)
-        else:
-            i, j = grid.elem_ij(e)
-            x0 = grid.origin[0] + i * hx
-            y0 = grid.origin[1] + j * hy
-            yield e, rectangle_rule(x0, y0, hx, hy, npts)
-
-
-def _flow_l2_errors(grid, cfg, U, P, exact_u, exact_p, t) -> tuple[float, float]:
-    """L2 errors of the discrete flow field over the physical domain."""
+def _flow_l2_errors(cfg, U, P, exact_u, exact_p, t) -> tuple[float, float]:
+    """L2 errors of the discrete flow field over the physical domain, on the
+    volume rules of the flow assembly; the exact fields get (M, 2) points."""
+    grid = cfg.grid
     u = np.asarray(U, float).reshape(grid.n_nodes, 2)
-    p = np.asarray(P, float).reshape(grid.n_nodes)
+    p = np.asarray(P, float).reshape(grid.n_nodes, 1)
+    conn = grid.all_elem_nodes()
     err_u = err_p = 0.0
-    for e, rule in _element_rules(grid, cfg):
-        if not len(rule):
-            continue
-        nodes = grid.elem_nodes(e)
-        N = _grid_shape_values(_grid_local_coords(grid, e, rule.points))
-        du = N @ u[nodes] - exact_u(rule.points, t)
-        dp = N @ p[nodes] - exact_p(rule.points, t)
-        err_u += float(rule.weights @ np.sum(du * du, axis=1))
-        err_p += float(rule.weights @ (dp * dp))
+    for elems, pts, w, (N, *_) in volume_batches(cfg):
+        flat = pts.reshape(-1, 2)
+        du = N @ u[conn[elems]] - np.reshape(exact_u(flat, t), pts.shape)
+        dp = N @ p[conn[elems]] - np.reshape(exact_p(flat, t), (*pts.shape[:2], 1))
+        err_u += float(np.sum(w * np.sum(du * du, axis=-1)))
+        err_p += float(np.sum(w * dp[..., 0] ** 2))
     return np.sqrt(err_u), np.sqrt(err_p)
 
 
@@ -436,7 +420,7 @@ def _check_fitted_flow(tol_scale: float) -> CheckResult:
             )
             A = fluid_acceleration_update(result.U, U, A, theta, dt)
             U, P = result.U, result.P
-        eu, ep = _flow_l2_errors(grid, cfg, U, P, exact_u, exact_p, horizon)
+        eu, ep = _flow_l2_errors(cfg, U, P, exact_u, exact_p, horizon)
         err_u.append(eu)
         err_p.append(ep)
     elapsed = _time.perf_counter() - start
@@ -504,7 +488,7 @@ def _check_embedded_channel(tol_scale: float) -> CheckResult:
             time=1.0, theta=1.0, allow_recut=False,
         )
         eu, _ = _flow_l2_errors(
-            grid, cfg, result.U, result.P,
+            cfg, result.U, result.P,
             profile, lambda pts, t: grad_p * pts[:, 0], 1.0,
         )
         errors.append(eu)
@@ -707,7 +691,7 @@ def _overlap_level(n: int, exact_u, body, rho, mu, gamma):
         None, _fluid_history(single.grid.n_nodes), time=0.0, theta=1.0,
     )
     e_single, _ = _flow_l2_errors(
-        single.grid, cfg_single, result.U, result.P,
+        cfg_single, result.U, result.P,
         exact_u, lambda pts, t: np.zeros(len(pts)), 0.0,
     )
 
@@ -724,12 +708,8 @@ def _overlap_level(n: int, exact_u, body, rho, mu, gamma):
         background, patch, NitscheParams(gamma=gamma), dt=None
     )
     zero_p = lambda pts, t: np.zeros(len(pts))
-    e_bg, _ = _flow_l2_errors(
-        background.grid, sol.cfg1, sol.U1, sol.P1, exact_u, zero_p, 0.0
-    )
-    e_patch, _ = _flow_l2_errors(
-        patch.grid, sol.cfg2, sol.U2, sol.P2, exact_u, zero_p, 0.0
-    )
+    e_bg, _ = _flow_l2_errors(sol.cfg1, sol.U1, sol.P1, exact_u, zero_p, 0.0)
+    e_patch, _ = _flow_l2_errors(sol.cfg2, sol.U2, sol.P2, exact_u, zero_p, 0.0)
     e_overlap = float(np.hypot(e_bg, e_patch))
     defect = abs(
         interface_jump_norms(background.grid, sol.cfg1, patch.grid, sol.U1, sol.U2)[

@@ -62,3 +62,20 @@ def test_every_submodule_export_has_a_program_caller():
         if name not in package and name not in used
     )
     assert uncalled == []
+
+
+def test_no_module_imports_a_private_name_of_another():
+    # a name one module needs from another is part of that module's API
+    private = []
+    for path in sorted((ROOT / "src" / "cutfsi").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            if node.level == 0 and (node.module or "").split(".")[0] != "cutfsi":
+                continue
+            private += [
+                f"{path.name}: {node.module}.{alias.name}"
+                for alias in node.names
+                if alias.name.startswith("_")
+            ]
+    assert private == []

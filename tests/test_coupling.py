@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cutfsi import coupling
+from cutfsi import fluid
 from cutfsi.coupling import (
     NitscheParams,
     assemble_ff_coupling,
@@ -519,7 +519,7 @@ class TestBatchedRule:
             calls.append(1)
             return basis_tables(*args)
 
-        monkeypatch.setattr(coupling, "basis_tables", counting)
+        monkeypatch.setattr(fluid, "basis_tables", counting)
         grid = StructuredGrid((0.0, 0.0), (0.1, 0.1), (12, 12))
         counts, n_segments = [], []
         for half in (0.12, 0.37):

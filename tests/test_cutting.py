@@ -13,7 +13,6 @@ from cutfsi.cutting import (
     NodeRole,
     _dist_to_segments,
     _inside,
-    _signed_area,
     _split_convex,
     avg,
     avg_conjugate,
@@ -22,6 +21,7 @@ from cutfsi.cutting import (
     snap_to_grid,
 )
 from cutfsi.meshes import StructuredGrid
+from cutfsi.quadrature import signed_area
 
 
 def _shoelace(poly):
@@ -140,7 +140,7 @@ def _scalar_reference_cut(grid, loop_vertices):
                 nxt += [q for q in _split_convex(poly, poly @ nrm - c, 1e-12 * diam) if q is not None]
             parts = nxt
         fluid = [q for q in parts if not _point_in_polygon(q.mean(axis=0), loop)]
-        a_f = sum(abs(_signed_area(q)) for q in fluid)
+        a_f = sum(abs(signed_area(q)) for q in fluid)
         if a_f <= AREA_TOL_REL * hx * hy:
             status[e] = ElemStatus.COVERED
         elif a_f >= (1.0 - AREA_TOL_REL) * hx * hy:

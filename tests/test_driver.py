@@ -26,6 +26,7 @@ from cutfsi.driver import (
     SolidProblem,
     StepHistory,
     VelocityDirichlet,
+    _fluid_fixed_masks,
     _identity_constrain,
     assemble_coupled_system,
     fluid_acceleration_update,
@@ -319,9 +320,15 @@ class TestCoupledAssembly:
         asm = assemble_coupled_system(
             problem, config, cfg, U, P, D, history, time=0.1, theta=1.0
         )
-        assert asm.fixed.any()
+        # the constrained unknowns: inactive and Dirichlet fluid dofs, the
+        # pinned pressure and the clamped solid dofs
+        fix_u, fix_p = _fluid_fixed_masks(problem.fluid, cfg)
+        fix_d = np.zeros(solid.model.n_dofs, dtype=bool)
+        fix_d[solid.model.clamped_dofs()] = True
+        fixed = np.concatenate([fix_u, fix_p, fix_d])
+        assert fixed.any()
         csr = asm.matrix.tocsr()
-        for row in np.flatnonzero(asm.fixed):
+        for row in np.flatnonzero(fixed):
             cols = csr.indices[csr.indptr[row]:csr.indptr[row + 1]]
             vals = csr.data[csr.indptr[row]:csr.indptr[row + 1]]
             keep = vals != 0.0
@@ -330,7 +337,7 @@ class TestCoupledAssembly:
             assert asm.residual[row] == 0.0
         # columns of constrained unknowns are eliminated symmetrically
         csc = asm.matrix.tocsc()
-        for col in np.flatnonzero(asm.fixed):
+        for col in np.flatnonzero(fixed):
             rows = csc.indices[csc.indptr[col]:csc.indptr[col + 1]]
             vals = csc.data[csc.indptr[col]:csc.indptr[col + 1]]
             keep = vals != 0.0

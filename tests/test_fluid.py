@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from cutfsi import fluid, projection
+from cutfsi import fluid, projection, quadrature
 from cutfsi.cutting import CutConfiguration, ElemStatus, NodeRole, build_cut_configuration
+from cutfsi.driver import patch_boundary_loop
 from cutfsi.fluid import (
     FluidParams,
     assemble_ghost_penalties,
@@ -14,7 +15,8 @@ from cutfsi.fluid import (
     stabilization_times,
 )
 from cutfsi.meshes import StructuredGrid
-from cutfsi.quadrature import QuadratureRule, polygon_rule
+from cutfsi.quadrature import QuadratureRule, polygon_rule, rectangle_rule
+from cutfsi.verification import _flow_l2_errors
 
 PAR = FluidParams(density=1.0, viscosity=0.01)
 
@@ -288,6 +290,94 @@ def test_cut_rules_are_built_once_per_configuration(monkeypatch):
     # another configuration builds its own rules
     assemble_navier_stokes(grid, build_cut_configuration(grid, cfg.loop), *args)
     assert len(calls) == 2 * n_pieces
+
+
+def _l2_errors_per_element(grid, cfg, U, P, exact_u, exact_p, t):
+    """The flow L2 errors element by element: a 3x3 `rectangle_rule` on
+    every uncut active element, a `polygon_rule` on every fluid piece of a
+    cut one, and the bilinear basis at each rule's unit-square coordinates."""
+    hx, hy = grid.spacing
+    u = U.reshape(grid.n_nodes, 2)
+    err_u = err_p = 0.0
+    for e in cfg.active_elems:
+        i, j = grid.elem_ij(e)
+        x0, y0 = grid.origin[0] + i * hx, grid.origin[1] + j * hy
+        if cfg.status[e] == ElemStatus.CUT:
+            rules = [polygon_rule(poly) for poly in cfg.pieces.get(e, [])]
+        else:
+            rules = [rectangle_rule(x0, y0, hx, hy, 3)]
+        nodes = grid.elem_nodes(e)
+        for rule in rules:
+            if not len(rule):
+                continue
+            s = (rule.points[:, 0] - x0) / hx
+            r = (rule.points[:, 1] - y0) / hy
+            N = np.column_stack([(1 - s) * (1 - r), s * (1 - r), s * r, (1 - s) * r])
+            du = N @ u[nodes] - exact_u(rule.points, t)
+            dp = N @ P[nodes] - exact_p(rule.points, t)
+            err_u += float(rule.weights @ np.sum(du * du, axis=1))
+            err_p += float(rule.weights @ (dp * dp))
+    return np.sqrt(err_u), np.sqrt(err_p)
+
+
+def _exact_u(pts, t):
+    return np.column_stack([np.sin(2.0 * pts[:, 0] + t) * pts[:, 1], np.cos(pts[:, 0] * pts[:, 1])])
+
+
+def _exact_p(pts, t):
+    return np.exp(pts[:, 0]) - t * pts[:, 1]
+
+
+def _overlap_background_config():
+    # the background of a two-mesh case: the patch cuts a hole into it
+    grid = StructuredGrid((0.0, 0.0), (0.1, 0.1), (12, 12))
+    patch = StructuredGrid((0.23, 0.27), (0.09, 0.08), (4, 4))
+    cfg = build_cut_configuration(grid, patch_boundary_loop(patch))
+    assert np.any(cfg.status == ElemStatus.COVERED)
+    return grid, cfg
+
+
+@pytest.mark.parametrize("case", ["uncut", "triangle-cut", "overlap-hole"])
+def test_flow_l2_errors_match_per_element_rules(case):
+    if case == "uncut":
+        grid = StructuredGrid((-0.2, 0.1), (0.3, 0.2), (5, 4))
+        cfg = _all_fluid(grid)
+    elif case == "triangle-cut":
+        grid, cfg = _triangle_cut_config()
+    else:
+        grid, cfg = _overlap_background_config()
+    rng = np.random.default_rng(17)
+    U = rng.standard_normal(2 * grid.n_nodes)
+    P = rng.standard_normal(grid.n_nodes)
+    got = _flow_l2_errors(cfg, U, P, _exact_u, _exact_p, 0.4)
+    want = _l2_errors_per_element(grid, cfg, U, P, _exact_u, _exact_p, 0.4)
+    for g, w in zip(got, want):
+        assert w > 0.0
+        assert abs(g - w) <= 1e-12 * w
+
+
+def test_flow_l2_errors_reuse_the_assembly_rules(monkeypatch):
+    # the error norm integrates over the rules the flow assembly built and
+    # kept on the configuration; every polygon rule is a sum of triangle rules
+    calls = []
+    triangle_rule = quadrature.triangle_rule
+    monkeypatch.setattr(
+        quadrature, "triangle_rule", lambda *v: calls.append(1) or triangle_rule(*v)
+    )
+    grid, cfg = _triangle_cut_config()
+    n = grid.n_nodes
+    rng = np.random.default_rng(2)
+    U, Uo, Ao, Cb = (rng.standard_normal(2 * n) for _ in range(4))
+    P = rng.standard_normal(n)
+    calls.clear()
+    assemble_navier_stokes(grid, cfg, PAR, 0.2, 0.6, U, P, Uo, Ao, Cb)
+    assert calls
+    calls.clear()
+    _flow_l2_errors(cfg, U, P, _exact_u, _exact_p, 0.0)
+    assert calls == []
+    # on a configuration no assembly has seen, the error norm builds them
+    _flow_l2_errors(build_cut_configuration(grid, cfg.loop), U, P, _exact_u, _exact_p, 0.0)
+    assert calls
 
 
 def test_cut_batch_force_load_matches_shape_function_integrals():

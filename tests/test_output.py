@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from cutfsi.cutting import build_cut_configuration
 from cutfsi.meshes import FittedMesh, StructuredGrid, rectangle_fitted_mesh
+from cutfsi.quadrature import fan_triangulate
 from cutfsi.output import (
     DiagnosticsWriter,
     evaluate_fitted_probe,
@@ -100,6 +101,24 @@ def _linear_fields(coords):
 SQUARE = np.array([[0.3, 0.3], [0.7, 0.3], [0.7, 0.7], [0.3, 0.7]])
 
 
+# a flap-like slanted quad whose cut pieces include triangles, quads and
+# pentagons, on a grid whose origin and spacings are not round numbers
+SLANTED = np.array([[0.41, 0.12], [0.93, 0.37], [0.71, 0.88], [0.29, 0.63]])
+ODD_GRID = StructuredGrid((-0.07, 0.03), (0.17, 0.13), (7, 8))
+
+
+def _grid_shape_rows(grid, e, pts):
+    """Bilinear basis rows at physical points of grid element `e`: the
+    unit-square coordinates from the element's lower-left corner, then the
+    four products ordered counterclockwise from the lower-left node."""
+    i, j = grid.elem_ij(e)
+    x0 = grid.origin[0] + i * grid.spacing[0]
+    y0 = grid.origin[1] + j * grid.spacing[1]
+    local = (np.asarray(pts, dtype=float) - (x0, y0)) / grid.spacing
+    s, t = local[:, 0], local[:, 1]
+    return np.column_stack([(1 - s) * (1 - t), s * (1 - t), s * t, (1 - s) * t])
+
+
 class TestFluidVtk:
     def test_uncut_grid_structure(self, tmp_path):
         grid = StructuredGrid((0.0, 0.0), (0.5, 0.5), (3, 2))
@@ -149,6 +168,28 @@ class TestFluidVtk:
             data["point_data"]["velocity"][:, :2], u_exact, atol=1e-12
         )
         np.testing.assert_allclose(data["point_data"]["pressure"], p_exact, atol=1e-12)
+
+    def test_cut_point_data_is_bitwise_the_element_interpolation(self, tmp_path):
+        grid = ODD_GRID
+        cfg = build_cut_configuration(grid, SLANTED)
+        rng = np.random.default_rng(5)
+        u = rng.standard_normal((grid.n_nodes, 2))
+        p = rng.standard_normal(grid.n_nodes)
+        path = tmp_path / "flow.vtk"
+        write_fluid_vtk(path, cfg, u.ravel(), p)
+        data = _parse_vtk(path)
+        want_u, want_p = [u], [p]
+        for e, polys in sorted(cfg.pieces.items()):
+            nodes = grid.elem_nodes(e)
+            for poly in polys:
+                for tri in fan_triangulate(poly):
+                    N = _grid_shape_rows(grid, e, tri)
+                    want_u.append(N @ u[nodes])
+                    want_p.append(N @ p[nodes])
+        assert len(want_u) > 20
+        # repr() round-trips, so the parsed values are the written floats
+        assert np.array_equal(data["point_data"]["velocity"][:, :2], np.vstack(want_u))
+        assert np.array_equal(data["point_data"]["pressure"], np.concatenate(want_p))
 
 
 class TestSolidVtk:
@@ -228,6 +269,20 @@ class TestProbes:
             np.testing.assert_allclose(got, u_exact[0], atol=1e-12)
             got_p = evaluate_grid_probe(grid, p, point)
             np.testing.assert_allclose(got_p, p_exact[:1], atol=1e-12)
+
+    def test_grid_probe_is_bitwise_the_element_interpolation(self):
+        grid = ODD_GRID
+        rng = np.random.default_rng(8)
+        u = rng.standard_normal((grid.n_nodes, 2))
+        p = rng.standard_normal(grid.n_nodes)
+        lo = np.asarray(grid.origin)
+        hi = lo + np.asarray(grid.spacing) * grid.counts
+        for point in rng.uniform(lo, hi, size=(40, 2)):
+            e = grid.locate(point)
+            N = _grid_shape_rows(grid, e, np.asarray([point]))[0]
+            nodes = grid.elem_nodes(e)
+            assert np.array_equal(evaluate_grid_probe(grid, u, point), N @ u[nodes])
+            assert np.array_equal(evaluate_grid_probe(grid, p, point), N @ p[nodes, None])
 
     def test_grid_probe_outside_raises(self):
         grid = StructuredGrid((0.0, 0.0), (1.0, 1.0), (2, 2))
