@@ -28,7 +28,7 @@ import scipy.sparse as sp
 from .coupling import NitscheParams, assemble_ff_coupling, assemble_fs_coupling
 from .cutting import CutConfiguration, NodeRole, build_cut_configuration
 from .fluid import FluidParams, assemble_ghost_penalties, assemble_navier_stokes
-from .linalg import BlockSystem, factor_solve
+from .linalg import BlockSystem, LinearSolveError, factor_solve
 from .meshes import StructuredGrid
 from .projection import SpaceProjector
 from .solid import (
@@ -240,17 +240,18 @@ class FsiState:
 
 @dataclass
 class StepHistory:
-    """Previous-level data expressed on the current active space."""
+    """Previous-level data expressed on the current active space; the
+    structural entries stay None without a structure."""
 
     U_tilde: np.ndarray
     P_tilde: np.ndarray
     A_tilde: np.ndarray
-    solid_prev: SolidState
-    u_iface_prev: np.ndarray
-    f_iface_prev: np.ndarray
-    f_int_old: np.ndarray
-    f_ext_old: np.ndarray
-    f_ext_new: np.ndarray
+    solid_prev: SolidState | None = None
+    u_iface_prev: np.ndarray | None = None
+    f_iface_prev: np.ndarray | None = None
+    f_int_old: np.ndarray | None = None
+    f_ext_old: np.ndarray | None = None
+    f_ext_new: np.ndarray | None = None
 
 
 # ----------------------------------------------------------------------------
@@ -353,7 +354,7 @@ def _add_flow_blocks(
     rows `interface_residual[u]` / `[p]` added when given.  `history` is the
     previous (velocity, acceleration) pair on this mesh."""
     Ru, Rp, Juu, Jup, Jpu, Jpp = assemble_navier_stokes(
-        fluid.grid, cfg, fluid.params, dt, theta, U, P,
+        cfg, fluid.params, dt, theta, U, P,
         history[0], history[1], advection,
         body_force=fluid.body_force, time=time,
     )
@@ -443,18 +444,10 @@ def assemble_coupled_system(
         Ldd = scale * (
             genalpha_effective_mass_scale(dt, ga) * mass + (1.0 - af) * K_s
         )
-        if c_res is not None:
-            Rd = Rd + c_res["d"]
-            system.set_block("u", "d", c_jac[("u", "d")])
-            system.set_block("p", "d", c_jac[("p", "d")])
-            system.set_block("d", "u", c_jac[("d", "u")])
-            system.set_block("d", "p", c_jac[("d", "p")])
-            Ldd = Ldd + c_jac[("d", "d")]
-            system.add_to_block("u", "u", c_jac[("u", "u")])
-            system.add_to_block("u", "p", c_jac[("u", "p")])
-            system.add_to_block("p", "u", c_jac[("p", "u")])
-        system.set_residual("d", Rd)
+        system.set_residual("d", Rd if c_res is None else Rd + c_res["d"])
         system.set_block("d", "d", Ldd)
+    for key, block in (c_jac or {}).items():
+        system.add_to_block(*key, block)
 
     fix_u, fix_p = _fluid_fixed_masks(fluid, cfg)
     parts = [fix_u, fix_p]
@@ -511,7 +504,8 @@ def _newton(
     block and every increment block to drop below `tol` separately.  Before
     every iteration but the first, `recut(iterate)` may return a value that
     interrupts the iteration; `limit_step(iterate, increments)` returns the
-    scale at which the increment is applied (one without it).
+    scale at which the increment is applied (one without it).  A residual
+    block holding NaN or inf raises LinearSolveError before the solve.
 
     Returns ``(iterate, assembled, iterations, records, interrupted)``:
     `assembled` is the converged linearization, or None when `recut`
@@ -525,9 +519,14 @@ def _newton(
             if interrupted is not None:
                 return iterate, None, it, records, interrupted
         assembled = assemble(iterate)
+        res_blocks = assembled.system.split(assembled.residual)
+        for k, v in res_blocks.items():
+            if not np.all(np.isfinite(v)):
+                raise LinearSolveError(
+                    f"non-finite residual in block {k} at Newton iteration {it}"
+                )
         delta = factor_solve(assembled.matrix, -assembled.residual)
         blocks = assembled.system.split(delta)
-        res_blocks = assembled.system.split(assembled.residual)
         if reference is None:
             reference = {k: _norm_pair(v) for k, v in res_blocks.items()}
         record = IterationRecord(
@@ -671,14 +670,9 @@ class FsiDriver:
         self.problem = problem
         self.config = config
         solid = problem.solid
-        if solid is not None:
-            self._f_body = (
-                solid.model.body_force_vector(np.asarray(solid.body_load, float))
-                if solid.body_load is not None
-                else np.zeros(solid.model.n_dofs)
-            )
-        else:
-            self._f_body = np.zeros(0)
+        self._f_body = np.zeros(solid.model.n_dofs if solid is not None else 0)
+        if solid is not None and solid.body_load is not None:
+            self._f_body = solid.model.body_force_vector(np.asarray(solid.body_load, float))
 
     # -- state construction ------------------------------------------------
 
@@ -978,7 +972,7 @@ def assemble_overlap_system(
             dt=dt, theta=1.0, time=0.0,
         )
     for key, block in c_jac.items():
-        system.add_to_block(key[0], key[1], block)
+        system.add_to_block(*key, block)
 
     fix_u1, fix_p1 = _fluid_fixed_masks(background, cfg1)
     fix_u2, fix_p2 = _fluid_fixed_masks(patch, cfg2)

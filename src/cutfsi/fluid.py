@@ -184,7 +184,6 @@ def _eval_force(body_force, pts, time):
 
 
 def assemble_navier_stokes(
-    grid: StructuredGrid,
     cfg: CutConfiguration,
     params: FluidParams,
     dt: float,
@@ -204,8 +203,9 @@ def assemble_navier_stokes(
     (M, 2) points; one call covers the Gauss points of all uncut elements and
     one those of all cut elements, padding points included, so M spans many
     elements. Returns (Ru, Rp, Juu, Jup, Jpu, Jpp) with the sparse blocks in
-    CSR form.
+    CSR form. The grid is the configuration's, ``cfg.grid``.
     """
+    grid = cfg.grid
     n = grid.n_nodes
     hx, hy = grid.spacing
     sigma = 1.0 / (theta * dt)

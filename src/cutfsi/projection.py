@@ -17,11 +17,10 @@ from enum import IntEnum
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .cutting import CutConfiguration, NodeRole
 from .fluid import facet_jump_grams
-from .linalg import TripletAccumulator
+from .linalg import TripletAccumulator, factor
 
 __all__ = [
     "ProjectionError",
@@ -120,8 +119,7 @@ class SpaceProjector:
         widened: bool = False,
     ):
         self.correspondence = _build_correspondence(cfg_prev, cfg_curr)
-        bad = self.correspondence.violation_nodes
-        if bad.size:
+        if self.correspondence.violation_nodes.size:
             raise ProjectionError(CFL_MESSAGE, correspondence=self.correspondence)
         self.n_nodes = cfg_curr.grid.n_nodes
         self._solve = None
@@ -138,7 +136,7 @@ class SpaceProjector:
                 )
             fixed = self.correspondence.copied_nodes
             self._A_fc = A[np.ix_(free, fixed)]
-            self._solve = spla.factorized(A[np.ix_(free, free)].tocsc())
+            self._solve = factor(A[np.ix_(free, free)])
 
     def apply(self, vec: np.ndarray) -> np.ndarray:
         n = self.n_nodes
@@ -152,8 +150,5 @@ class SpaceProjector:
         out[copied] = nodal[self.correspondence.source[copied]]
         if self._solve is not None:
             free = self.correspondence.extension_nodes
-            rhs = -self._A_fc @ out[self.correspondence.copied_nodes]
-            out[free] = np.column_stack(
-                [self._solve(rhs[:, c]) for c in range(comps)]
-            )
+            out[free] = self._solve(-self._A_fc @ out[copied])
         return out.reshape(vec.shape)

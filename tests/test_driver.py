@@ -38,6 +38,7 @@ from cutfsi.driver import (
     time_loop,
 )
 from cutfsi.fluid import FluidParams, assemble_navier_stokes, basis_tables
+from cutfsi.linalg import LinearSolveError
 from cutfsi.meshes import StructuredGrid, rectangle_fitted_mesh
 from cutfsi.solid import (
     GenAlphaParams,
@@ -106,6 +107,26 @@ def _gentle_flap_problem():
         ],
     )
     return FsiProblem(fluid, SolidProblem(model))
+
+
+def _overlap_shear(patch_force=None):
+    """Background grid with the linear shear on its walls and an embedded
+    patch, optionally under a constant body force."""
+    background = FluidProblem(
+        StructuredGrid((0.0, 0.0), (0.2, 0.2), (10, 8)),
+        FluidParams(density=1.0, viscosity=0.1),
+        dirichlet=[
+            VelocityDirichlet(s, _shear(1.0))
+            for s in ("left", "right", "bottom", "top")
+        ],
+        pin_pressure=True,
+    )
+    patch = FluidProblem(
+        StructuredGrid((0.55, 0.35), (0.3, 0.3), (3, 3)),
+        FluidParams(density=1.0, viscosity=0.1),
+        body_force=patch_force,
+    )
+    return background, patch
 
 
 def _fluid_only_history(n_nodes):
@@ -271,7 +292,7 @@ class TestCoupledAssembly:
 
         blocks = asm.system.split(asm.system.residual)
         Ru, Rp, *_ = assemble_navier_stokes(
-            grid, cfg, problem.fluid.params, 0.1, 1.0, U, P,
+            cfg, problem.fluid.params, 0.1, 1.0, U, P,
             history.U_tilde, history.A_tilde, U,
         )
         # no cut elements -> the ghost-penalty contribution vanishes
@@ -551,6 +572,77 @@ class TestNewtonLoop:
     def test_halving_budget_exhaustion_message(self, monkeypatch):
         with pytest.raises(SolidInversionError, match="after 8 increment halvings"):
             self._flap_newton_with_inversions(monkeypatch, 10**6)
+
+
+class TestLinearSolveHook:
+    """Every Newton solve goes through `driver.factor_solve`, looked up at
+    call time, and a non-finite residual block is refused before it."""
+
+    @staticmethod
+    def _count_solves(monkeypatch):
+        calls = []
+        solve = driver_module.factor_solve
+
+        def counting(A, b):
+            calls.append(A.shape[0])
+            return solve(A, b)
+
+        monkeypatch.setattr(driver_module, "factor_solve", counting)
+        return calls
+
+    def test_every_fsi_newton_solve_is_intercepted(self, monkeypatch):
+        problem = _gentle_flap_problem()
+        driver = FsiDriver(problem, DriverConfig(dt=0.05, n_steps=1, nitsche=GAMMA))
+        state = driver.initial_state()
+        calls = self._count_solves(monkeypatch)
+        _, report = driver.step(state)
+        assert report.space_changes == 0
+        iterations = sum(r.iterations for r in report.newton)
+        assert iterations >= 2
+        assert len(calls) == iterations
+
+    def test_every_overlap_newton_solve_is_intercepted(self, monkeypatch):
+        calls = self._count_solves(monkeypatch)
+        sol = solve_overlapping_fluid(*_overlap_shear(), GAMMA)
+        assert sol.iterations >= 1
+        assert len(calls) == sol.iterations
+
+    @pytest.mark.parametrize("field, block", [("U_tilde", "u"), ("f_ext_new", "d")])
+    def test_non_finite_residual_block_is_named(self, monkeypatch, field, block):
+        problem = _gentle_flap_problem()
+        model = problem.solid.model
+        grid = problem.fluid.grid
+        n = grid.n_nodes
+        history = _rest_history(model, n)
+        cfg = build_cut_configuration(
+            grid, model.mesh.nodes[problem.solid.loop_nodes], problem.solid.wet_mask
+        )
+        if block == "u":
+            # one velocity entry of an active fluid node
+            idx = 2 * np.flatnonzero(cfg.node_role != NodeRole.INACTIVE)[0]
+        else:
+            # one free structural dof
+            idx = np.setdiff1d(np.arange(model.n_dofs), model.clamped_dofs())[0]
+        getattr(history, field)[idx] = np.nan
+        calls = self._count_solves(monkeypatch)
+        config = DriverConfig(dt=0.05, n_steps=1, nitsche=GAMMA)
+        with pytest.raises(
+            LinearSolveError,
+            match=f"non-finite residual in block {block} at Newton iteration 1",
+        ):
+            newton_loop(
+                problem, config, cfg, np.zeros(2 * n), np.zeros(n),
+                np.zeros(model.n_dofs), history, time=config.dt, theta=1.0,
+            )
+        assert calls == []
+
+    def test_non_finite_patch_block_is_named(self, monkeypatch):
+        calls = self._count_solves(monkeypatch)
+        with pytest.raises(
+            LinearSolveError, match="non-finite residual in block u2 at Newton iteration 1"
+        ):
+            solve_overlapping_fluid(*_overlap_shear((np.nan, 0.0)), GAMMA)
+        assert calls == []
 
 
 class TestTimeLoop:
@@ -899,19 +991,7 @@ class TestOverlapSolver:
         # The linear shear solves the flow equations on each mesh and leaves
         # every coupling term zero, so the composite solution is exact.
         shear = _shear(1.0)
-        background = FluidProblem(
-            StructuredGrid((0.0, 0.0), (0.2, 0.2), (10, 8)),
-            FluidParams(density=1.0, viscosity=0.1),
-            dirichlet=[
-                VelocityDirichlet(s, shear)
-                for s in ("left", "right", "bottom", "top")
-            ],
-            pin_pressure=True,
-        )
-        patch = FluidProblem(
-            StructuredGrid((0.55, 0.35), (0.3, 0.3), (3, 3)),
-            FluidParams(density=1.0, viscosity=0.1),
-        )
+        background, patch = _overlap_shear()
         sol = solve_overlapping_fluid(background, patch, GAMMA)
         active = sol.cfg1.node_role != NodeRole.INACTIVE
         e1 = shear(background.grid.node_coords(), 0.0).ravel()

@@ -125,7 +125,7 @@ def test_residual_matches_scalar_reference():
 
     dt, theta = 0.2, 0.6
     Ru, Rp, *_ = assemble_navier_stokes(
-        grid, cfg, PAR, dt, theta, U, P, Uo, Ao, Cb, body_force=force
+        cfg, PAR, dt, theta, U, P, Uo, Ao, Cb, body_force=force
     )
     conn = grid.elem_nodes(0)
     Rv_ref, Rq_ref = _scalar_reference_residual(
@@ -160,7 +160,7 @@ def test_uncut_batch_matches_scalar_reference_with_one_force_call():
 
     dt, theta = 0.2, 0.6
     args = (PAR, dt, theta, U, P, Uo, Ao, Cb)
-    Ru, Rp, *_ = assemble_navier_stokes(grid, cfg, *args, body_force=force)
+    Ru, Rp, *_ = assemble_navier_stokes(cfg, *args, body_force=force)
     assert sizes.count(9 * full.size) == 1
     # one call for the uncut batch, one for the batch of all cut elements
     assert len(sizes) == 2 and sizes[0] == 9 * full.size
@@ -170,7 +170,7 @@ def test_uncut_batch_matches_scalar_reference_with_one_force_call():
     cut_only = CutConfiguration(
         grid, cut_status.astype(np.int8), cfg.pieces, cfg.segments, cfg.loop, cfg.node_role
     )
-    Ru_cut, Rp_cut, *_ = assemble_navier_stokes(grid, cut_only, *args, body_force=force)
+    Ru_cut, Rp_cut, *_ = assemble_navier_stokes(cut_only, *args, body_force=force)
     want_v = np.zeros((n, 2))
     want_q = np.zeros(n)
     hx, hy = grid.spacing
@@ -201,11 +201,11 @@ def test_jacobian_matches_finite_differences():
     dt, theta = 0.1, 1.0
 
     def residual(Uv, Pv):
-        Ru, Rp, *_ = assemble_navier_stokes(grid, cfg, PAR, dt, theta, Uv, Pv, Uo, Ao, Cb)
+        Ru, Rp, *_ = assemble_navier_stokes(cfg, PAR, dt, theta, Uv, Pv, Uo, Ao, Cb)
         return np.concatenate([Ru, Rp])
 
     Ru, Rp, Juu, Jup, Jpu, Jpp = assemble_navier_stokes(
-        grid, cfg, PAR, dt, theta, U, P, Uo, Ao, Cb
+        cfg, PAR, dt, theta, U, P, Uo, Ao, Cb
     )
     import scipy.sparse as sp
 
@@ -254,9 +254,9 @@ def test_cut_batch_equals_sum_of_single_cut_element_assemblies():
         pieces = {e: cfg.pieces[e] for e in elems}
         return CutConfiguration(grid, status, pieces, [], cfg.loop, cfg.node_role)
 
-    got = assemble_navier_stokes(grid, cut_only(cfg.pieces), *args, body_force=_swirl_force)
+    got = assemble_navier_stokes(cut_only(cfg.pieces), *args, body_force=_swirl_force)
     singles = [
-        assemble_navier_stokes(grid, cut_only([e]), *args, body_force=_swirl_force)
+        assemble_navier_stokes(cut_only([e]), *args, body_force=_swirl_force)
         for e in cfg.pieces
     ]
     for k, block in enumerate(got):
@@ -280,15 +280,15 @@ def test_cut_rules_are_built_once_per_configuration(monkeypatch):
     calls = []
     rule = fluid.polygon_rule
     monkeypatch.setattr(fluid, "polygon_rule", lambda poly: calls.append(1) or rule(poly))
-    first = assemble_navier_stokes(grid, cfg, *args, body_force=_swirl_force)
-    second = assemble_navier_stokes(grid, cfg, *args, body_force=_swirl_force)
+    first = assemble_navier_stokes(cfg, *args, body_force=_swirl_force)
+    second = assemble_navier_stokes(cfg, *args, body_force=_swirl_force)
     assert len(calls) == n_pieces
     for a, b in zip(first, second):
         if sp.issparse(a):
             a, b = a.toarray(), b.toarray()
         assert a.tobytes() == b.tobytes()
     # another configuration builds its own rules
-    assemble_navier_stokes(grid, build_cut_configuration(grid, cfg.loop), *args)
+    assemble_navier_stokes(build_cut_configuration(grid, cfg.loop), *args)
     assert len(calls) == 2 * n_pieces
 
 
@@ -370,7 +370,7 @@ def test_flow_l2_errors_reuse_the_assembly_rules(monkeypatch):
     U, Uo, Ao, Cb = (rng.standard_normal(2 * n) for _ in range(4))
     P = rng.standard_normal(n)
     calls.clear()
-    assemble_navier_stokes(grid, cfg, PAR, 0.2, 0.6, U, P, Uo, Ao, Cb)
+    assemble_navier_stokes(cfg, PAR, 0.2, 0.6, U, P, Uo, Ao, Cb)
     assert calls
     calls.clear()
     _flow_l2_errors(cfg, U, P, _exact_u, _exact_p, 0.0)
@@ -392,7 +392,7 @@ def test_cut_batch_force_load_matches_shape_function_integrals():
     )
     dt = 0.2
     Ru, Rp, *_ = assemble_navier_stokes(
-        grid, cut_only, PAR, dt, 1.0, zero, np.zeros(n), zero, zero, zero, body_force=_swirl_force
+        cut_only, PAR, dt, 1.0, zero, np.zeros(n), zero, zero, zero, body_force=_swirl_force
     )
     hx, hy = grid.spacing
     tau_m, _ = stabilization_times(PAR, dt, hx, hy, np.zeros(2))
@@ -426,12 +426,12 @@ def test_cut_jacobian_matches_finite_differences():
 
     def residual(Uv, Pv):
         Ru, Rp, *_ = assemble_navier_stokes(
-            grid, cfg, PAR, dt, theta, Uv, Pv, Uo, Ao, Cb, body_force=_swirl_force
+            cfg, PAR, dt, theta, Uv, Pv, Uo, Ao, Cb, body_force=_swirl_force
         )
         return np.concatenate([Ru, Rp])
 
     _, _, Juu, Jup, Jpu, Jpp = assemble_navier_stokes(
-        grid, cfg, PAR, dt, theta, U, P, Uo, Ao, Cb, body_force=_swirl_force
+        cfg, PAR, dt, theta, U, P, Uo, Ao, Cb, body_force=_swirl_force
     )
     J = sp.bmat([[Juu, Jup], [Jpu, Jpp]]).toarray()
     x0 = np.concatenate([U, P])
@@ -487,7 +487,7 @@ def test_couette_flow_is_exact():
     Ao = np.zeros(2 * n)
     for _ in range(4):
         Ru, Rp, Juu, Jup, Jpu, Jpp = assemble_navier_stokes(
-            grid, cfg, PAR, 1e12, 1.0, U, P, Uo, Ao, U
+            cfg, PAR, 1e12, 1.0, U, P, Uo, Ao, U
         )
         J = sp.bmat([[Juu, Jup], [Jpu, Jpp]], format="csr")
         R = np.concatenate([Ru, Rp])
@@ -519,7 +519,7 @@ def test_hydrostatic_balance_is_exact():
         return out
 
     Ru, Rp, *_ = assemble_navier_stokes(
-        grid, cfg, par, 1e12, 1.0, U, P, U, U, U, body_force=force
+        cfg, par, 1e12, 1.0, U, P, U, U, U, body_force=force
     )
     # interior velocity rows and all continuity rows vanish identically;
     # boundary velocity rows carry the (nonzero) hydrostatic traction and are
@@ -544,7 +544,7 @@ def test_cut_element_quadrature_enters_continuity():
     U[0::2] = xy[:, 0]
     P = np.zeros(n)
     Ru, Rp, *_ = assemble_navier_stokes(
-        grid, cfg, PAR, 1e12, 1.0, U, P, U, np.zeros(2 * n), np.zeros(2 * n)
+        cfg, PAR, 1e12, 1.0, U, P, U, np.zeros(2 * n), np.zeros(2 * n)
     )
     assert Rp.sum() == pytest.approx(cfg.fluid_area(), rel=1e-12)
 
