@@ -240,18 +240,17 @@ class FsiState:
 
 @dataclass
 class StepHistory:
-    """Previous-level data expressed on the current active space; the
-    structural entries stay None without a structure."""
+    """Previous-level data expressed on the current active space."""
 
     U_tilde: np.ndarray
     P_tilde: np.ndarray
     A_tilde: np.ndarray
-    solid_prev: SolidState | None = None
-    u_iface_prev: np.ndarray | None = None
-    f_iface_prev: np.ndarray | None = None
-    f_int_old: np.ndarray | None = None
-    f_ext_old: np.ndarray | None = None
-    f_ext_new: np.ndarray | None = None
+    solid_prev: SolidState
+    u_iface_prev: np.ndarray
+    f_iface_prev: np.ndarray
+    f_int_old: np.ndarray
+    f_ext_old: np.ndarray
+    f_ext_new: np.ndarray
 
 
 # ----------------------------------------------------------------------------
@@ -670,9 +669,14 @@ class FsiDriver:
         self.problem = problem
         self.config = config
         solid = problem.solid
-        self._f_body = np.zeros(solid.model.n_dofs if solid is not None else 0)
-        if solid is not None and solid.body_load is not None:
-            self._f_body = solid.model.body_force_vector(np.asarray(solid.body_load, float))
+        if solid is not None:
+            self._f_body = (
+                solid.model.body_force_vector(np.asarray(solid.body_load, float))
+                if solid.body_load is not None
+                else np.zeros(solid.model.n_dofs)
+            )
+        else:
+            self._f_body = np.zeros(0)
 
     # -- state construction ------------------------------------------------
 

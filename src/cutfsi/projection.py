@@ -119,7 +119,8 @@ class SpaceProjector:
         widened: bool = False,
     ):
         self.correspondence = _build_correspondence(cfg_prev, cfg_curr)
-        if self.correspondence.violation_nodes.size:
+        bad = self.correspondence.violation_nodes
+        if bad.size:
             raise ProjectionError(CFL_MESSAGE, correspondence=self.correspondence)
         self.n_nodes = cfg_curr.grid.n_nodes
         self._solve = None

@@ -128,6 +128,12 @@ def _fluid_history(n_nodes, U=None, P=None, A=None) -> StepHistory:
         U_tilde=z2 if U is None else np.asarray(U, float),
         P_tilde=z1 if P is None else np.asarray(P, float),
         A_tilde=z2 if A is None else np.asarray(A, float),
+        solid_prev=None,
+        u_iface_prev=None,
+        f_iface_prev=None,
+        f_int_old=None,
+        f_ext_old=None,
+        f_ext_new=None,
     )
 
 
@@ -681,8 +687,10 @@ def _overlap_level(n: int, exact_u, body, rho, mu, gamma):
         np.zeros(2 * single.grid.n_nodes), np.zeros(single.grid.n_nodes),
         None, _fluid_history(single.grid.n_nodes), time=0.0, theta=1.0,
     )
-    zero_p = lambda pts, t: np.zeros(len(pts))
-    e_single, _ = _flow_l2_errors(cfg_single, result.U, result.P, exact_u, zero_p, 0.0)
+    e_single, _ = _flow_l2_errors(
+        cfg_single, result.U, result.P,
+        exact_u, lambda pts, t: np.zeros(len(pts)), 0.0,
+    )
 
     background = FluidProblem(
         single.grid, params, dirichlet=dirichlet, body_force=body,
@@ -696,6 +704,7 @@ def _overlap_level(n: int, exact_u, body, rho, mu, gamma):
     sol = solve_overlapping_fluid(
         background, patch, NitscheParams(gamma=gamma), dt=None
     )
+    zero_p = lambda pts, t: np.zeros(len(pts))
     e_bg, _ = _flow_l2_errors(sol.cfg1, sol.U1, sol.P1, exact_u, zero_p, 0.0)
     e_patch, _ = _flow_l2_errors(sol.cfg2, sol.U2, sol.P2, exact_u, zero_p, 0.0)
     e_overlap = float(np.hypot(e_bg, e_patch))

@@ -106,9 +106,10 @@ def test_saddle_point_with_zero_pressure_block():
     # pressure unknowns first, so the leading pivots sit on zero diagonals
     perm = np.r_[nu:nu + npr, :nu]
     A, b = A[np.ix_(perm, perm)], b[perm]
+    # the shape of the Newton systems: it must be solved, not refused
     x = _solved_or_refused(sp.csr_matrix(A), b)
-    if x is not None:
-        assert np.allclose(x, np.linalg.solve(A, b), rtol=1e-9, atol=1e-12)
+    assert x is not None
+    assert np.allclose(x, np.linalg.solve(A, b), rtol=1e-9, atol=1e-12)
 
 
 def test_factor_uses_symmetric_mode(monkeypatch):
@@ -140,6 +141,9 @@ def test_factor_solves_several_right_hand_sides():
     assert np.allclose(factor_solve(A, B[:, 1]), X[:, 1], rtol=1e-14, atol=1e-14)
     with pytest.raises(ValueError):
         solve(np.ones(n + 1))
+    assert factor(sp.csr_matrix((0, 0)))(np.zeros((0, 2))).shape == (0, 2)
+    with pytest.raises(ValueError):
+        factor(sp.csr_matrix((3, 2)))
 
 
 def test_matrix_market_roundtrip(tmp_path):
