@@ -17,7 +17,6 @@ from .config import (
     TimeCurve,
     parse_config,
     parse_config_text,
-    serialize_config,
 )
 from .cutting import (
     CutConfiguration,
@@ -104,7 +103,6 @@ __all__ = [
     "run_suite",
     "run_suites",
     "save_checkpoint",
-    "serialize_config",
     "solve_overlapping_fluid",
     "time_loop",
     "write_fluid_vtk",

@@ -445,37 +445,3 @@ def _log_defaults(seen) -> None:
         if (section, key) not in seen:
             default = getattr(CaseConfig(), attr)
             log.info("default applied: %s.%s = %r", section, key, default)
-
-
-# -- serialization -------------------------------------------------------------
-
-
-def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, tuple):
-        return " ".join(_fmt(v) for v in value)
-    return repr(value) if isinstance(value, float) else str(value)
-
-
-def serialize_config(cfg: CaseConfig) -> str:
-    """Render a config with every value explicit; parsing it back is a fixed
-    point of parse -> serialize -> parse."""
-    sections: dict[str, list[str]] = {s: [] for s in (*_REQUIRED_SECTIONS, "output")}
-    for (sec, key), (attr, _) in _SCHEMA.items():
-        value = getattr(cfg, attr)
-        if value is not None:
-            sections[sec].append(f"{key} = {_fmt(value)}")
-    sections["boundaries"].append(f"inlet_curve = {cfg.inlet_curve.kind}")
-    if cfg.inlet_curve.kind == "cosine-ramp":
-        sections["boundaries"].append(
-            f"ramp_duration = {_fmt(cfg.inlet_curve.ramp_duration)}"
-        )
-    for name, point in cfg.probes.items():
-        sections["output"].append(f"probe_{name} = {_fmt(point)}")
-    out = []
-    for sec, lines in sections.items():
-        out.append(f"[{sec}]")
-        out.extend(lines)
-        out.append("")
-    return "\n".join(out)

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cutting import CutConfiguration, ElemStatus, GeometryError
+from .cutting import CutConfiguration, ElemStatus, GeometryError, grid_line_params
 from .fluid import FluidParams, grid_basis
 from .linalg import TripletAccumulator
 from .meshes import StructuredGrid
@@ -286,21 +286,8 @@ def assemble_fs_coupling(
 
 def _embedded_pieces(seg, grid2: StructuredGrid):
     """Split a segment at the embedded grid's lines; returns (a0, a1) pairs."""
-    d = seg.p1 - seg.p0
-    ts = {0.0, 1.0}
-    for axis in (0, 1):
-        if d[axis] == 0.0:
-            continue
-        o = grid2.origin[axis]
-        h = grid2.spacing[axis]
-        f0 = (seg.p0[axis] - o) / h
-        f1 = (seg.p1[axis] - o) / h
-        lo, hi = min(f0, f1), max(f0, f1)
-        for line in range(int(np.ceil(lo - 1e-12)), int(np.floor(hi + 1e-12)) + 1):
-            t = (line - f0) / (f1 - f0)
-            if 1e-12 < t < 1.0 - 1e-12:
-                ts.add(float(t))
-    params = sorted(ts)
+    t = grid_line_params(grid2, seg.p0, seg.p1)
+    params = sorted({0.0, 1.0, *t[(1e-12 < t) & (t < 1.0 - 1e-12)].tolist()})
     return [(a0, a1) for a0, a1 in zip(params[:-1], params[1:]) if a1 - a0 > 1e-14]
 
 

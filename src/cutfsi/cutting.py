@@ -27,6 +27,7 @@ __all__ = [
     "CutConfiguration",
     "build_cut_configuration",
     "snap_to_grid",
+    "grid_line_params",
     "jump",
     "avg",
     "avg_conjugate",
@@ -193,10 +194,6 @@ class InterfaceSegment:
     def length(self) -> float:
         return float(np.hypot(*(self.p1 - self.p0)))
 
-    @property
-    def midpoint(self) -> np.ndarray:
-        return 0.5 * (self.p0 + self.p1)
-
 
 class CutConfiguration:
     """Frozen result of intersecting a grid with an interface polygon."""
@@ -223,11 +220,12 @@ class CutConfiguration:
     def interface_length(self) -> float:
         return sum(s.length for s in self.segments)
 
-    def ghost_facets(self, widened: bool = False) -> list[tuple[int, int, int, int]]:
+    def ghost_facets(self, widened: bool = False) -> np.ndarray:
         """Interior faces of the active mesh adjacent to at least one cut
-        element. With `widened=True` faces adjacent to a neighbour of a cut
-        element are included as well (used when the space is frozen while the
-        interface keeps moving)."""
+        element, as (F, 4) int64 rows of `StructuredGrid.interior_faces`.
+        With `widened=True` faces adjacent to a neighbour of a cut element are
+        included as well (used when the space is frozen while the interface
+        keeps moving)."""
         g = self.grid
         cut = (self.status == ElemStatus.CUT).reshape(g.ny, g.nx)
         marked = cut.copy()
@@ -241,7 +239,7 @@ class CutConfiguration:
         faces = g.interior_faces()
         el, er = faces[:, 0], faces[:, 1]
         keep = active[el] & active[er] & (marked[el] | marked[er])
-        return [tuple(f) for f in faces[keep].tolist()]
+        return faces[keep]
 
     def same_active_space(self, other: "CutConfiguration") -> bool:
         return (
@@ -249,6 +247,22 @@ class CutConfiguration:
             and np.array_equal(self.active_nodes, other.active_nodes)
             and np.array_equal(self.node_role, other.node_role)
         )
+
+
+def grid_line_params(grid: StructuredGrid, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Parameters t of the points a + t (b - a) where the segment meets a
+    vertical or horizontal line of the grid, lines within 1e-12 cells beyond
+    either end included; unsorted, and the caller picks the range it needs."""
+    ts = []
+    for axis in (0, 1):
+        if b[axis] - a[axis] != 0.0:
+            o, h = grid.origin[axis], grid.spacing[axis]
+            f0 = (a[axis] - o) / h
+            f1 = (b[axis] - o) / h
+            lo, hi = min(f0, f1), max(f0, f1)
+            lines = np.arange(np.ceil(lo - 1e-12), np.floor(hi + 1e-12) + 1.0)
+            ts.append((lines - f0) / (f1 - f0))
+    return np.concatenate(ts) if ts else np.zeros(0)
 
 
 def _all_fluid_configuration(grid):
@@ -380,17 +394,9 @@ def build_cut_configuration(
             continue
         window = (w0[0], w1[0])
         nrm = np.array([-d[1], d[0]]) / length  # unit, fluid -> covered side
-        ts = set(window)
-        for axis, h, o in ((0, hx, grid.origin[0]), (1, hy, grid.origin[1])):
-            if d[axis] != 0.0:
-                f0 = (a[axis] - o) / h
-                f1 = (b[axis] - o) / h
-                lo, hi = min(f0, f1), max(f0, f1)
-                for line in range(int(np.ceil(lo - 1e-12)), int(np.floor(hi + 1e-12)) + 1):
-                    t = (line - f0) / (f1 - f0)
-                    if window[0] + 1e-14 < t < window[1] - 1e-14:
-                        ts.add(float(t))
-        params = sorted(ts)
+        t = grid_line_params(grid, a, b)
+        inner = t[(window[0] + 1e-14 < t) & (t < window[1] - 1e-14)]
+        params = sorted({*window, *inner.tolist()})
         for t0, t1 in zip(params[:-1], params[1:]):
             if t1 - t0 <= 1e-14:
                 continue

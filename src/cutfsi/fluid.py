@@ -375,7 +375,7 @@ def assemble_ghost_penalties(
     rho = params.density
     nu = params.kinematic_viscosity
 
-    facets = np.array(cfg.ghost_facets(widened=widened), dtype=np.int64).reshape(-1, 4)
+    facets = cfg.ghost_facets(widened=widened)
     nodes, length, Mn, Mg = facet_jump_grams(grid, facets)
 
     # per-facet scalings from the advection maxima of both elements

@@ -19,6 +19,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .quadrature import signed_area
+
 __all__ = [
     "StructuredGrid",
     "FittedMesh",
@@ -227,11 +229,7 @@ class FittedMesh:
                 raise ValueError("boundary segments do not close into one loop")
         if len(loop) != len(segs):
             raise ValueError("boundary segments form more than one loop")
-        pts = self.nodes[loop]
-        area2 = float(
-            np.dot(pts[:, 0], np.roll(pts[:, 1], -1)) - np.dot(pts[:, 1], np.roll(pts[:, 0], -1))
-        )
-        if area2 < 0.0:
+        if signed_area(self.nodes[loop]) < 0.0:
             loop.reverse()
         return loop
 
@@ -279,11 +277,7 @@ def read_mesh_text(path) -> FittedMesh:
         raise ValueError(f"{path}: no nodes")
     mesh = FittedMesh(np.array(nodes), np.array(elems, dtype=int).reshape(-1, 4), boundary)
     for e in range(mesh.n_elems):
-        quad = mesh.elem_coords(e)
-        area2 = float(
-            np.dot(quad[:, 0], np.roll(quad[:, 1], -1)) - np.dot(quad[:, 1], np.roll(quad[:, 0], -1))
-        )
-        if area2 <= 0.0:
+        if signed_area(mesh.elem_coords(e)) <= 0.0:
             raise ValueError(f"{path}: element {e} is not counterclockwise")
     return mesh
 

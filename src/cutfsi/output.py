@@ -244,7 +244,3 @@ class DiagnosticsWriter:
             raise ValueError(f"diagnostics row missing columns {sorted(missing)}")
         with self.path.open("a", newline="") as fh:
             csv.writer(fh).writerow([row[c] for c in self.columns])
-
-    def read_back(self) -> list[dict]:
-        with self.path.open(newline="") as fh:
-            return list(csv.DictReader(fh))

@@ -49,14 +49,10 @@ class DofStatus(IntEnum):
 
 @dataclass(frozen=True)
 class DofCorrespondence:
-    """Node-wise transfer plan between two active spaces on one grid.
-
-    ``source[i]`` is the node copied from (the same index, since both spaces
-    share the background grid) or -1 when nothing is copied.
-    """
+    """Node-wise transfer plan between two active spaces on one grid; a
+    copied node takes its own value, since both spaces share the grid."""
 
     status: np.ndarray
-    source: np.ndarray
 
     @property
     def copied_nodes(self) -> np.ndarray:
@@ -76,18 +72,16 @@ def _build_correspondence(cfg_prev: CutConfiguration, cfg_curr: CutConfiguration
         raise ValueError("both configurations must live on the same grid")
     n = cfg_curr.grid.n_nodes
     status = np.full(n, DofStatus.INACTIVE, dtype=np.int8)
-    source = np.full(n, -1, dtype=np.int64)
     role = cfg_curr.node_role
     active = role != NodeRole.INACTIVE
     prev_active = cfg_prev.node_role != NodeRole.INACTIVE
     copied = active & prev_active
     fresh = active & ~prev_active
     status[copied] = DofStatus.COPIED
-    source[copied] = np.flatnonzero(copied)
     status[fresh & (role == NodeRole.GHOST)] = DofStatus.NEEDS_EXTENSION
     # A node inside the new domain with no value to inherit.
     status[fresh & (role != NodeRole.GHOST)] = DofStatus.VIOLATION
-    return DofCorrespondence(status=status, source=source)
+    return DofCorrespondence(status=status)
 
 
 def _extension_matrix(cfg: CutConfiguration, widened: bool) -> sp.csr_matrix:
@@ -97,8 +91,7 @@ def _extension_matrix(cfg: CutConfiguration, widened: bool) -> sp.csr_matrix:
     continuous bilinear basis, so only the first-order term contributes;
     it is scaled by the cube of the facet length.
     """
-    facets = np.array(cfg.ghost_facets(widened=widened), dtype=np.int64).reshape(-1, 4)
-    nodes, length, Mn, _ = facet_jump_grams(cfg.grid, facets)
+    nodes, length, Mn, _ = facet_jump_grams(cfg.grid, cfg.ghost_facets(widened=widened))
     acc = TripletAccumulator(cfg.grid.n_nodes, cfg.grid.n_nodes)
     acc.add_block(nodes, nodes, length[:, None, None] ** 3 * Mn)
     return acc.tocsr()
@@ -148,7 +141,7 @@ class SpaceProjector:
         nodal = vec.reshape(n, comps)
         out = np.zeros_like(nodal)
         copied = self.correspondence.copied_nodes
-        out[copied] = nodal[self.correspondence.source[copied]]
+        out[copied] = nodal[copied]
         if self._solve is not None:
             free = self.correspondence.extension_nodes
             out[free] = self._solve(-self._A_fc @ out[copied])

@@ -52,6 +52,7 @@ class NeoHookeanMaterial:
     The stored energy is
     mu/2 (tr C_3d - 3) - mu ln J + lambda/2 (ln J)^2 with the out-of-plane
     stretch frozen at one, so all tensors below are the in-plane 2x2 blocks.
+    `pk2_stress` and `tangent` take one (2, 2) tensor C or a (..., 2, 2) batch.
     """
 
     young: float
@@ -61,37 +62,30 @@ class NeoHookeanMaterial:
     def lame(self) -> tuple[float, float]:
         return lame_parameters(self.young, self.poisson)
 
-    def energy(self, C: np.ndarray) -> float:
-        lam, mu = self.lame
-        detC = float(np.linalg.det(C))
-        if detC <= 0.0:
+    @staticmethod
+    def _inverse_and_log_j(C: np.ndarray):
+        """C^-1 and ln J = ln(det C) / 2, refusing a non-positive det C."""
+        detC = np.linalg.det(C)
+        if np.any(detC <= 0.0):
             raise SolidInversionError("right Cauchy-Green tensor not positive definite")
-        lnJ = 0.5 * np.log(detC)
-        return 0.5 * mu * (float(np.trace(C)) + 1.0 - 3.0) - mu * lnJ + 0.5 * lam * lnJ**2
+        return np.linalg.inv(C), 0.5 * np.log(detC)
 
     def pk2_stress(self, C: np.ndarray) -> np.ndarray:
         """Second Piola-Kirchhoff stress mu (I - C^-1) + lambda ln J C^-1."""
         lam, mu = self.lame
-        detC = float(np.linalg.det(C))
-        if detC <= 0.0:
-            raise SolidInversionError("right Cauchy-Green tensor not positive definite")
-        Cinv = np.linalg.inv(C)
-        lnJ = 0.5 * np.log(detC)
-        return mu * (_I2 - Cinv) + lam * lnJ * Cinv
+        Cinv, lnJ = self._inverse_and_log_j(C)
+        return mu * (_I2 - Cinv) + lam * lnJ[..., None, None] * Cinv
 
     def tangent(self, C: np.ndarray) -> np.ndarray:
-        """Material tangent 2 dS/dC as a (2,2,2,2) array."""
+        """Material tangent 2 dS/dC as a (..., 2, 2, 2, 2) array."""
         lam, mu = self.lame
-        detC = float(np.linalg.det(C))
-        if detC <= 0.0:
-            raise SolidInversionError("right Cauchy-Green tensor not positive definite")
-        Cinv = np.linalg.inv(C)
-        lnJ = 0.5 * np.log(detC)
-        t1 = lam * np.einsum("jk,lm->jklm", Cinv, Cinv)
+        Cinv, lnJ = self._inverse_and_log_j(C)
+        t1 = lam * np.einsum("...jk,...lm->...jklm", Cinv, Cinv)
         sym = 0.5 * (
-            np.einsum("jl,km->jklm", Cinv, Cinv) + np.einsum("jm,kl->jklm", Cinv, Cinv)
+            np.einsum("...jl,...km->...jklm", Cinv, Cinv)
+            + np.einsum("...jm,...kl->...jklm", Cinv, Cinv)
         )
-        return t1 + 2.0 * (mu - lam * lnJ) * sym
+        return t1 + 2.0 * (mu - lam * lnJ)[..., None, None, None, None] * sym
 
 
 def quad_shape(xi: float, eta: float) -> np.ndarray:
@@ -118,11 +112,20 @@ def quad_shape_grad(xi: float, eta: float) -> np.ndarray:
     )
 
 
-def _gauss_points(n: int):
-    xi, wi = np.polynomial.legendre.leggauss(n)
-    for i in range(n):
-        for j in range(n):
-            yield xi[i], xi[j], wi[i] * wi[j]
+@dataclass(frozen=True)
+class _ReferenceTable:
+    """2x2 Gauss rule on every element of the reference configuration.
+
+    The rule integrates the mass and the load exactly, since det J of a
+    bilinear quad is linear. Where det J <= 0, dN is a placeholder: the
+    internal force refuses that element before using it.
+    """
+
+    N: np.ndarray  # (Q, 4)
+    dN: np.ndarray  # (E, Q, 4, 2) d N_a / d X
+    wdet: np.ndarray  # (E, Q) weight * det J
+    det: np.ndarray  # (E, Q)
+    dofs: np.ndarray  # (E, 8), dof 2a + i is component i of element node a
 
 
 class SolidModel:
@@ -137,90 +140,79 @@ class SolidModel:
         self.density = float(density)
         self.n_dofs = 2 * mesh.n_nodes
         self._mass = None
+        self._table = None
 
-    def dof(self, node: int, comp: int) -> int:
-        return 2 * node + comp
+    def _reference(self) -> _ReferenceTable:
+        """The reference table, built on first use."""
+        if self._table is None:
+            pts, wts = np.polynomial.legendre.leggauss(2)
+            xi, eta = np.repeat(pts, 2), np.tile(pts, 2)
+            elems = self.mesh.elems
+            G = np.array([quad_shape_grad(x, y) for x, y in zip(xi, eta)])
+            J = np.einsum("qaI,eaj->eqIj", G, self.mesh.nodes[elems])
+            det = np.linalg.det(J)
+            invJ = np.linalg.inv(np.where((det > 0.0)[..., None, None], J, _I2))
+            self._table = _ReferenceTable(
+                N=np.array([quad_shape(x, y) for x, y in zip(xi, eta)]),
+                dN=G @ np.swapaxes(invJ, -1, -2),
+                wdet=np.outer(wts, wts).ravel() * det,
+                det=det,
+                dofs=(2 * elems[:, :, None] + np.arange(2)).reshape(-1, 8),
+            )
+        return self._table
+
+    def _scatter(self, nodal: np.ndarray) -> np.ndarray:
+        """Sum (E, 4, 2) element vectors into one global dof vector."""
+        dofs = self._reference().dofs
+        return np.bincount(dofs.ravel(), weights=nodal.ravel(), minlength=self.n_dofs)
 
     def mass_matrix(self):
         """Consistent mass (referential density) as CSR; cached."""
         if self._mass is not None:
             return self._mass
+        ref = self._reference()
+        Me = self.density * np.einsum("eq,qa,qb->eab", ref.wdet, ref.N, ref.N)
+        block = np.einsum("eab,ik->eaibk", Me, _I2).reshape(-1, 8, 8)
         acc = TripletAccumulator(self.n_dofs, self.n_dofs)
-        for e in range(self.mesh.n_elems):
-            nodes = self.mesh.elems[e]
-            X = self.mesh.nodes[nodes]
-            Me = np.zeros((4, 4))
-            for xi, eta, w in _gauss_points(3):
-                N = quad_shape(xi, eta)
-                J = quad_shape_grad(xi, eta).T @ X
-                detJ = float(np.linalg.det(J))
-                Me += self.density * w * detJ * np.outer(N, N)
-            dofs = np.empty(8, dtype=int)
-            dofs[0::2] = 2 * nodes
-            dofs[1::2] = 2 * nodes + 1
-            block = np.zeros((8, 8))
-            block[0::2, 0::2] = Me
-            block[1::2, 1::2] = Me
-            acc.add_block(dofs, dofs, block)
+        acc.add_block(ref.dofs, ref.dofs, block)
         self._mass = acc.tocsr()
         return self._mass
 
     def internal_force(self, d: np.ndarray, tangent: bool = True):
         """Internal nodal forces and (optionally) the analytic stiffness.
 
-        Raises SolidInversionError when any quadrature point has det F <= 0.
+        Raises SolidInversionError, naming the first element in mesh order
+        that has a quadrature point with det J <= 0 or det F <= 0.
         """
-        d = np.asarray(d, dtype=float)
-        f = np.zeros(self.n_dofs)
-        acc = TripletAccumulator(self.n_dofs, self.n_dofs) if tangent else None
-        for e in range(self.mesh.n_elems):
-            nodes = self.mesh.elems[e]
-            X = self.mesh.nodes[nodes]
-            de = np.column_stack([d[2 * nodes], d[2 * nodes + 1]])
-            fe = np.zeros((4, 2))
-            Ke = np.zeros((4, 2, 4, 2)) if tangent else None
-            for xi, eta, w in _gauss_points(2):
-                J = quad_shape_grad(xi, eta).T @ X
-                detJ = float(np.linalg.det(J))
-                if detJ <= 0.0:
-                    raise SolidInversionError(f"element {e} has inverted geometry")
-                dN = quad_shape_grad(xi, eta) @ np.linalg.inv(J).T
-                F = _I2 + de.T @ dN
-                if float(np.linalg.det(F)) <= 0.0:
-                    raise SolidInversionError(f"element {e} inverted during deformation")
-                C = F.T @ F
-                S = self.material.pk2_stress(C)
-                P = F @ S
-                fe += w * detJ * dN @ P.T
-                if tangent:
-                    Ct = self.material.tangent(C)
-                    A = np.einsum("iM,MJLN,kN->iJkL", F, Ct, F)
-                    A += np.einsum("ik,JL->iJkL", _I2, S)
-                    Ke += w * detJ * np.einsum("aJ,iJkL,bL->aibk", dN, A, dN)
-            dofs = np.empty(8, dtype=int)
-            dofs[0::2] = 2 * nodes
-            dofs[1::2] = 2 * nodes + 1
-            f[dofs] += fe.reshape(8)
-            if tangent:
-                acc.add_block(dofs, dofs, Ke.reshape(8, 8))
-        return (f, acc.tocsr()) if tangent else (f, None)
+        ref = self._reference()
+        de = np.asarray(d, dtype=float)[ref.dofs].reshape(-1, 4, 2)
+        F = _I2 + np.einsum("eai,eqaJ->eqiJ", de, ref.dN)
+        bad = (ref.det <= 0.0) | (np.linalg.det(F) <= 0.0)
+        if bad.any():
+            e, q = np.unravel_index(np.argmax(bad), bad.shape)
+            how = "has inverted geometry" if ref.det[e, q] <= 0.0 else "inverted during deformation"
+            raise SolidInversionError(f"element {e} {how}")
+        C = np.swapaxes(F, -1, -2) @ F
+        S = self.material.pk2_stress(C)
+        f = self._scatter(np.einsum("eq,eqaJ,eqiJ->eai", ref.wdet, ref.dN, F @ S))
+        if not tangent:
+            return f, None
+        A = np.einsum("eqiM,eqMJLN,eqkN->eqiJkL", F, self.material.tangent(C), F)
+        A += np.einsum("ik,eqJL->eqiJkL", _I2, S)
+        # B[(i, J), (a, k)] = dN_a/dX_J delta_ik maps element dofs to grad u
+        B = np.einsum("eqaJ,ik->eqiJak", ref.dN, _I2).reshape(*ref.det.shape, 4, 8)
+        wA = ref.wdet[..., None, None] * A.reshape(*ref.det.shape, 4, 4)
+        Ke = (np.swapaxes(B, -1, -2) @ wA @ B).sum(axis=1)
+        acc = TripletAccumulator(self.n_dofs, self.n_dofs)
+        acc.add_block(ref.dofs, ref.dofs, Ke)
+        return f, acc.tocsr()
 
     def body_force_vector(self, load: np.ndarray) -> np.ndarray:
         """Consistent load vector for a constant referential body force
         density rho_s * load (force per unit mass)."""
-        load = np.asarray(load, dtype=float)
-        f = np.zeros(self.n_dofs)
-        for e in range(self.mesh.n_elems):
-            nodes = self.mesh.elems[e]
-            X = self.mesh.nodes[nodes]
-            fe = np.zeros((4, 2))
-            for xi, eta, w in _gauss_points(2):
-                N = quad_shape(xi, eta)
-                J = quad_shape_grad(xi, eta).T @ X
-                fe += self.density * w * float(np.linalg.det(J)) * np.outer(N, load)
-            f[2 * nodes] += fe[:, 0]
-            f[2 * nodes + 1] += fe[:, 1]
-        return f
+        ref = self._reference()
+        rho_n = self.density * (ref.wdet @ ref.N)  # integral of rho_s N_a per element
+        return self._scatter(rho_n[:, :, None] * np.asarray(load, dtype=float))
 
     def clamped_dofs(self) -> np.ndarray:
         nodes = self.mesh.boundary_nodes_with_tag("clamped")

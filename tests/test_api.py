@@ -1,6 +1,7 @@
 """Public API hygiene: every exported name resolves, and every name a
-submodule exports but the package does not re-export has a caller in the
-program itself (package, demos or benchmark), not only in the tests."""
+submodule exports but the package does not re-export, and every function,
+method and property defined in the package, has a caller in the program
+itself (package, demos or benchmark), not only in the tests."""
 
 import ast
 import importlib
@@ -49,11 +50,16 @@ def test_every_exported_name_resolves():
             )
 
 
-def test_every_submodule_export_has_a_program_caller():
+def _program_names() -> set[str]:
     used: set[str] = set()
     for folder in PROGRAM_DIRS:
         for path in sorted((ROOT / folder).rglob("*.py")):
             used |= _used_names(ast.parse(path.read_text(), filename=str(path)))
+    return used
+
+
+def test_every_submodule_export_has_a_program_caller():
+    used = _program_names()
     package = set(cutfsi.__all__)
     uncalled = sorted(
         f"{module.__name__}.{name}"
@@ -61,6 +67,28 @@ def test_every_submodule_export_has_a_program_caller():
         for name in module.__all__
         if name not in package and name not in used
     )
+    assert uncalled == []
+
+
+def _registers_suite(node: ast.FunctionDef) -> bool:
+    return any(
+        isinstance(d, ast.Call) and isinstance(d.func, ast.Name) and d.func.id == "_suite"
+        for d in node.decorator_list
+    )
+
+
+def test_every_definition_has_a_program_caller():
+    # A package re-export or an `__all__` string is not a caller; the
+    # verification suites are called through the registry their decorator fills.
+    used = _program_names()
+    uncalled = []
+    for path in sorted((ROOT / "src" / "cutfsi").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            dunder = node.name.startswith("__") and node.name.endswith("__")
+            if not (dunder or _registers_suite(node) or node.name in used):
+                uncalled.append(f"{path.name}: {node.name}")
     assert uncalled == []
 
 

@@ -1,11 +1,11 @@
 """Case-file parsing: schema validation with line numbers, logged defaults,
-time curves, builders, and the serialize round-trip fixed point."""
+time curves and builders."""
 
 import logging
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from cutfsi.config import (
@@ -14,7 +14,6 @@ from cutfsi.config import (
     TimeCurve,
     parse_config,
     parse_config_text,
-    serialize_config,
 )
 from cutfsi.meshes import rectangle_fitted_mesh, write_mesh_text
 
@@ -270,39 +269,6 @@ class TestTimeCurve:
         value = curve(t)
         assert 0.0 <= value <= 1.0
         assert value <= curve(min(t + 0.1, 3.0)) + 1e-15
-
-
-class TestRoundTrip:
-    def test_minimal_fixed_point(self):
-        cfg = parse_config_text(MINIMAL)
-        text = serialize_config(cfg)
-        again = parse_config_text(text)
-        assert again == cfg
-        assert serialize_config(again) == text
-
-    def test_full_fixed_point(self):
-        cfg = parse_config_text(FULL)
-        again = parse_config_text(serialize_config(cfg))
-        assert again == cfg
-
-    @settings(max_examples=25, deadline=None)
-    @given(
-        dt=st.floats(min_value=1e-6, max_value=10.0, allow_nan=False),
-        theta=st.floats(min_value=0.1, max_value=1.0),
-        gamma=st.floats(min_value=1.0, max_value=1e4),
-        tol=st.floats(min_value=1e-14, max_value=1e-2),
-        steps=st.integers(min_value=0, max_value=1000),
-    )
-    def test_fixed_point_property(self, dt, theta, gamma, tol, steps):
-        cfg = parse_config_text(MINIMAL)
-        cfg.dt, cfg.theta, cfg.gamma, cfg.tol, cfg.n_steps = (
-            dt,
-            theta,
-            gamma,
-            tol,
-            steps,
-        )
-        assert parse_config_text(serialize_config(cfg)) == cfg
 
 
 class TestBuilders:

@@ -1,6 +1,7 @@
 """Snapshot writers (legacy VTK text), the append-only diagnostics log, and
 history probes interpolated at reference coordinates."""
 
+import csv
 from pathlib import Path
 
 import numpy as np
@@ -331,6 +332,11 @@ class TestProbes:
         assert eta_hat == pytest.approx(eta, abs=1e-9)
 
 
+def _read_csv(path):
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
 class TestDiagnostics:
     def test_header_rows_and_reopen(self, tmp_path):
         path = tmp_path / "history.csv"
@@ -343,7 +349,7 @@ class TestDiagnostics:
         text = path.read_text().splitlines()
         assert text[0] == "time,tip_x,newton"
         assert len(text) == 4
-        rows = again.read_back()
+        rows = _read_csv(path)
         assert [float(r["time"]) for r in rows] == [0.1, 0.2, 0.3]
         assert [int(r["newton"]) for r in rows] == [3, 4, 2]
 
@@ -361,6 +367,6 @@ class TestDiagnostics:
             log.append(
                 {"time": 0.1 * step, "probe_x": value[0], "probe_y": value[1]}
             )
-        rows = log.read_back()
+        rows = _read_csv(log.path)
         assert {r["probe_x"] for r in rows} == {"0.125"}
         assert {r["probe_y"] for r in rows} == {"0.125"}

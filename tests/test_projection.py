@@ -43,7 +43,6 @@ class TestTransferCopy:
         assert corr.extension_nodes.size == 0
         active = np.flatnonzero(cfg.node_role != NodeRole.INACTIVE)
         assert np.array_equal(corr.copied_nodes, active)
-        assert np.array_equal(corr.source[active], active)
 
     def test_receding_interface_keeps_ghost_values(self):
         # The covered region recedes past a node column: nodes that were
@@ -138,9 +137,7 @@ class TestExtension:
         cfg = _half_plane_cfg(1.35)
         status = np.full(GRID.n_nodes, DofStatus.INACTIVE, dtype=np.int8)
         status[0] = DofStatus.NEEDS_EXTENSION  # far corner, no facet nearby
-        corr = DofCorrespondence(
-            status=status, source=np.full(GRID.n_nodes, -1, dtype=np.int64)
-        )
+        corr = DofCorrespondence(status=status)
         monkeypatch.setattr(projection, "_build_correspondence", lambda *_: corr)
         with pytest.raises(ProjectionError, match="cannot reach") as err:
             SpaceProjector(cfg, cfg)

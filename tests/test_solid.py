@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 import sympy as sy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cutfsi import solid
 from cutfsi.meshes import rectangle_fitted_mesh
 from cutfsi.solid import (
     GenAlphaParams,
@@ -19,6 +22,8 @@ from cutfsi.solid import (
     genalpha_recover_velocity,
     interface_chain,
     lame_parameters,
+    quad_shape,
+    quad_shape_grad,
 )
 
 MAT = NeoHookeanMaterial(young=500.0, poisson=0.4)
@@ -44,12 +49,18 @@ def test_simple_shear_stress_closed_form():
     assert np.max(np.abs(S - expected)) < 1e-10
 
 
+def _energy(mat, C, log=np.log):
+    """Stored energy mu/2 (tr C + 1 - 3) - mu ln J + lambda/2 (ln J)^2 of the
+    plane-strain material at C, a (2, 2) array or, with log=sympy.log, a
+    sympy matrix: the oracle the stress is checked against."""
+    lam, mu = mat.lame
+    lnJ = 0.5 * log(C[0, 0] * C[1, 1] - C[0, 1] * C[1, 0])
+    return 0.5 * mu * (C[0, 0] + C[1, 1] + 1.0 - 3.0) - mu * lnJ + 0.5 * lam * lnJ**2
+
+
 def _sympy_pk2(mat, C):
     c11, c22, c12 = sy.symbols("c11 c22 c12", positive=False)
-    Cm = sy.Matrix([[c11, c12], [c12, c22]])
-    lam, mu = mat.lame
-    lnJ = sy.log(Cm.det()) / 2
-    psi = mu / 2 * (Cm.trace() + 1 - 3) - mu * lnJ + lam / 2 * lnJ**2
+    psi = _energy(mat, sy.Matrix([[c11, c12], [c12, c22]]), sy.log)
     subs = {c11: C[0, 0], c22: C[1, 1], c12: C[0, 1]}
     S11 = float((2 * sy.diff(psi, c11)).subs(subs))
     S22 = float((2 * sy.diff(psi, c22)).subs(subs))
@@ -92,8 +103,23 @@ def test_tangent_symmetries():
 
 
 def test_energy_zero_and_stress_free_at_identity():
-    assert MAT.energy(np.eye(2)) == 0.0
+    assert _energy(MAT, np.eye(2)) == 0.0
     assert np.allclose(MAT.pk2_stress(np.eye(2)), 0.0, atol=1e-15)
+
+
+def test_material_batch_matches_single_tensors():
+    rng = np.random.default_rng(6)
+    F = np.eye(2) + 0.2 * rng.standard_normal((3, 4, 2, 2))
+    C = np.swapaxes(F, -1, -2) @ F
+    S, Ct = MAT.pk2_stress(C), MAT.tangent(C)
+    assert S.shape == (3, 4, 2, 2) and Ct.shape == (3, 4, 2, 2, 2, 2)
+    for idx in np.ndindex(3, 4):
+        assert np.array_equal(S[idx], MAT.pk2_stress(C[idx]))
+        assert np.allclose(Ct[idx], MAT.tangent(C[idx]), rtol=1e-15, atol=0.0)
+    C[1, 2] = np.diag([1.0, -1.0])
+    for evaluate in (MAT.pk2_stress, MAT.tangent):
+        with pytest.raises(SolidInversionError, match="not positive definite"):
+            evaluate(C)
 
 
 def _single_element_model(mat=MAT, rho=1.0):
@@ -189,6 +215,137 @@ def test_body_force_vector_total():
     f = model.body_force_vector(np.array([0.0, -2.0]))
     assert f[0::2].sum() == pytest.approx(0.0, abs=1e-15)
     assert f[1::2].sum() == pytest.approx(3.0 * 0.5 * 0.25 * -2.0, rel=1e-13)
+
+
+def _gauss(n):
+    xi, wi = np.polynomial.legendre.leggauss(n)
+    return [(xi[i], xi[j], wi[i] * wi[j]) for i in range(n) for j in range(n)]
+
+
+def _loop_oracle(model, d, load):
+    """Scalar per-element, per-point assembly of (f, K, M, body force), with
+    the mass on the 3x3 rule and the inversion checks in mesh order."""
+    mesh, mat, n = model.mesh, model.material, model.n_dofs
+    f, b, K, M = np.zeros(n), np.zeros(n), np.zeros((n, n)), np.zeros((n, n))
+    for e, nodes in enumerate(mesh.elems):
+        X = mesh.nodes[nodes]
+        dofs = np.column_stack([2 * nodes, 2 * nodes + 1]).ravel()
+        de = d[dofs].reshape(4, 2)
+        for xi, eta, w in _gauss(3):
+            N = quad_shape(xi, eta)
+            detJ = np.linalg.det(quad_shape_grad(xi, eta).T @ X)
+            M[np.ix_(dofs, dofs)] += model.density * w * detJ * np.kron(np.outer(N, N), np.eye(2))
+        for xi, eta, w in _gauss(2):
+            J = quad_shape_grad(xi, eta).T @ X
+            detJ = np.linalg.det(J)
+            if detJ <= 0.0:
+                raise SolidInversionError(f"element {e} has inverted geometry")
+            dN = quad_shape_grad(xi, eta) @ np.linalg.inv(J).T
+            F = np.eye(2) + de.T @ dN
+            if np.linalg.det(F) <= 0.0:
+                raise SolidInversionError(f"element {e} inverted during deformation")
+            C = F.T @ F
+            S = mat.pk2_stress(C)
+            f[dofs] += w * detJ * (dN @ (F @ S).T).ravel()
+            A = np.einsum("iM,MJLN,kN->iJkL", F, mat.tangent(C), F)
+            A += np.einsum("ik,JL->iJkL", np.eye(2), S)
+            Ke = np.einsum("aJ,iJkL,bL->aibk", dN, A, dN).reshape(8, 8)
+            K[np.ix_(dofs, dofs)] += w * detJ * Ke
+            b[dofs] += model.density * w * detJ * np.outer(quad_shape(xi, eta), load).ravel()
+    return f, K, M, b
+
+
+def _distorted_model(nx=4, ny=3, seed=0):
+    mesh = rectangle_fitted_mesh(0.0, 0.0, 0.8, 0.3, nx, ny, tags={"bottom": "clamped"})
+    rng = np.random.default_rng(seed)
+    mesh.nodes[:] += 0.15 * 0.1 * rng.uniform(-1.0, 1.0, mesh.nodes.shape)
+    return SolidModel(mesh, MAT, 2.5)
+
+
+def _rel_err(got, want):
+    return np.abs(got - want).max() / np.abs(want).max()
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_batched_assembly_matches_scalar_loop(seed):
+    model = _distorted_model(seed=seed)
+    d = 0.01 * np.random.default_rng(seed + 10).standard_normal(model.n_dofs)
+    load = np.array([0.7, -9.81])
+    f_ref, K_ref, M_ref, b_ref = _loop_oracle(model, d, load)
+    f, K = model.internal_force(d)
+    f_only, no_K = model.internal_force(d, tangent=False)
+    assert no_K is None
+    assert _rel_err(f, f_ref) <= 1e-13 and _rel_err(f_only, f_ref) <= 1e-13
+    assert _rel_err(K.toarray(), K_ref) <= 1e-13
+    assert _rel_err(model.mass_matrix().toarray(), M_ref) <= 1e-13
+    assert _rel_err(model.body_force_vector(load), b_ref) <= 1e-13
+
+
+def _inversion_message(call):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SolidInversionError) as err:
+            call()
+    return str(err.value)
+
+
+def test_later_inverted_element_is_named():
+    # Of a 4x1 strip, element 2 folds at its last Gauss point only and
+    # element 3 at its third: mesh order, then point order, names element 2.
+    model = SolidModel(rectangle_fitted_mesh(0.0, 0.0, 4.0, 1.0, 4, 1), MAT, 1.0)
+    d = np.zeros(model.n_dofs)
+    d[[16, 17]] = -0.9  # node 8, shared by elements 2 and 3, to (2.1, 0.1)
+    d[2 * np.array([4, 9])] = -1.5  # right edge of element 3 to x = 2.5
+    msg = _inversion_message(lambda: model.internal_force(d, tangent=False))
+    assert msg == "element 2 inverted during deformation"
+    assert msg == _inversion_message(lambda: _loop_oracle(model, d, np.zeros(2)))
+
+
+@pytest.mark.parametrize(
+    "flipped, folded, message",
+    [
+        (0, 2, "element 0 has inverted geometry"),
+        (2, 0, "element 0 inverted during deformation"),
+    ],
+)
+def test_first_failing_element_decides_the_message(flipped, folded, message):
+    mesh = rectangle_fitted_mesh(0.0, 0.0, 3.0, 1.0, 3, 1)
+    mesh.elems[flipped] = mesh.elems[flipped][::-1]  # clockwise reference quad
+    model = SolidModel(mesh, MAT, 1.0)
+    d = np.zeros(model.n_dofs)
+    d[2 * mesh.elems[folded][[1, 2]]] = -3.0  # right edge moved past the left
+    for tangent in (True, False):
+        msg = _inversion_message(lambda: model.internal_force(d, tangent=tangent))
+        assert msg == message
+    assert message == _inversion_message(lambda: _loop_oracle(model, d, np.zeros(2)))
+
+
+def test_zero_area_element_is_refused_without_warnings():
+    mesh = rectangle_fitted_mesh(0.0, 0.0, 2.0, 1.0, 2, 1)
+    mesh.nodes[[2, 5]] = mesh.nodes[[1, 4]]  # element 1 collapses to a line
+    model = SolidModel(mesh, MAT, 1.0)
+    d = np.zeros(model.n_dofs)
+    msg = _inversion_message(lambda: model.internal_force(d))
+    assert msg == "element 1 has inverted geometry"
+    assert msg == _inversion_message(lambda: _loop_oracle(model, d, np.zeros(2)))
+
+
+def test_reference_table_is_built_once(monkeypatch):
+    calls = []
+
+    def counting(xi, eta):
+        calls.append((xi, eta))
+        return quad_shape_grad(xi, eta)
+
+    monkeypatch.setattr(solid, "quad_shape_grad", counting)
+    model = _distorted_model()
+    d = np.zeros(model.n_dofs)
+    model.internal_force(d)
+    assert len(calls) == 4
+    model.internal_force(d, tangent=False)
+    model.mass_matrix()
+    model.body_force_vector(np.array([0.0, -1.0]))
+    assert len(calls) == 4
 
 
 def test_genalpha_parameter_relations():
