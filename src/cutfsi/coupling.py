@@ -16,7 +16,7 @@ segments or pieces, with the owner connectivity and basis tables N (S, 2, 4)
 and grad N (S, 2, 4, 2) on each mesh. Every residual and derivative term is
 an einsum over all points at once: each term is a point vector (or, for the
 derivatives, its table over the trial dofs) tested with a basis table, and
-each block is scattered with one accumulator call.
+each block is returned as the `LocalBlocks` of all segments or pieces.
 
 Interface geometry (segment positions, normals, integration weights) is
 treated as data: the derivative blocks returned by the assemblers are taken
@@ -32,7 +32,7 @@ import numpy as np
 
 from .cutting import CutConfiguration, ElemStatus, GeometryError, grid_line_params
 from .fluid import FluidParams, grid_basis
-from .linalg import TripletAccumulator
+from .linalg import LocalBlocks
 from .meshes import StructuredGrid
 
 __all__ = [
@@ -171,20 +171,19 @@ def _pointwise(c, table):
 
 
 def _scatter(sizes, dofs, residuals, blocks):
-    """Sum per-segment vectors and blocks into global residuals and CSR
-    matrices; ``dofs[key]`` (S, m) numbers the local entries of ``key``."""
-    res = {}
-    for key, local in residuals.items():
-        res[key] = np.zeros(sizes[key])
-        np.add.at(res[key], dofs[key].ravel(), local.ravel())
+    """Sum per-segment vectors into global residuals, and hold the
+    per-segment blocks as `LocalBlocks`; ``dofs[key]`` (S, m) numbers the
+    local entries of ``key``."""
+    res = {
+        key: np.bincount(dofs[key].ravel(), weights=local.ravel(), minlength=sizes[key])
+        for key, local in residuals.items()
+    }
     if blocks is None:
         return res, None
     jac = {}
     for (r, c), local in blocks.items():
-        acc = TripletAccumulator(sizes[r], sizes[c])
         shape = (dofs[r].shape[0], dofs[r].shape[1], dofs[c].shape[1])
-        acc.add_block(dofs[r], dofs[c], local.reshape(shape))
-        jac[r, c] = acc.tocsr()
+        jac[r, c] = LocalBlocks((sizes[r], sizes[c]), dofs[r], dofs[c], local.reshape(shape))
     return res, jac
 
 
@@ -305,18 +304,21 @@ def _embedded_element(grid2: StructuredGrid, seg, a0, a1):
 
 def _two_mesh_rule(grid1: StructuredGrid, cfg1: CutConfiguration, grid2: StructuredGrid):
     """Rule on the embedded-grid pieces of the background interface, with
-    the basis tables of both meshes."""
-    pieces = [
-        (k, a0, a1, _embedded_element(grid2, seg, a0, a1))
-        for k, seg in enumerate(cfg1.segments)
-        for a0, a1 in _embedded_pieces(seg, grid2)
-    ]
-    cols = np.array(pieces, dtype=float).reshape(-1, 4)
-    seg, e2 = cols[:, 0].astype(np.int64), cols[:, 3].astype(np.int64)
-    rule = _interface_rule(cfg1, (seg, cols[:, 1], cols[:, 2]))
-    side1 = _grid_side(grid1, rule.elem, rule.pts)
-    side2 = _grid_side(grid2, e2, rule.pts, clip=True)
-    return rule, side1, side2
+    the basis tables of both meshes. Built on first use and kept on
+    ``cfg1`` for the embedded grid ``grid2``."""
+    if cfg1.two_mesh_rule is None or cfg1.two_mesh_rule[0] is not grid2:
+        pieces = [
+            (k, a0, a1, _embedded_element(grid2, seg, a0, a1))
+            for k, seg in enumerate(cfg1.segments)
+            for a0, a1 in _embedded_pieces(seg, grid2)
+        ]
+        cols = np.array(pieces, dtype=float).reshape(-1, 4)
+        seg, e2 = cols[:, 0].astype(np.int64), cols[:, 3].astype(np.int64)
+        rule = _interface_rule(cfg1, (seg, cols[:, 1], cols[:, 2]))
+        side1 = _grid_side(grid1, rule.elem, rule.pts)
+        side2 = _grid_side(grid2, e2, rule.pts, clip=True)
+        cfg1.two_mesh_rule = (grid2, rule, side1, side2)
+    return cfg1.two_mesh_rule[1:]
 
 
 def assemble_ff_coupling(

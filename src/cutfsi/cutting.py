@@ -206,6 +206,8 @@ class CutConfiguration:
         self.loop = loop  # snapped closed CCW polygon or None
         self.node_role = node_role  # (n_nodes,) NodeRole values
         self.cut_batch = None  # padded cut-element rules, set by the flow assembly
+        self.batch_forces = None  # (callable, time, values per batch), set there too
+        self.two_mesh_rule = None  # (embedded grid, rule, sides), set by the coupling
         self.active_elems = np.flatnonzero(status != ElemStatus.COVERED)
         self.active_nodes = np.flatnonzero(node_role != NodeRole.INACTIVE)
 

@@ -21,6 +21,7 @@ per-mesh flow-block assembly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 import scipy.sparse as sp
@@ -28,7 +29,7 @@ import scipy.sparse as sp
 from .coupling import NitscheParams, assemble_ff_coupling, assemble_fs_coupling
 from .cutting import CutConfiguration, NodeRole, build_cut_configuration
 from .fluid import FluidParams, assemble_ghost_penalties, assemble_navier_stokes
-from .linalg import BlockSystem, LinearSolveError, factor_solve
+from .linalg import AssemblyPlan, BlockSystem, LinearSolveError, LocalBlocks, factor_solve
 from .meshes import StructuredGrid
 from .projection import SpaceProjector
 from .solid import (
@@ -161,7 +162,10 @@ class FluidProblem:
 
     ``body_force`` is None, a constant pair, or a callable
     ``f(pts, t) -> (M, 2)`` vectorised over (M, 2) points; the flow assembly
-    evaluates it once for the Gauss points of many elements together.
+    evaluates it once for the Gauss points of many elements together. A
+    callable must be pure: its values may depend only on the points and the
+    time, because the assembly evaluates it once per configuration and time
+    and reuses the values at every later Newton iteration there.
     """
 
     grid: StructuredGrid
@@ -296,30 +300,6 @@ def _apply_fluid_values(fluid: FluidProblem, cfg, U, P, time: float):
         P[int(cfg.active_nodes[0])] = 0.0
 
 
-def _identity_constrain(A: sp.spmatrix, r: np.ndarray, fixed: np.ndarray):
-    """Zero the rows and columns of fixed unknowns and put ones on their
-    diagonal; the matching residual entries become zero.  Valid because the
-    prescribed values are already written into the iterate, so the fixed
-    increments vanish.  The mask is structural: every stored entry of a free
-    row and column is kept, zero or not, so the pattern depends only on the
-    assembled pattern and the fixed set."""
-    A = sp.csr_matrix(A)
-    keep = ~(np.repeat(fixed, np.diff(A.indptr)) | fixed[A.indices])
-    kept = np.concatenate([[0], np.cumsum(keep)])[A.indptr]
-    # a fixed row keeps no entry and gets its diagonal one as the only entry
-    indptr = np.concatenate([[0], np.cumsum(np.diff(kept) + fixed)])
-    diag = indptr[:-1][fixed]
-    indices = np.empty(indptr[-1], dtype=A.indices.dtype)
-    data = np.ones(indptr[-1])
-    free = np.ones(indptr[-1], dtype=bool)
-    free[diag] = False
-    indices[free] = A.indices[keep]
-    indices[diag] = np.flatnonzero(fixed)
-    data[free] = A.data[keep]
-    A = sp.csr_matrix((data, indices, indptr), shape=A.shape)
-    return A, np.where(fixed, 0.0, r)
-
-
 # ----------------------------------------------------------------------------
 # coupled assembly
 
@@ -328,8 +308,9 @@ def _identity_constrain(A: sp.spmatrix, r: np.ndarray, fixed: np.ndarray):
 class CoupledSystem:
     """One linearization of the coupled residual.
 
-    `system` holds the raw blocks and residual before constraints; `matrix`
-    and `residual` are the constrained versions that are actually solved.
+    `system` holds the local blocks and residual before constraints, and
+    the assembly plan they were scattered through; `matrix` and `residual`
+    are the constrained versions that are actually solved.
     `coupling_force` is the interface force tested with the solid weights
     (the negative of the structural coupling rows), kept for the stored-force
     history of the time discretization; it is empty without a structure.
@@ -352,7 +333,7 @@ def _add_flow_blocks(
     plus the facet ghost penalties, with the interface operator's residual
     rows `interface_residual[u]` / `[p]` added when given.  `history` is the
     previous (velocity, acceleration) pair on this mesh."""
-    Ru, Rp, Juu, Jup, Jpu, Jpp = assemble_navier_stokes(
+    Ru, Rp, jac = assemble_navier_stokes(
         cfg, fluid.params, dt, theta, U, P,
         history[0], history[1], advection,
         body_force=fluid.body_force, time=time,
@@ -360,18 +341,38 @@ def _add_flow_blocks(
     K_conv, K_div, K_press = assemble_ghost_penalties(
         fluid.grid, cfg, fluid.params, dt, theta, advection, widened=widened
     )
-    Kuu = (K_conv + K_div).tocsr()
-    Ru = Ru + Kuu @ U
-    Rp = Rp + K_press @ P
+    Ru = Ru + (K_conv.matvec(U) + K_div.matvec(U))
+    Rp = Rp + K_press.matvec(P)
     if interface_residual is not None:
         Ru = Ru + interface_residual[u]
         Rp = Rp + interface_residual[p]
     system.set_residual(u, Ru)
     system.set_residual(p, Rp)
-    system.set_block(u, u, (Juu + Kuu).tocsr())
-    system.set_block(u, p, Jup)
-    system.set_block(p, u, Jpu)
-    system.set_block(p, p, (Jpp + K_press).tocsr())
+    names = {"u": u, "p": p}
+    for r, c, blocks in jac:
+        system.add(names[r], names[c], blocks)
+    system.add(u, u, K_conv)
+    system.add(u, u, K_div)
+    system.add(p, p, K_press)
+
+
+def _sparse_blocks(A, scale: float) -> LocalBlocks:
+    """The CSR matrix ``scale * A`` as one 1x1 block per stored entry."""
+    rows = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
+    return LocalBlocks(A.shape, rows[:, None], A.indices[:, None], scale * A.data[:, None, None])
+
+
+def _solved(system: BlockSystem, fixed, plan, coupling_force) -> CoupledSystem:
+    """Scatter `system` through `plan`, or through a new plan when `plan` is
+    None or was built for another structure, and constrain it: the fixed
+    unknowns get unit rows and columns and zero residuals.  Valid because
+    the prescribed values are already written into the iterate, so the
+    fixed increments vanish."""
+    if plan is None or not plan.fits(system, fixed):
+        plan = AssemblyPlan(system, fixed)
+    system.plan = plan
+    matrix = plan.constrain(system.assemble())
+    return CoupledSystem(system, matrix, np.where(fixed, 0.0, system.residual), coupling_force)
 
 
 def assemble_coupled_system(
@@ -387,6 +388,7 @@ def assemble_coupled_system(
     theta: float,
     widened: bool = False,
     advection: np.ndarray | None = None,
+    plan: AssemblyPlan | None = None,
 ) -> CoupledSystem:
     """Block residual and tangent of the coupled system at one iterate.
 
@@ -395,7 +397,9 @@ def assemble_coupled_system(
     generalized-alpha balance scaled by 1/(1 - alpha_f) plus the interface
     operator and the alpha-weighted stored force.  `advection` overrides the
     frozen convection field (defaults to the current velocity iterate);
-    constraints are applied last.
+    constraints are applied last.  The matrix is scattered through `plan`
+    when it fits this structure, else through a new plan, which the result
+    holds as ``system.plan``.
     """
     fluid = problem.fluid
     n = fluid.grid.n_nodes
@@ -440,13 +444,11 @@ def assemble_coupled_system(
             f_int, history.f_int_old, history.f_ext_new, history.f_ext_old,
         )
         Rd = scale * R_s - (af * scale) * history.f_iface_prev
-        Ldd = scale * (
-            genalpha_effective_mass_scale(dt, ga) * mass + (1.0 - af) * K_s
-        )
         system.set_residual("d", Rd if c_res is None else Rd + c_res["d"])
-        system.set_block("d", "d", Ldd)
+        system.add("d", "d", _sparse_blocks(mass, scale * genalpha_effective_mass_scale(dt, ga)))
+        system.add("d", "d", _sparse_blocks(K_s, scale * (1.0 - af)))
     for key, block in (c_jac or {}).items():
-        system.add_to_block(*key, block)
+        system.add(*key, block)
 
     fix_u, fix_p = _fluid_fixed_masks(fluid, cfg)
     parts = [fix_u, fix_p]
@@ -457,9 +459,7 @@ def assemble_coupled_system(
         else:
             fix_d[solid.model.clamped_dofs()] = True
         parts.append(fix_d)
-    fixed = np.concatenate(parts)
-    matrix, residual = _identity_constrain(system.assemble(), system.residual, fixed)
-    return CoupledSystem(system, matrix, residual, coupling_force)
+    return _solved(system, np.concatenate(parts), plan, coupling_force)
 
 
 # ----------------------------------------------------------------------------
@@ -546,6 +546,7 @@ def _newton(
             for pair in group.values()
         ):
             return iterate, assembled, it, records, None
+        assembled = None  # released before the next assembly builds its own
         if limit_step is not None:
             record.step_scale = limit_step(iterate, blocks)
         iterate = {
@@ -587,6 +588,7 @@ def newton_loop(
     allow_recut: bool = True,
     widened: bool = False,
     d_geometry: np.ndarray | None = None,
+    slot=None,
 ) -> NewtonResult:
     """Newton-Raphson-like iteration at a fixed active function space.
 
@@ -594,18 +596,23 @@ def newton_loop(
     iteration but the first; if the active space differs, the current iterate
     is carried to the new space by copy/extension and returned as the initial
     guess of the next restart.  A structural update that inverts an element
-    is halved a bounded number of times.
+    is halved a bounded number of times.  `slot` keeps the assembly plan
+    in its ``plan`` attribute across calls (the driver); without it the plan
+    lasts for this call.
     """
     solid = problem.solid
     D = np.zeros(0) if D is None else D.copy()
     d_geom = D.copy() if d_geometry is None else d_geometry.copy()
+    slot = SimpleNamespace(plan=None) if slot is None else slot
 
     def assemble(x):
         _apply_fluid_values(problem.fluid, cfg, x["u"], x["p"], time)
-        return assemble_coupled_system(
+        asm = assemble_coupled_system(
             problem, config, cfg, x["u"], x["p"], x["d"], history,
-            time=time, theta=theta, widened=widened,
+            time=time, theta=theta, widened=widened, plan=slot.plan,
         )
+        slot.plan = asm.system.plan
+        return asm
 
     def recut(x):
         nonlocal cfg, d_geom
@@ -663,11 +670,16 @@ class StepReport:
 
 
 class FsiDriver:
-    """Orchestrates predictor, cutting, transfer, restarts, and recoveries."""
+    """Orchestrates predictor, cutting, transfer, restarts, and recoveries.
+
+    `plan` is the assembly plan of the last assembled structure, built at
+    its first assembly and replaced when the structure changes; nothing
+    else keeps it."""
 
     def __init__(self, problem: FsiProblem, config: DriverConfig):
         self.problem = problem
         self.config = config
+        self.plan = None
         solid = problem.solid
         if solid is not None:
             self._f_body = (
@@ -787,7 +799,7 @@ class FsiDriver:
                 self.problem, config, cfg, U, P, D, history,
                 time=t_new, theta=theta,
                 allow_recut=not frozen, widened=frozen,
-                d_geometry=d_geom,
+                d_geometry=d_geom, slot=self,
             )
             reports.append(result)
             if result.status == "converged":
@@ -951,6 +963,7 @@ def assemble_overlap_system(
     U1, P1, U2, P2,
     *,
     dt: float,
+    plan: AssemblyPlan | None = None,
 ) -> CoupledSystem:
     """Four-block residual/tangent of two overlapping flow meshes.
 
@@ -958,7 +971,7 @@ def assemble_overlap_system(
     background rows see the embedded boundary through the two-sided
     interface operator; the patch mesh is boundary-fitted and uncut.  The
     current velocities are the frozen convection fields; constraints are
-    applied last.
+    applied last, and `plan` is reused as in `assemble_coupled_system`.
     """
     c_res, c_jac = assemble_ff_coupling(
         background.grid, cfg1, patch.grid, background.params, nitsche,
@@ -976,13 +989,12 @@ def assemble_overlap_system(
             dt=dt, theta=1.0, time=0.0,
         )
     for key, block in c_jac.items():
-        system.add_to_block(*key, block)
+        system.add(*key, block)
 
     fix_u1, fix_p1 = _fluid_fixed_masks(background, cfg1)
     fix_u2, fix_p2 = _fluid_fixed_masks(patch, cfg2)
     fixed = np.concatenate([fix_u1, fix_p1, fix_u2, fix_p2])
-    matrix, residual = _identity_constrain(system.assemble(), system.residual, fixed)
-    return CoupledSystem(system, matrix, residual, np.zeros(0))
+    return _solved(system, fixed, plan, np.zeros(0))
 
 
 def solve_overlapping_fluid(
@@ -1011,14 +1023,18 @@ def solve_overlapping_fluid(
     )
     cfg2 = build_cut_configuration(patch.grid, None)
     n1, n2 = background.grid.n_nodes, patch.grid.n_nodes
+    plan = None
 
     def assemble(x):
+        nonlocal plan
         _apply_fluid_values(background, cfg1, x["u1"], x["p1"], 0.0)
         _apply_fluid_values(patch, cfg2, x["u2"], x["p2"], 0.0)
-        return assemble_overlap_system(
+        asm = assemble_overlap_system(
             background, patch, nitsche, cfg1, cfg2,
-            x["u1"], x["p1"], x["u2"], x["p2"], dt=dt_eff,
+            x["u1"], x["p1"], x["u2"], x["p2"], dt=dt_eff, plan=plan,
         )
+        plan = asm.system.plan
+        return asm
 
     start = {
         "u1": np.zeros(2 * n1), "p1": np.zeros(n1),

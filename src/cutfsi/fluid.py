@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cutting import CutConfiguration, ElemStatus
-from .linalg import TripletAccumulator
+from .linalg import LocalBlocks
 from .meshes import StructuredGrid
 from .quadrature import QuadratureRule, polygon_rule
 
@@ -33,6 +33,12 @@ __all__ = [
     "assemble_ghost_penalties",
     "facet_jump_grams",
 ]
+
+# 3x3 Gauss rule on the unit square: local coordinates (s, t) and weights
+_G3_X, _G3_WX = np.polynomial.legendre.leggauss(3)
+_G3_S = np.repeat(0.5 * (_G3_X + 1.0), 3)
+_G3_T = np.tile(0.5 * (_G3_X + 1.0), 3)
+_G3_W = np.repeat(_G3_WX, 3) * np.tile(_G3_WX, 3)
 
 
 @dataclass(frozen=True)
@@ -96,7 +102,8 @@ def _ns_kernel(params, sigma, hist_ratio, dt, hx, hy, N, Dx, Dy, D2, w, Ue, Pe, 
     """Residual and Jacobian for a batch of elements.
 
     Shapes: N/Dx/Dy (E|1,Q,4) and w (E|1,Q), per element or shared by the
-    whole batch; D2 (4,), Ue/Oe/Ae/Ce (E,4,2), Pe (E,4), Fe (E,Q,2). Every
+    whole batch; D2 (4,), Ue/Oe/Ae/Ce (E,4,2), Pe (E,4), Fe broadcasting to
+    (E,Q,2). Every
     term is a weighted, transposed basis table times a table or a field at
     the Gauss points, (E|1,4,Q) @ (E|1,Q,·). Returns Rv (E,4,2), Rq (E,4),
     Juu (E,4,2,4,2), Jup (E,4,2,4), Jpu (E,4,4,2), Jpp (E,4,4).
@@ -175,12 +182,22 @@ def _ns_kernel(params, sigma, hist_ratio, dt, hx, hy, N, Dx, Dy, D2, w, Ue, Pe, 
     return Rv, Rq[..., 0], Juu, Jup, Jpu, Jpp
 
 
-def _eval_force(body_force, pts, time):
-    if body_force is None:
-        return np.zeros((pts.shape[0], 2))
-    if callable(body_force):
-        return np.asarray(body_force(pts, time), dtype=float).reshape(pts.shape[0], 2)
-    return np.broadcast_to(np.asarray(body_force, dtype=float), (pts.shape[0], 2)).copy()
+def _batch_forces(cfg: CutConfiguration, batches, body_force, time: float):
+    """The body force at the points of the volume `batches` of `cfg`, one
+    array per batch broadcasting to (E, Q, 2). A callable is evaluated once
+    per batch for each (callable, time) and configuration, and the values
+    are kept on the configuration for later assemblies."""
+    if not callable(body_force):
+        value = 0.0 if body_force is None else np.asarray(body_force, dtype=float)
+        return [value] * len(batches)
+    cached = cfg.batch_forces
+    if cached is None or cached[0] is not body_force or cached[1] != time:
+        values = [
+            np.asarray(body_force(pts.reshape(-1, 2), time), dtype=float).reshape(pts.shape)
+            for _, pts, _, _ in batches
+        ]
+        cfg.batch_forces = cached = (body_force, time, values)
+    return cached[2]
 
 
 def assemble_navier_stokes(
@@ -202,8 +219,10 @@ def assemble_navier_stokes(
     constant pair, or a callable ``f(pts, t) -> (M, 2)`` vectorised over the
     (M, 2) points; one call covers the Gauss points of all uncut elements and
     one those of all cut elements, padding points included, so M spans many
-    elements. Returns (Ru, Rp, Juu, Jup, Jpu, Jpp) with the sparse blocks in
-    CSR form. The grid is the configuration's, ``cfg.grid``.
+    elements, and the values are reused at the same time on the same
+    configuration. Returns (Ru, Rp, jac): the residuals and the Jacobian as
+    ``(row, col, LocalBlocks)`` element blocks per batch, rows and columns
+    ``'u'`` or ``'p'``. The grid is the configuration's, ``cfg.grid``.
     """
     grid = cfg.grid
     n = grid.n_nodes
@@ -211,12 +230,10 @@ def assemble_navier_stokes(
     sigma = 1.0 / (theta * dt)
     hist_ratio = (1.0 - theta) / theta
 
-    Ru = np.zeros(2 * n)
-    Rp = np.zeros(n)
-    acc_uu = TripletAccumulator(2 * n, 2 * n)
-    acc_up = TripletAccumulator(2 * n, n)
-    acc_pu = TripletAccumulator(n, 2 * n)
-    acc_pp = TripletAccumulator(n, n)
+    empty = (np.zeros(0, dtype=np.intp), np.zeros(0))
+    res = {"u": [empty], "p": [empty]}  # (dofs, local residuals) per batch
+    jac = []
+    shapes = {"u": 2 * n, "p": n}
 
     conn_all = grid.all_elem_nodes()
     Uv = U.reshape(n, 2)
@@ -224,25 +241,32 @@ def assemble_navier_stokes(
     Av = A_old.reshape(n, 2)
     Cv = C_frozen.reshape(n, 2)
 
-    for elems, pts, w, (N, Dx, Dy, D2) in volume_batches(cfg):
-        # pts (E, Q, 2): one force evaluation covers the whole batch
+    batches = volume_batches(cfg)
+    forces = _batch_forces(cfg, batches, body_force, time)
+    for (elems, _, w, (N, Dx, Dy, D2)), Fe in zip(batches, forces):
         conn = conn_all[elems]
-        E, Q = pts.shape[:2]
-        Fe = _eval_force(body_force, pts.reshape(E * Q, 2), time).reshape(E, Q, 2)
+        E = elems.size
         Rv, Rq, Juu, Jup, Jpu, Jpp = _ns_kernel(
             params, sigma, hist_ratio, dt, hx, hy, N, Dx, Dy, D2, w,
             Uv[conn], P[conn], Ov[conn], Av[conn], Cv[conn], Fe,
         )
-        udofs = np.stack([2 * conn, 2 * conn + 1], axis=-1).reshape(E, 8)
-        pdofs = conn
-        np.add.at(Ru, udofs, Rv.reshape(E, 8))
-        np.add.at(Rp, pdofs, Rq)
-        acc_uu.add_block(udofs, udofs, Juu.reshape(E, 8, 8))
-        acc_up.add_block(udofs, pdofs, Jup.reshape(E, 8, 4))
-        acc_pu.add_block(pdofs, udofs, Jpu.reshape(E, 4, 8))
-        acc_pp.add_block(pdofs, pdofs, Jpp)
-
-    return Ru, Rp, acc_uu.tocsr(), acc_up.tocsr(), acc_pu.tocsr(), acc_pp.tocsr()
+        dofs = {"u": np.stack([2 * conn, 2 * conn + 1], axis=-1).reshape(E, 8), "p": conn}
+        res["u"].append((dofs["u"], Rv))
+        res["p"].append((dofs["p"], Rq))
+        for (r, c), J in zip(
+            (("u", "u"), ("u", "p"), ("p", "u"), ("p", "p")),
+            (Juu.reshape(E, 8, 8), Jup.reshape(E, 8, 4), Jpu.reshape(E, 4, 8), Jpp),
+        ):
+            jac.append((r, c, LocalBlocks((shapes[r], shapes[c]), dofs[r], dofs[c], J)))
+    Ru, Rp = (
+        np.bincount(
+            np.concatenate([d.ravel() for d, _ in res[k]], dtype=np.intp),
+            weights=np.concatenate([v.ravel() for _, v in res[k]]),
+            minlength=shapes[k],
+        )
+        for k in ("u", "p")
+    )
+    return Ru, Rp, jac
 
 
 def grid_basis(grid: StructuredGrid, elems: np.ndarray, pts: np.ndarray, clip: bool = False):
@@ -269,12 +293,11 @@ def volume_batches(cfg: CutConfiguration):
     batches = []
     full = np.flatnonzero(cfg.status == ElemStatus.FLUID)
     if full.size:
-        xi, wi = np.polynomial.legendre.leggauss(3)
-        s = np.repeat(0.5 * (xi + 1.0), 3)
-        t = np.tile(0.5 * (xi + 1.0), 3)
-        w = (np.repeat(wi, 3) * np.tile(wi, 3)) * 0.25 * hx * hy
-        lower_left = grid.node_coords()[grid.all_elem_nodes()[full, 0]]
-        pts = lower_left[:, None, :] + np.column_stack([s * hx, t * hy])[None]
+        s, t = _G3_S, _G3_T
+        x0 = grid.origin[0] + hx * (full % grid.nx)
+        y0 = grid.origin[1] + hy * (full // grid.nx)
+        pts = np.stack([x0[:, None] + s * hx, y0[:, None] + t * hy], axis=-1)
+        w = _G3_W * 0.25 * hx * hy
         batches.append((full, pts, w[None], basis_tables(hx, hy, s[None], t[None])))
     cut, pts, w = _cut_batch(cfg)
     if cut.size:
@@ -358,16 +381,16 @@ def assemble_ghost_penalties(
 ):
     """Facet jump penalties near the interface.
 
-    Returns CSR matrices (K_conv, K_div, K_press) acting on the velocity,
-    velocity, and pressure vectors; the residual contribution is K @ vec.
-    The three penalties weight the normal-derivative jump of the velocity,
-    the divergence jump, and the normal-derivative jump of the pressure.
+    Returns (K_conv, K_div, K_press) as `LocalBlocks` acting on the
+    velocity, velocity, and pressure vectors; the residual contribution is
+    ``K.matvec(vec)``. The three penalties weight the normal-derivative
+    jump of the velocity, the divergence jump, and the normal-derivative
+    jump of the pressure.
 
     All facets of `cfg.ghost_facets` are handled at once: the jump Gram
     matrices come from `facet_jump_grams` (shared with the extension of
     `projection`), the per-facet scalings from array operations over the
-    facets' element pairs, and each operator is scattered with one
-    accumulator call.
+    facets' element pairs, and each operator is one batch of facet blocks.
     """
     n = grid.n_nodes
     h_elem = grid.elem_diameter()
@@ -396,10 +419,8 @@ def assemble_ghost_penalties(
 
     comp = 2 * nodes[:, None, :] + np.arange(2)[:, None]  # (F, 2, 8), per component
     udofs = (2 * nodes[..., None] + np.arange(2)).reshape(-1, 16)
-    acc_c = TripletAccumulator(2 * n, 2 * n)
-    acc_d = TripletAccumulator(2 * n, 2 * n)
-    acc_p = TripletAccumulator(n, n)
-    acc_c.add_block(comp, comp, (coef_c[:, None, None] * Mn)[:, None])
-    acc_d.add_block(udofs, udofs, coef_d[:, None, None] * Mg)
-    acc_p.add_block(nodes, nodes, coef_p[:, None, None] * Mn)
-    return acc_c.tocsr(), acc_d.tocsr(), acc_p.tocsr()
+    return (
+        LocalBlocks((2 * n, 2 * n), comp, comp, (coef_c[:, None, None] * Mn)[:, None]),
+        LocalBlocks((2 * n, 2 * n), udofs, udofs, coef_d[:, None, None] * Mg),
+        LocalBlocks((n, n), nodes, nodes, coef_p[:, None, None] * Mn),
+    )

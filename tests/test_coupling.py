@@ -16,6 +16,7 @@ from cutfsi.cutting import CutConfiguration, GeometryError, build_cut_configurat
 from cutfsi.driver import patch_boundary_loop
 from cutfsi.fluid import FluidParams, basis_tables
 from cutfsi.meshes import StructuredGrid
+from coo_reference import coo
 
 PARAMS = FluidParams(density=1.2, viscosity=0.03)
 THETA_IFACE = 0.8
@@ -67,7 +68,7 @@ class TestFluidSolidCoupling:
             for col, delta in deltas.items():
                 block = jac.get((row, col))
                 if block is not None:
-                    predicted += block @ delta
+                    predicted += block.matvec(delta)
             actual = res1[row] - res0[row]
             scale = np.linalg.norm(actual) + 1.0
             assert np.allclose(actual, predicted, atol=1e-12 * scale), row
@@ -197,7 +198,7 @@ class TestFluidSolidCoupling:
         )
         energy = U @ (res2["u"] - res1["u"])
         assert energy >= -1e-12 * (1.0 + abs(energy))
-        pen = (jac2[("u", "u")] - jac1[("u", "u")]).toarray()
+        pen = (coo(jac2[("u", "u")]) - coo(jac1[("u", "u")])).toarray()
         assert np.allclose(pen, pen.T, atol=1e-12)
         eigs = np.linalg.eigvalsh(pen)
         assert eigs.min() >= -1e-10 * max(1.0, eigs.max())
@@ -436,7 +437,7 @@ class TestFluidFluidCoupling:
             for col, dvec in delta.items():
                 block = jac.get((row, col))
                 if block is not None:
-                    predicted += block @ dvec
+                    predicted += block.matvec(dvec)
             scale = np.linalg.norm(fd) + 1.0
             assert np.allclose(fd, predicted, atol=2e-9 * scale), row
 
@@ -547,4 +548,5 @@ class TestBatchedRule:
             assemble_ff_coupling(grid1, cfg1, grid2, PARAMS, NitscheParams(), *state, SIGMA)
             interface_jump_norms(grid1, cfg1, grid2, state[0], state[2])
             counts.append(len(calls))
-        assert n_segments[0] < n_segments[1] and counts == [4, 4]
+        # one rule per configuration: the jump norms reuse the coupling's
+        assert n_segments[0] < n_segments[1] and counts == [2, 2]

@@ -1,6 +1,8 @@
 """Monolithic time stepping: coupled assembly, Newton iteration, space-change
 cycles, restart files, and the two-mesh overlapping flow solver."""
 
+import gc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -27,7 +29,7 @@ from cutfsi.driver import (
     StepHistory,
     VelocityDirichlet,
     _fluid_fixed_masks,
-    _identity_constrain,
+    _solved,
     assemble_coupled_system,
     fluid_acceleration_update,
     interface_velocity,
@@ -38,7 +40,7 @@ from cutfsi.driver import (
     time_loop,
 )
 from cutfsi.fluid import FluidParams, assemble_navier_stokes, basis_tables
-from cutfsi.linalg import LinearSolveError
+from cutfsi.linalg import AssemblyPlan, BlockSystem, LinearSolveError, LocalBlocks
 from cutfsi.meshes import StructuredGrid, rectangle_fitted_mesh
 from cutfsi.solid import (
     GenAlphaParams,
@@ -48,6 +50,7 @@ from cutfsi.solid import (
     SolidState,
     genalpha_displacement_residual,
 )
+from coo_reference import raw_matrix, solved_matrix
 
 GAMMA = NitscheParams(gamma=35.0)
 
@@ -92,10 +95,12 @@ def _channel_with_flap(young, umax, *, density_s=5.0, viscosity=0.01):
     return FsiProblem(fluid, SolidProblem(model))
 
 
-def _gentle_flap_problem():
-    """Mild flow over a stiff flap: no function-space changes occur."""
+def _gentle_flap_problem(root=1.1):
+    """Mild flow over a stiff flap: no function-space changes occur. With
+    the root off 1.1 no flap node sits on a grid line, and the cut keeps
+    its structure for several steps."""
     grid = StructuredGrid((0.0, 0.0), (0.2, 0.2), (12, 6))
-    mesh = rectangle_fitted_mesh(1.1, 0.0, 0.2, 0.7, 2, 6, tags={"bottom": "clamped"})
+    mesh = rectangle_fitted_mesh(root, 0.0, 0.2, 0.7, 2, 6, tags={"bottom": "clamped"})
     model = SolidModel(mesh, NeoHookeanMaterial(young=300.0, poisson=0.3), density=50.0)
     fluid = FluidProblem(
         grid,
@@ -286,8 +291,9 @@ class TestCoupledAssembly:
             problem, config, cfg, U, P, D, history, time=0.1, theta=1.0
         )
 
+        present = {(r, c) for r, c, _ in asm.system.terms}
         for key in (("u", "d"), ("p", "d"), ("d", "u"), ("d", "p")):
-            assert key not in asm.system.blocks
+            assert key not in present
         assert np.array_equal(asm.coupling_force, np.zeros(model.n_dofs))
 
         blocks = asm.system.split(asm.system.residual)
@@ -315,10 +321,12 @@ class TestCoupledAssembly:
         rows = np.array([0, 0, 0, 1, 1, 2, 2])
         cols = np.array([0, 1, 2, 1, 2, 0, 2])
         vals = np.array([2.0, 0.0, 5.0, 7.0, 4.0, 1.0, 3.0])
-        A = sp.csr_matrix((vals, (rows, cols)), shape=(3, 3))
+        system = BlockSystem({"x": 3})
+        system.add("x", "x", LocalBlocks((3, 3), rows[:, None], cols[:, None], vals[:, None, None]))
+        system.set_residual("x", [1.0, 2.0, 3.0])
         fixed = np.array([False, False, True])
-        M, r = _identity_constrain(A, np.array([1.0, 2.0, 3.0]), fixed)
-        M = M.tocoo()
+        asm = _solved(system, fixed, None, np.zeros(0))
+        M, r = asm.matrix.tocoo(), asm.residual
         entries = dict(zip(zip(M.row.tolist(), M.col.tolist()), M.data.tolist()))
         assert entries == {(0, 0): 2.0, (0, 1): 0.0, (1, 1): 7.0, (2, 2): 1.0}
         assert r.tolist() == [1.0, 2.0, 0.0]
@@ -1060,3 +1068,147 @@ class TestOverlapSolver:
         )
         with pytest.raises(ValueError):
             solve_overlapping_fluid(background, patch, GAMMA)
+
+
+class TestAssemblyPlan:
+    """One assembly plan per structure, owned by the solver that uses it."""
+
+    @staticmethod
+    def _count_plans(monkeypatch):
+        built = []
+        init = AssemblyPlan.__init__
+
+        def counting(self, *args):
+            built.append(self)
+            init(self, *args)
+
+        monkeypatch.setattr(AssemblyPlan, "__init__", counting)
+        return built
+
+    @staticmethod
+    def _record_systems(monkeypatch, name):
+        seen = []
+        assemble = getattr(driver_module, name)
+
+        def recording(*args, **kwargs):
+            asm = assemble(*args, **kwargs)
+            seen.append(asm)
+            return asm
+
+        monkeypatch.setattr(driver_module, name, recording)
+        return seen
+
+    def _flap_run(self, monkeypatch, steps=5):
+        built = self._count_plans(monkeypatch)
+        seen = self._record_systems(monkeypatch, "assemble_coupled_system")
+        problem = _gentle_flap_problem(root=1.13)
+        driver = FsiDriver(problem, DriverConfig(dt=0.05, n_steps=steps, nitsche=GAMMA))
+        states, reports = driver.run()
+        return driver, states, reports, built, seen
+
+    def test_pattern_is_fixed_across_iterations_and_recuts(self, monkeypatch):
+        cuts = []
+        cut = driver_module.build_cut_configuration
+        monkeypatch.setattr(
+            driver_module, "build_cut_configuration", lambda *a: cuts.append(1) or cut(*a)
+        )
+        _, _, reports, built, seen = self._flap_run(monkeypatch)
+        assert sum(len(r.newton) for r in reports) == 5 and len(cuts) > 5
+        assert len(seen) > 10 and len(built) == 1
+        first = seen[0]
+        for asm in seen[1:]:
+            for A, B in ((asm.matrix, first.matrix), (asm.system.assemble(), first.system.assemble())):
+                assert A.indptr.tobytes() == B.indptr.tobytes()
+                assert A.indices.tobytes() == B.indices.tobytes()
+
+    def test_one_plan_per_structure_and_none_retained(self, monkeypatch):
+        driver, states, reports, built, seen = self._flap_run(monkeypatch)
+        assert len(built) == 1 and driver.plan is built[0]
+        del seen[:], built[:]
+        gc.collect()
+        plans = [obj for obj in gc.get_objects() if isinstance(obj, AssemblyPlan)]
+        assert plans == [driver.plan]
+        holders = [vars(s) for s in states] + [vars(r) for r in reports]
+        holders += [vars(n) for r in reports for n in r.newton]
+        holders += [vars(s.cfg) for s in states if s.cfg is not None]
+        referrers = gc.get_referrers(driver.plan)
+        assert not any(h is r for h in holders for r in referrers)
+
+    def test_construction_builds_no_plan_and_cuts_nothing(self, monkeypatch):
+        built = self._count_plans(monkeypatch)
+        cuts = []
+        cut = driver_module.build_cut_configuration
+        monkeypatch.setattr(
+            driver_module, "build_cut_configuration", lambda *a: cuts.append(1) or cut(*a)
+        )
+        driver = FsiDriver(_gentle_flap_problem(), DriverConfig(dt=0.05, n_steps=1, nitsche=GAMMA))
+        state = driver.initial_state()
+        assert built == [] and cuts == [] and driver.plan is None and state.cfg is None
+
+    def test_fsi_system_matches_coo_reference(self, monkeypatch):
+        _, _, _, _, seen = self._flap_run(monkeypatch, steps=2)
+        assert any(r == "d" and c == "u" for r, c, _ in seen[-1].system.terms)
+        for asm in (seen[0], seen[-1]):
+            self._check_against_reference(asm)
+
+    def test_overlap_system_matches_coo_reference_with_one_plan_per_solve(self, monkeypatch):
+        built = self._count_plans(monkeypatch)
+        seen = self._record_systems(monkeypatch, "assemble_overlap_system")
+        background, patch = _overlap_shear()
+        for k in (1, 2):
+            solve_overlapping_fluid(background, patch, GAMMA, dt=0.1)
+            assert len(built) == k
+        assert len(seen) >= 4
+        for asm in (seen[0], seen[-1]):
+            self._check_against_reference(asm)
+
+    @staticmethod
+    def _check_against_reference(asm):
+        raw = asm.system.assemble()
+        want = raw_matrix(asm.system)
+        scale = np.abs(want.data).max()
+        assert np.abs((raw - want).toarray()).max() <= 1e-14 * scale
+        fixed = asm.system.plan.fixed
+        got = asm.matrix
+        assert np.abs((got - solved_matrix(want, fixed)).toarray()).max() <= 1e-14 * scale
+        # no stored entry in a fixed row or column but its unit diagonal
+        entries = got.tocoo()
+        touches = fixed[entries.row] | fixed[entries.col]
+        assert np.array_equal(entries.row[touches], entries.col[touches])
+        assert np.count_nonzero(touches) == np.count_nonzero(fixed)
+
+
+class TestOverlapCaches:
+    def test_two_mesh_rule_is_built_once_per_solve(self, monkeypatch):
+        import cutfsi.coupling as coupling
+
+        calls = []
+        rule = coupling._interface_rule
+        monkeypatch.setattr(coupling, "_interface_rule", lambda *a: calls.append(1) or rule(*a))
+        background, patch = _overlap_shear()
+        sol = solve_overlapping_fluid(background, patch, GAMMA, dt=0.1)
+        assert sol.iterations > 1 and len(calls) == 1
+        interface_jump_norms(background.grid, sol.cfg1, patch.grid, sol.U1, sol.U2)
+        assert len(calls) == 1
+
+    def test_callable_force_is_evaluated_once_per_batch_and_solve(self):
+        calls = []
+
+        def force(pts, t):
+            calls.append(len(pts))
+            return np.column_stack([np.sin(pts[:, 0]), pts[:, 0] * pts[:, 1]])
+
+        background, patch = _overlap_shear(force)
+        background.body_force = force
+        sol = solve_overlapping_fluid(background, patch, GAMMA, dt=0.1)
+        # the background's uncut and cut batches and the patch's uncut batch
+        assert sol.iterations > 1 and len(calls) == 3
+        # the kept values are the ones a fresh configuration evaluates
+        grid = background.grid
+        history = (np.zeros(2 * grid.n_nodes),) * 2
+        args = (background.params, 0.1, 1.0, sol.U1, sol.P1, *history, sol.U1)
+        fresh = build_cut_configuration(grid, driver_module.patch_boundary_loop(patch.grid))
+        kept = assemble_navier_stokes(sol.cfg1, *args, body_force=force)
+        again = assemble_navier_stokes(fresh, *args, body_force=force)
+        assert len(calls) == 5
+        assert kept[0].tobytes() == again[0].tobytes() and kept[1].tobytes() == again[1].tobytes()

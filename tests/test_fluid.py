@@ -17,6 +17,7 @@ from cutfsi.fluid import (
 from cutfsi.meshes import StructuredGrid
 from cutfsi.quadrature import QuadratureRule, polygon_rule, rectangle_rule
 from cutfsi.verification import _flow_l2_errors
+from coo_reference import coo, flow_blocks, flow_matrix
 
 PAR = FluidParams(density=1.0, viscosity=0.01)
 
@@ -204,12 +205,9 @@ def test_jacobian_matches_finite_differences():
         Ru, Rp, *_ = assemble_navier_stokes(cfg, PAR, dt, theta, Uv, Pv, Uo, Ao, Cb)
         return np.concatenate([Ru, Rp])
 
-    Ru, Rp, Juu, Jup, Jpu, Jpp = assemble_navier_stokes(
-        cfg, PAR, dt, theta, U, P, Uo, Ao, Cb
-    )
-    import scipy.sparse as sp
-
-    J = sp.bmat([[Juu, Jup], [Jpu, Jpp]]).toarray()
+    J = flow_matrix(
+        assemble_navier_stokes(cfg, PAR, dt, theta, U, P, Uo, Ao, Cb)
+    ).toarray()
     x0 = np.concatenate([U, P])
     r0 = residual(U, P)
     h = 1e-7
@@ -254,9 +252,11 @@ def test_cut_batch_equals_sum_of_single_cut_element_assemblies():
         pieces = {e: cfg.pieces[e] for e in elems}
         return CutConfiguration(grid, status, pieces, [], cfg.loop, cfg.node_role)
 
-    got = assemble_navier_stokes(cut_only(cfg.pieces), *args, body_force=_swirl_force)
+    got = flow_blocks(
+        assemble_navier_stokes(cut_only(cfg.pieces), *args, body_force=_swirl_force)
+    )
     singles = [
-        assemble_navier_stokes(cut_only([e]), *args, body_force=_swirl_force)
+        flow_blocks(assemble_navier_stokes(cut_only([e]), *args, body_force=_swirl_force))
         for e in cfg.pieces
     ]
     for k, block in enumerate(got):
@@ -280,8 +280,8 @@ def test_cut_rules_are_built_once_per_configuration(monkeypatch):
     calls = []
     rule = fluid.polygon_rule
     monkeypatch.setattr(fluid, "polygon_rule", lambda poly: calls.append(1) or rule(poly))
-    first = assemble_navier_stokes(cfg, *args, body_force=_swirl_force)
-    second = assemble_navier_stokes(cfg, *args, body_force=_swirl_force)
+    first = flow_blocks(assemble_navier_stokes(cfg, *args, body_force=_swirl_force))
+    second = flow_blocks(assemble_navier_stokes(cfg, *args, body_force=_swirl_force))
     assert len(calls) == n_pieces
     for a, b in zip(first, second):
         if sp.issparse(a):
@@ -430,10 +430,9 @@ def test_cut_jacobian_matches_finite_differences():
         )
         return np.concatenate([Ru, Rp])
 
-    _, _, Juu, Jup, Jpu, Jpp = assemble_navier_stokes(
+    J = flow_matrix(assemble_navier_stokes(
         cfg, PAR, dt, theta, U, P, Uo, Ao, Cb, body_force=_swirl_force
-    )
-    J = sp.bmat([[Juu, Jup], [Jpu, Jpp]]).toarray()
+    )).toarray()
     x0 = np.concatenate([U, P])
     r0 = residual(U, P)
     h = 1e-7
@@ -486,10 +485,9 @@ def test_couette_flow_is_exact():
     Uo = np.zeros(2 * n)
     Ao = np.zeros(2 * n)
     for _ in range(4):
-        Ru, Rp, Juu, Jup, Jpu, Jpp = assemble_navier_stokes(
-            cfg, PAR, 1e12, 1.0, U, P, Uo, Ao, U
-        )
-        J = sp.bmat([[Juu, Jup], [Jpu, Jpp]], format="csr")
+        result = assemble_navier_stokes(cfg, PAR, 1e12, 1.0, U, P, Uo, Ao, U)
+        Ru, Rp, _ = result
+        J = flow_matrix(result)
         R = np.concatenate([Ru, Rp])
         x = np.concatenate([U, P])
         J, R = _apply_dirichlet(J, R, fixed, values, x)
@@ -564,7 +562,7 @@ def test_ghost_penalty_hand_computed_energy():
     sigma = 1.0 / (theta * dt)
     C = np.zeros(2 * n)
     C.reshape(n, 2)[:] = [0.3, -0.4]  # nodal max-norm 0.4 everywhere
-    Kc, Kd, Kp = assemble_ghost_penalties(grid, cfg, par, dt, theta, C)
+    Kc, Kd, Kp = map(coo, assemble_ghost_penalties(grid, cfg, par, dt, theta, C))
 
     # hat velocity: u_x = 1 on the shared column -> normal-derivative jump 2
     U = np.zeros(2 * n)
@@ -593,7 +591,7 @@ def test_ghost_penalty_vanishes_on_bilinear_fields():
     cfg = CutConfiguration(grid, status, {}, [], None, role)
     par = FluidParams(density=1.0, viscosity=0.01)
     C = np.zeros(2 * grid.n_nodes)
-    Kc, Kd, Kp = assemble_ghost_penalties(grid, cfg, par, 0.1, 1.0, C)
+    Kc, Kd, Kp = map(coo, assemble_ghost_penalties(grid, cfg, par, 0.1, 1.0, C))
     xy = grid.node_coords()
     for ax, ay, axy in [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)]:
         f = 0.7 + ax * xy[:, 0] + ay * xy[:, 1] + axy * xy[:, 0] * xy[:, 1]
@@ -616,7 +614,7 @@ def test_ghost_penalty_symmetric_psd():
     grid = StructuredGrid((0.0, 0.0), (0.25, 0.25), (4, 4))
     solid = np.array([[0.31, 0.28], [0.69, 0.28], [0.69, 0.66], [0.31, 0.66]])
     cfg = build_cut_configuration(grid, solid)
-    Kc, Kd, Kp = assemble_ghost_penalties(grid, cfg, PAR, 0.1, 1.0, np.zeros(2 * grid.n_nodes))
+    Kc, Kd, Kp = map(coo, assemble_ghost_penalties(grid, cfg, PAR, 0.1, 1.0, np.zeros(2 * grid.n_nodes)))
     for K in (Kc, Kd, Kp):
         A = K.toarray()
         assert np.allclose(A, A.T, atol=1e-14)
@@ -687,7 +685,7 @@ def test_ghost_penalties_match_per_facet_reference(widened):
     assert vertical.any() and not vertical.all()
     par = FluidParams(density=1.3, viscosity=0.02, gamma_conv=0.04, gamma_div=0.06, gamma_press=0.08)
     C = np.random.default_rng(4).standard_normal(2 * FACET_GRID.n_nodes)
-    got = assemble_ghost_penalties(FACET_GRID, cfg, par, 0.05, 0.7, C, widened=widened)
+    got = map(coo, assemble_ghost_penalties(FACET_GRID, cfg, par, 0.05, 0.7, C, widened=widened))
     want = _ghost_reference(FACET_GRID, cfg, par, 0.05, 0.7, C, widened)
     for K, ref in zip(got, want):
         assert np.abs(K.toarray() - ref).max() <= 1e-13 * np.abs(ref).max()

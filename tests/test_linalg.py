@@ -6,13 +6,16 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from cutfsi.linalg import (
+    AssemblyPlan,
     BlockSystem,
     LinearSolveError,
+    LocalBlocks,
     TripletAccumulator,
     export_matrix_market,
     factor,
     factor_solve,
 )
+from coo_reference import coo, raw_matrix, solved_matrix
 
 
 def test_triplets_sum_duplicates():
@@ -25,12 +28,17 @@ def test_triplets_sum_duplicates():
     assert A[2, 0] == 3.0 and A[2, 1] == 4.0
 
 
+def _dense_block(shape, rows, cols, vals):
+    return LocalBlocks(shape, np.array([rows]), np.array([cols]), np.array([vals], dtype=float))
+
+
 def test_block_system_assembly_and_split():
     sys = BlockSystem({"u": 2, "p": 1})
-    sys.set_block("u", "u", np.eye(2))
-    sys.set_block("u", "p", np.array([[1.0], [0.0]]))
-    sys.set_block("p", "u", np.array([[0.0, 2.0]]))
-    sys.set_block("p", "p", np.array([[4.0]]))
+    sys.add("u", "u", _dense_block((2, 2), [0, 1], [0, 1], np.eye(2)))
+    sys.add("u", "p", _dense_block((2, 1), [0, 1], [0], [[1.0], [0.0]]))
+    sys.add("p", "u", _dense_block((1, 2), [0], [0, 1], [[0.0, 2.0]]))
+    sys.add("p", "p", _dense_block((1, 1), [0], [0], [[4.0]]))
+    sys.plan = AssemblyPlan(sys, np.zeros(3, dtype=bool))
     A = sys.assemble().toarray()
     assert np.allclose(A, [[1, 0, 1], [0, 1, 0], [0, 2, 4]])
     sys.set_residual("u", [1.0, 2.0])
@@ -42,7 +50,56 @@ def test_block_system_assembly_and_split():
 def test_block_shape_validation():
     sys = BlockSystem({"u": 2, "p": 1})
     with pytest.raises(ValueError):
-        sys.set_block("u", "p", np.eye(2))
+        sys.add("u", "p", _dense_block((2, 2), [0, 1], [0, 1], np.eye(2)))
+
+
+def _random_system(rng, fixed_share=0.3):
+    """Three blocks of sizes 7, 3 and 5 with batches of overlapping local
+    blocks, broadcast rows included, and a random fixed set."""
+    sizes = {"a": 7, "b": 3, "c": 5}
+    sys = BlockSystem(sizes)
+    for r, c in (("a", "a"), ("a", "b"), ("b", "a"), ("c", "c"), ("a", "c"), ("c", "a")):
+        for batch in (4, 2):
+            rows = rng.integers(0, sizes[r], (batch, 3))
+            cols = rng.integers(0, sizes[c], (batch, 2))
+            sys.add(r, c, LocalBlocks(
+                (sizes[r], sizes[c]), rows, cols, rng.standard_normal((batch, 3, 2))
+            ))
+    comp = rng.integers(0, 7, (3, 1, 2))  # (3, 1) leading axes against (3, 2)
+    sys.add("a", "a", LocalBlocks((7, 7), comp, rng.integers(0, 7, (3, 2, 2)), rng.standard_normal((3, 1, 2, 2))))
+    return sys, rng.random(sys.n) < fixed_share
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_plan_matches_coo_reference(seed):
+    rng = np.random.default_rng(seed)
+    sys, fixed = _random_system(rng)
+    plan = sys.plan = AssemblyPlan(sys, fixed)
+    raw = sys.assemble()
+    want = raw_matrix(sys)
+    assert raw.has_canonical_format
+    assert np.abs((raw - want).toarray()).max() <= 1e-14 * np.abs(want.data).max()
+    # the pattern is the reference's plus a stored zero on each missing diagonal
+    entries = set(zip(*raw.tocoo().coords))
+    assert entries == set(zip(*want.tocoo().coords)) | {(i, i) for i in range(sys.n)}
+    solved = plan.constrain(raw)
+    assert np.abs((solved - solved_matrix(want, fixed)).toarray()).max() <= 1e-14 * np.abs(want.data).max()
+    # fixed rows and columns store their unit diagonal and nothing else
+    coo_solved = solved.tocoo()
+    touches = fixed[coo_solved.row] | fixed[coo_solved.col]
+    assert np.array_equal(coo_solved.row[touches], coo_solved.col[touches])
+    assert np.all(coo_solved.data[touches] == 1.0)
+    assert solved.nnz == np.count_nonzero(~touches) + fixed.sum()
+    assert plan.fits(sys, fixed) and not plan.fits(sys, ~fixed)
+    assert plan.slots.dtype == np.int32 and plan.indices.dtype == np.int32
+
+
+def test_local_blocks_matvec_matches_coo():
+    rng = np.random.default_rng(3)
+    sys, _ = _random_system(rng)
+    for r, c, blocks in sys.terms:
+        x = rng.standard_normal(sys.sizes[c])
+        assert np.allclose(blocks.matvec(x), coo(blocks) @ x, rtol=0.0, atol=1e-14)
 
 
 def test_factor_solve_matches_dense():
@@ -124,7 +181,26 @@ def test_factor_uses_symmetric_mode(monkeypatch):
 
     monkeypatch.setattr(linalg.spla, "splu", recording)
     factor_solve(sp.identity(3, format="csr"), np.ones(3))
-    assert seen == [{"permc_spec": "MMD_AT_PLUS_A", "diag_pivot_thresh": 0.0}]
+    assert [(kw["permc_spec"], kw["diag_pivot_thresh"]) for kw in seen] == [
+        ("MMD_AT_PLUS_A", 0.0)
+    ]
+
+
+def test_factor_uses_small_supernodes(monkeypatch):
+    # relax=2 and panel_size=8 beat SuperLU's 10 and 20 on the systems of
+    # all three benchmark workloads, with the same fill
+    import cutfsi.linalg as linalg
+
+    seen = []
+    splu = linalg.spla.splu
+
+    def recording(A, **kwargs):
+        seen.append(kwargs)
+        return splu(A, **kwargs)
+
+    monkeypatch.setattr(linalg.spla, "splu", recording)
+    factor(sp.identity(3, format="csr"))
+    assert [(kw["relax"], kw["panel_size"]) for kw in seen] == [(2, 8)]
 
 
 def test_factor_solves_several_right_hand_sides():
