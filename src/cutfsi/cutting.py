@@ -17,7 +17,7 @@ from enum import IntEnum
 import numpy as np
 
 from .meshes import StructuredGrid
-from .quadrature import signed_area
+from .quadrature import signed_area, vertex_means
 
 __all__ = [
     "ElemStatus",
@@ -111,60 +111,85 @@ def snap_to_grid(grid: StructuredGrid, vertices: np.ndarray) -> np.ndarray:
     return v
 
 
-def _split_convex(poly, d, tol):
-    """Split a convex CCW polygon by the level set d=0 sampled at vertices.
-
-    Returns (negative_side, positive_side); either may be None. Intersection
-    points are computed once and shared, so areas are conserved.
-    """
-    n = poly.shape[0]
-    sign = np.where(np.abs(d) <= tol, 0, np.sign(d)).astype(int)
-    if np.all(sign <= 0):
-        return poly, None
-    if np.all(sign >= 0):
-        return None, poly
-    neg: list[np.ndarray] = []
-    pos: list[np.ndarray] = []
-    for i in range(n):
-        j = (i + 1) % n
-        si, sj = sign[i], sign[j]
-        if si <= 0:
-            neg.append(poly[i])
-        if si >= 0:
-            pos.append(poly[i])
-        if si * sj < 0:
-            t = d[i] / (d[i] - d[j])
-            q = poly[i] + t * (poly[j] - poly[i])
-            neg.append(q)
-            pos.append(q)
-    return _finalize_poly(neg, tol), _finalize_poly(pos, tol)
+def _compact(pts, keep):
+    """The `keep` (P, L) rows of each part of pts (P, L, 2), moved to the
+    front and zero-padded to at least one column, and their counts."""
+    cnt = np.count_nonzero(keep, axis=1)
+    out = np.zeros((pts.shape[0], max(1, cnt.max(initial=0)), 2))
+    out[np.arange(out.shape[1]) < cnt[:, None]] = pts[keep]
+    return out, cnt
 
 
-def _finalize_poly(pts, tol):
-    if len(pts) < 3:
-        return None
-    arr = np.array(pts)
-    keep = [0]
-    for i in range(1, len(arr)):
-        if np.hypot(*(arr[i] - arr[keep[-1]])) > tol:
-            keep.append(i)
-    while len(keep) > 1 and np.hypot(*(arr[keep[-1]] - arr[keep[0]])) <= tol:
-        keep.pop()
-    arr = arr[keep]
-    if arr.shape[0] < 3 or abs(signed_area(arr)) <= tol * tol:
-        return None
-    return arr
+def _finalize(pts, cnt, tol, fresh):
+    """Clean-up of the vertex lists a split emits, vectorised over parts:
+    a vertex within tol of the last kept one is dropped, then trailing
+    vertices within tol of the first; a part left with fewer than 3
+    vertices, or a `fresh` (P,) one with an area of at most tol^2, is
+    dropped. Returns the padded vertices, the counts and the kept mask."""
+    P, L, _ = pts.shape
+    keep = (np.arange(L) < cnt[:, None]) & (cnt >= 3)[:, None]
+    off = pts[:, 1:] - pts[:, :-1]
+    near = keep[:, 1:] & (np.hypot(off[..., 0], off[..., 1]) <= tol)
+    off = pts[np.arange(P), np.maximum(cnt - 1, 0)] - pts[:, 0]
+    closing = keep[:, 0] & (np.hypot(off[:, 0], off[:, 1]) <= tol)
+    # with no near pair every vertex stays; the others take the scalar walk
+    for p in np.flatnonzero(near.any(axis=1) | closing):
+        kept = [0]
+        for i in range(1, cnt[p]):
+            if np.hypot(*(pts[p, i] - pts[p, kept[-1]])) > tol:
+                kept.append(i)
+        while len(kept) > 1 and np.hypot(*(pts[p, kept[-1]] - pts[p, 0])) <= tol:
+            kept.pop()
+        keep[p] = np.isin(np.arange(L), kept)
+    pts, cnt = _compact(pts, keep)
+    ok = cnt >= 3
+    fresh = fresh & ok
+    ok[fresh] = np.abs(signed_area(pts[fresh], cnt[fresh])) > tol * tol
+    return pts, cnt, ok
+
+
+def _clip_round(verts, cnt, nrm, c, tol):
+    """Split every convex CCW part (P, V, 2) with cnt (P,) vertices by its
+    line nrm . x = c (rows of (P, 2), (P,); a NaN normal leaves the part
+    whole) as Sutherland-Hodgman clipping does: the vertices with d <= 0
+    (d within tol counts as 0) and the crossing points form the lower part,
+    those with d >= 0 and the same crossing points the upper one, unless
+    all vertices lie on one side. Returns the parts, lower before upper and
+    parent by parent, their counts and the parent index of each."""
+    P, V, _ = verts.shape
+    slot = np.arange(V)
+    valid = slot < cnt[:, None]
+    # contiguous parts take the product path of a single part; no line: d = 0
+    d = np.nan_to_num((np.ascontiguousarray(verts) @ nrm[:, :, None])[..., 0] - c[:, None])
+    sign = np.where(np.abs(d) <= tol, 0, np.sign(d)) * valid
+    lower = np.all(sign <= 0, axis=1)
+    upper = np.all(sign >= 0, axis=1) & ~lower
+    # per vertex i, the vertex and the crossing point of edge i -> i + 1
+    # where that edge straddles the line
+    nxt = np.where(slot + 1 < cnt[:, None], slot + 1, 0)
+    straddles = sign * np.take_along_axis(sign, nxt, 1) < 0
+    di, dj = d[straddles], np.take_along_axis(d, nxt, 1)[straddles]
+    p0, p1 = verts[straddles], np.take_along_axis(verts, nxt[..., None], 1)[straddles]
+    q = np.zeros_like(verts)
+    q[straddles] = p0 + (di / (di - dj))[:, None] * (p1 - p0)
+    emitted = np.stack([verts, q], axis=2).reshape(P, 2 * V, 2)
+    sides = np.stack([valid & (sign <= 0) & ~upper[:, None], valid & (sign >= 0) & ~lower[:, None]])
+    mask = np.stack([sides, np.broadcast_to(straddles, sides.shape)], axis=-1).reshape(2 * P, 2 * V)
+    split = np.tile(~lower & ~upper, 2)  # a part left whole passed `_finalize` when it was made
+    pts, m, ok = _finalize(*_compact(np.concatenate([emitted, emitted]), mask), tol, split)
+    order = np.arange(2 * P).reshape(2, P).T.ravel()
+    keep = order[ok[order]]
+    return pts[keep], m[keep], keep % P
 
 
 def _segment_windows(a, b, rects):
-    """Liang-Barsky: parameter windows [t0, t1] of segment a->b inside each
-    closed rectangle (x0, y0, x1, y1) of `rects` (R, 4). Returns (t0, t1,
-    meets); `meets` marks the windows longer than 1e-14."""
+    """Liang-Barsky: parameter windows [t0, t1] of the segments a->b (R, 2)
+    inside the closed rectangles (x0, y0, x1, y1) of `rects` (R, 4), one
+    segment per rectangle. Returns (t0, t1, meets); `meets` marks the
+    windows longer than 1e-14."""
     d = b - a
-    p = np.array([-d[0], d[0], -d[1], d[1]])
-    q = np.column_stack(
-        [a[0] - rects[:, 0], rects[:, 2] - a[0], a[1] - rects[:, 1], rects[:, 3] - a[1]]
-    )
+    p = np.column_stack([-d[:, 0], d[:, 0], -d[:, 1], d[:, 1]])
+    q = np.column_stack([a - rects[:, :2], rects[:, 2:] - a])[:, [0, 2, 1, 3]]
     r = q / np.where(p == 0.0, 1.0, p)
     # + 0.0 turns a -0.0 entry parameter into 0.0, the start of the window
     t0 = np.max(np.where(p < 0.0, r, 0.0), axis=1) + 0.0
@@ -214,10 +239,7 @@ class CutConfiguration:
     def fluid_area(self) -> float:
         hx, hy = self.grid.spacing
         full = float(np.count_nonzero(self.status == ElemStatus.FLUID)) * hx * hy
-        part = sum(
-            abs(signed_area(p)) for polys in self.pieces.values() for p in polys
-        )
-        return full + part
+        return full + sum(abs(signed_area(p)) for polys in self.pieces.values() for p in polys)
 
     def interface_length(self) -> float:
         return sum(s.length for s in self.segments)
@@ -267,12 +289,6 @@ def grid_line_params(grid: StructuredGrid, a: np.ndarray, b: np.ndarray) -> np.n
     return np.concatenate(ts) if ts else np.zeros(0)
 
 
-def _all_fluid_configuration(grid):
-    status = np.full(grid.n_elems, ElemStatus.FLUID, dtype=np.int8)
-    node_role = np.full(grid.n_nodes, NodeRole.STANDARD, dtype=np.int8)
-    return CutConfiguration(grid, status, {}, [], None, node_role)
-
-
 def build_cut_configuration(
     grid: StructuredGrid,
     loop_vertices: np.ndarray | None,
@@ -286,7 +302,9 @@ def build_cut_configuration(
     configuration.
     """
     if loop_vertices is None:
-        return _all_fluid_configuration(grid)
+        status = np.full(grid.n_elems, ElemStatus.FLUID, dtype=np.int8)
+        node_role = np.full(grid.n_nodes, NodeRole.STANDARD, dtype=np.int8)
+        return CutConfiguration(grid, status, {}, [], None, node_role)
     loop = snap_to_grid(grid, loop_vertices)
     m = loop.shape[0]
     if m < 3:
@@ -307,118 +325,94 @@ def build_cut_configuration(
     lower_left = xy[conn[:, 0]]
     rects = np.column_stack([lower_left, lower_left[:, 0] + hx, lower_left[:, 1] + hy])
 
-    # Crossing pairs: cells in an edge's bounding box that the edge meets.
-    edges = [(loop[k], loop[(k + 1) % m]) for k in range(m)]
+    # Edge k runs from loop[k] to ends[k] along d[k]; its unit normal points
+    # from the fluid into the covered side, NaN for a zero-length edge.
+    ends = np.roll(loop, -1, axis=0)
+    d = ends - loop
+    length = np.hypot(d[:, 0], d[:, 1])
+    nrm = np.column_stack([-d[:, 1], d[:, 0]]) / np.where(length == 0.0, np.nan, length)[:, None]
+
+    # Crossing pairs: cells in an edge's bounding box that the edge meets,
+    # all (edge, cell) candidates in one pass.
+    h = np.array([hx, hy])
+    lo = np.floor((np.minimum(loop, ends) - grid.origin) / h - 1e-12)
+    hi = np.floor((np.maximum(loop, ends) - grid.origin) / h + 1e-12)
+    lo = np.maximum(lo, 0).astype(np.intp)
+    span = np.minimum(hi, [grid.nx - 1, grid.ny - 1]).astype(np.intp) - lo  # < 0: empty box
+    offsets = np.meshgrid(*map(np.arange, span.max(axis=0) + 1), indexing="ij")
+    box = np.stack(offsets, axis=-1).reshape(-1, 2)
+    edge, k = np.nonzero(np.all(box <= span[:, None], axis=2))
+    cells = (lo[edge, 1] + box[k, 1]) * grid.nx + lo[edge, 0] + box[k, 0]
     hits = np.zeros((grid.n_elems, m), dtype=bool)
-    for k, (a, b) in enumerate(edges):
-        i0 = int(np.floor((min(a[0], b[0]) - grid.origin[0]) / hx - 1e-12))
-        i1 = int(np.floor((max(a[0], b[0]) - grid.origin[0]) / hx + 1e-12))
-        j0 = int(np.floor((min(a[1], b[1]) - grid.origin[1]) / hy - 1e-12))
-        j1 = int(np.floor((max(a[1], b[1]) - grid.origin[1]) / hy + 1e-12))
-        cols = np.arange(max(i0, 0), min(i1, grid.nx - 1) + 1)
-        rows = np.arange(max(j0, 0), min(j1, grid.ny - 1) + 1)
-        cells = (rows[:, None] * grid.nx + cols[None, :]).ravel()
-        hits[cells, k] = _segment_windows(a, b, rects[cells])[2]
+    hits[cells, edge] = _segment_windows(loop[edge], ends[edge], rects[cells])[2]
     crossed = hits.any(axis=1)
 
     # Uncrossed cells are classified by their centre.
     status = np.empty(grid.n_elems, dtype=np.int8)
     centres = 0.5 * (rects[~crossed, :2] + rects[~crossed, 2:])
-    status[~crossed] = np.where(
-        _inside(centres, loop), ElemStatus.COVERED, ElemStatus.FLUID
-    )
+    status[~crossed] = np.where(_inside(centres, loop), ElemStatus.COVERED, ElemStatus.FLUID)
 
-    # Crossed cells are clipped by each edge's line into convex parts.
-    lines = []
-    for a, b in edges:
-        nrm = np.array([-(b[1] - a[1]), b[0] - a[0]])
-        nlen = np.hypot(*nrm)
-        if nlen == 0.0:
-            lines.append(None)
-            continue
-        nrm /= nlen
-        lines.append((nrm, float(nrm @ a)))
+    # Crossed cells are clipped into convex parts by the lines of their
+    # edges, one round per edge: round r splits every part of a cell by the
+    # cell's r-th edge. Zero-length edges have no line.
+    c = (nrm[:, None] @ loop[:, :, None])[:, 0, 0]
     cut_cells = np.flatnonzero(crossed)
-    cell_parts: list[list[np.ndarray]] = []
-    for e in cut_cells:
-        x0, y0, x1, y1 = rects[e]
-        parts = [np.array([[x0, y0], [x1, y0], [x1, y1], [x0, y1]])]
-        for k in np.flatnonzero(hits[e]):
-            if lines[k] is None:
-                continue
-            nrm, c = lines[k]
-            nxt: list[np.ndarray] = []
-            for poly in parts:
-                lo, hi = _split_convex(poly, poly @ nrm - c, tol_line)
-                if lo is not None:
-                    nxt.append(lo)
-                if hi is not None:
-                    nxt.append(hi)
-            parts = nxt
-        cell_parts.append(parts)
+    cell_hits = hits[cut_cells]
+    row, k_hit = np.nonzero(cell_hits)
+    order = np.full(cell_hits.shape, -1)  # order[i, r]: the r-th edge of cell i
+    order[row, np.cumsum(cell_hits, axis=1)[cell_hits] - 1] = k_hit
+    parts = rects[cut_cells][:, [0, 1, 2, 1, 2, 3, 0, 3]].reshape(-1, 4, 2)
+    n_vert = np.full(cut_cells.size, 4)
+    owner = np.arange(cut_cells.size)
+    for r in range(cell_hits.sum(axis=1).max(initial=0)):
+        k = order[owner, r]
+        line = np.where(k[:, None] >= 0, nrm[k], np.nan)
+        parts, n_vert, parent = _clip_round(parts, n_vert, line, c[k], tol_line)
+        owner = owner[parent]
 
-    # A part is fluid when its vertex mean lies outside the polygon.
-    means = np.array([p.mean(axis=0) for parts in cell_parts for p in parts])
-    is_fluid = iter(~_inside(means.reshape(-1, 2), loop))
-    pieces: dict[int, list[np.ndarray]] = {}
-    for e, parts in zip(cut_cells.tolist(), cell_parts):
-        fluid_parts = [p for p in parts if next(is_fluid)]
-        a_f = sum(abs(signed_area(p)) for p in fluid_parts)
-        if a_f <= AREA_TOL_REL * cell_area:
-            status[e] = ElemStatus.COVERED
-        elif a_f >= (1.0 - AREA_TOL_REL) * cell_area:
-            status[e] = ElemStatus.FLUID
-        else:
-            status[e] = ElemStatus.CUT
-            pieces[e] = fluid_parts
-
-    # Partition wet edges into per-element interface segments; pieces outside
-    # the grid carry no coupling and are dropped.
-    eps = 1e-6 * min(hx, hy)
-    grid_box = np.array(
-        [[
-            grid.origin[0],
-            grid.origin[1],
-            grid.origin[0] + grid.nx * hx,
-            grid.origin[1] + grid.ny * hy,
-        ]]
+    # A part is fluid when its vertex mean lies outside the polygon; a cell
+    # is classified by its fluid area.
+    fluid = ~_inside(vertex_means(parts, n_vert), loop)
+    area = np.abs(signed_area(parts[fluid], n_vert[fluid]))
+    a_f = np.bincount(owner[fluid], weights=area, minlength=cut_cells.size)
+    status[cut_cells] = np.select(
+        [a_f <= AREA_TOL_REL * cell_area, a_f >= (1.0 - AREA_TOL_REL) * cell_area],
+        [ElemStatus.COVERED, ElemStatus.FLUID],
+        ElemStatus.CUT,
     )
-    segments: list[InterfaceSegment] = []
-    for k, (a, b) in enumerate(edges):
-        if not wet_mask[k]:
-            continue
-        d = b - a
-        length = float(np.hypot(*d))
-        if length == 0.0:
-            continue
-        w0, w1, meets = _segment_windows(a, b, grid_box)
-        if not meets[0]:
-            continue
-        window = (w0[0], w1[0])
-        nrm = np.array([-d[1], d[0]]) / length  # unit, fluid -> covered side
-        t = grid_line_params(grid, a, b)
-        inner = t[(window[0] + 1e-14 < t) & (t < window[1] - 1e-14)]
-        params = sorted({*window, *inner.tolist()})
-        for t0, t1 in zip(params[:-1], params[1:]):
-            if t1 - t0 <= 1e-14:
-                continue
-            p0 = a + t0 * d
-            p1 = a + t1 * d
-            mid = 0.5 * (p0 + p1)
-            sample = mid - eps * nrm
-            try:
-                owner = grid.locate(sample)
-            except ValueError:
-                raise GeometryError(
-                    f"wet interface edge {k} has its fluid side outside the grid"
-                ) from None
-            if status[owner] == ElemStatus.COVERED:
-                raise GeometryError(
-                    f"wet interface edge {k} lies in an element without fluid"
-                )
-            segments.append(
-                InterfaceSegment(p0, p1, nrm.copy(), owner, k, float(t0), float(t1))
-            )
+    kept = fluid & (status[cut_cells[owner]] == ElemStatus.CUT)
+    verts = parts[kept][np.arange(parts.shape[1]) < n_vert[kept, None]]
+    polys = np.split(verts, np.cumsum(n_vert[kept])[:-1]) if kept.any() else []
+    pieces: dict[int, list[np.ndarray]] = {}
+    for e, poly in zip(cut_cells[owner[kept]].tolist(), polys):
+        pieces.setdefault(e, []).append(poly)
+
+    # Partition wet edges into per-element interface segments at the grid
+    # lines; pieces outside the grid carry no coupling and are dropped. A
+    # segment belongs to the element just on its fluid side.
+    box = np.array([[*grid.origin, grid.origin[0] + grid.nx * hx, grid.origin[1] + grid.ny * hy]])
+    w0, w1, meets = _segment_windows(loop, ends, np.repeat(box, m, axis=0))
+    spans = [np.zeros((0, 3))]  # (edge, t0, t1) rows
+    for k in np.flatnonzero(wet_mask & (length > 0.0) & meets):
+        t = grid_line_params(grid, loop[k], ends[k])
+        params = np.unique([w0[k], w1[k], *t[(w0[k] + 1e-14 < t) & (t < w1[k] - 1e-14)]])
+        apart = np.diff(params) > 1e-14
+        edge = np.full(np.count_nonzero(apart), k)
+        spans.append(np.column_stack([edge, params[:-1][apart], params[1:][apart]]))
+    k, t0, t1 = np.concatenate(spans).T
+    k = k.astype(np.intp)
+    p0, p1 = loop[k] + t0[:, None] * d[k], loop[k] + t1[:, None] * d[k]
+    f = (0.5 * (p0 + p1) - 1e-6 * min(hx, hy) * nrm[k] - grid.origin) / h
+    tol = 1e-12 * max(hx, hy)  # as `StructuredGrid.locate`
+    outside = np.any((f < -tol) | (f > np.array([grid.nx, grid.ny]) + tol), axis=1)
+    owner = np.clip(np.floor(f), 0, [grid.nx - 1, grid.ny - 1]).astype(np.intp) @ [1, grid.nx]
+    bad = np.flatnonzero(outside | (status[owner] == ElemStatus.COVERED))
+    if bad.size and outside[bad[0]]:
+        raise GeometryError(f"wet interface edge {k[bad[0]]} has its fluid side outside the grid")
+    if bad.size:
+        raise GeometryError(f"wet interface edge {k[bad[0]]} lies in an element without fluid")
+    fields = (p0, p1, nrm[k], owner.tolist(), k.tolist(), t0.tolist(), t1.tolist())
+    segments = [InterfaceSegment(*row) for row in zip(*fields)]
 
     # Node roles: nodes of active elements are active; those strictly inside
     # the interface polygon only support the discrete extension (ghost role).

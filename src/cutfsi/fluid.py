@@ -21,7 +21,7 @@ import numpy as np
 from .cutting import CutConfiguration, ElemStatus
 from .linalg import LocalBlocks
 from .meshes import StructuredGrid
-from .quadrature import QuadratureRule, polygon_rule
+from .quadrature import polygon_rule, stack_polygons
 
 __all__ = [
     "FluidParams",
@@ -308,23 +308,22 @@ def volume_batches(cfg: CutConfiguration):
 def _cut_batch(cfg):
     """The cut elements with a nonempty fluid rule and their polygon rules,
     padded to a common length Q with zero weights at a repeated real point:
-    (elems (E,), points (E, Q, 2), weights (E, Q)). Built on first use and
-    kept on the configuration, which is fixed across Newton iterations."""
+    (elems (E,), points (E, Q, 2), weights (E, Q)). One `polygon_rule` call
+    rules every piece of the configuration; the batch is built on first use
+    and kept on the configuration, which is fixed across Newton iterations."""
     if cfg.cut_batch is None:
-        rules = [
-            (e, QuadratureRule.concat([polygon_rule(p) for p in polys]))
-            for e, polys in cfg.pieces.items()
-        ]
-        rules = [(e, rule) for e, rule in rules if len(rule)]
-        Q = max((len(rule) for _, rule in rules), default=0)
-        pts = np.empty((len(rules), Q, 2))
-        w = np.zeros((len(rules), Q))
-        for k, (_, rule) in enumerate(rules):
-            m = len(rule)
-            pts[k, :m] = rule.points
-            pts[k, m:] = rule.points[0]
-            w[k, :m] = rule.weights
-        cfg.cut_batch = (np.array([e for e, _ in rules], dtype=int), pts, w)
+        owner = np.repeat(np.arange(len(cfg.pieces)), [len(ps) for ps in cfg.pieces.values()])
+        stack = stack_polygons([p for ps in cfg.pieces.values() for p in ps])
+        rule, sizes = polygon_rule(*stack)
+        m = np.bincount(owner, weights=sizes, minlength=len(cfg.pieces)).astype(np.intp)
+        elems = np.array(list(cfg.pieces), dtype=int)[m > 0]
+        m = m[m > 0]
+        filled = np.arange(max(m, default=0)) < m[:, None]
+        pts = np.repeat(rule.points[np.cumsum(m) - m, None], filled.shape[1], axis=1)
+        pts[filled] = rule.points
+        w = np.zeros(filled.shape)
+        w[filled] = rule.weights
+        cfg.cut_batch = (elems, pts, w)
     return cfg.cut_batch
 
 

@@ -19,7 +19,7 @@ import numpy as np
 from .cutting import CutConfiguration, ElemStatus
 from .fluid import grid_basis
 from .meshes import FittedMesh, StructuredGrid
-from .quadrature import fan_triangulate
+from .quadrature import fan_triangulate, stack_polygons
 from .solid import quad_shape, quad_shape_grad
 
 __all__ = [
@@ -146,27 +146,21 @@ def write_fluid_vtk(path, cfg: CutConfiguration, U, P, title="flow snapshot"):
     points = [tuple(xy) for xy in grid.node_coords()]
     point_u = list(map(tuple, u))
     point_p = list(p)
-    cells, types, mask = [], [], []
-    for e in np.flatnonzero(cfg.status == ElemStatus.FLUID):
-        cells.append(tuple(int(n) for n in grid.elem_nodes(e)))
-        types.append(9)  # VTK_QUAD
-        mask.append(0)
-    for e, polys in sorted(cfg.pieces.items()):
-        nodes = grid.elem_nodes(e)
-        tris = [tri for poly in polys for tri in fan_triangulate(poly)]
-        N = grid_basis(grid, np.full(len(tris), e), np.array(tris))[0]
-        for tri, N_tri in zip(tris, N):
-            values_u = N_tri @ u[nodes]
-            values_p = N_tri @ p[nodes]
-            ids = []
-            for k in range(3):
-                ids.append(len(points))
-                points.append((float(tri[k, 0]), float(tri[k, 1])))
-                point_u.append((float(values_u[k, 0]), float(values_u[k, 1])))
-                point_p.append(float(values_p[k]))
-            cells.append(tuple(ids))
-            types.append(5)  # VTK_TRIANGLE
-            mask.append(1)
+    conn = grid.all_elem_nodes()
+    cells = [tuple(quad) for quad in conn[cfg.status == ElemStatus.FLUID].tolist()]
+    types, mask = [9] * len(cells), [0] * len(cells)  # VTK_QUAD
+    pieces = sorted(cfg.pieces.items())
+    tris, ntri = fan_triangulate(*stack_polygons([poly for _, polys in pieces for poly in polys]))
+    tris = tris[np.arange(tris.shape[1]) < ntri[:, None]]
+    elems = np.repeat([e for e, polys in pieces for _ in polys], ntri).astype(np.intp)
+    N = grid_basis(grid, elems, tris)[0]
+    first = len(points)
+    points.extend(map(tuple, tris.reshape(-1, 2).tolist()))
+    point_u.extend(map(tuple, (N @ u[conn[elems]]).reshape(-1, 2).tolist()))
+    point_p.extend((N @ p[conn[elems]][..., None]).ravel().tolist())
+    cells.extend(tuple(range(k, k + 3)) for k in range(first, len(points), 3))
+    types += [5] * len(tris)  # VTK_TRIANGLE
+    mask += [1] * len(tris)
     lines = _vtk_lines(
         title,
         points,

@@ -10,10 +10,11 @@ import numpy as np
 
 __all__ = [
     "QuadratureRule",
-    "triangle_rule",
     "rectangle_rule",
     "polygon_rule",
     "fan_triangulate",
+    "stack_polygons",
+    "vertex_means",
     "signed_area",
 ]
 
@@ -59,36 +60,6 @@ class QuadratureRule:
     def __len__(self):
         return self.weights.size
 
-    @property
-    def total(self):
-        return float(self.weights.sum())
-
-    @staticmethod
-    def empty():
-        return QuadratureRule(np.zeros((0, 2)), np.zeros(0))
-
-    @staticmethod
-    def concat(rules):
-        rules = [r for r in rules if len(r)]
-        if not rules:
-            return QuadratureRule.empty()
-        pts = np.vstack([r.points for r in rules])
-        w = np.concatenate([r.weights for r in rules])
-        return QuadratureRule(pts, w)
-
-
-def triangle_rule(v0, v1, v2):
-    """Degree-4 rule on the triangle (v0, v1, v2); weights sum to its area."""
-    verts = np.array([v0, v1, v2], dtype=float)
-    area = 0.5 * abs(
-        (verts[1, 0] - verts[0, 0]) * (verts[2, 1] - verts[0, 1])
-        - (verts[2, 0] - verts[0, 0]) * (verts[1, 1] - verts[0, 1])
-    )
-    if area == 0.0:
-        return QuadratureRule.empty()
-    pts = _TRI6_BARY @ verts
-    return QuadratureRule(pts, _TRI6_W * area)
-
 
 def rectangle_rule(x0, y0, hx, hy, npts=3):
     """Tensor Gauss rule on the axis-aligned rectangle [x0, x0+hx] x [y0, y0+hy]."""
@@ -101,37 +72,65 @@ def rectangle_rule(x0, y0, hx, hy, npts=3):
     return QuadratureRule(pts, (WX * WY).ravel())
 
 
-def signed_area(poly):
-    """Shoelace area of the polygon `poly` (n, 2), positive when CCW."""
-    x, y = poly[:, 0], poly[:, 1]
-    return 0.5 * float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
+def signed_area(poly, counts=None):
+    """Shoelace area of the polygon `poly` (n, 2), positive when CCW; with
+    `counts` (P,), the (P,) areas of a padded stack (P, V, 2) of polygons
+    with counts[p] vertices, bitwise the single polygons': grouped by vertex
+    count, every dot product sees the vector length and strides of one."""
+    if counts is None:
+        x, y = poly[:, 0], poly[:, 1]
+        return 0.5 * float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
+    area = np.zeros(len(counts))
+    for n in np.flatnonzero(np.bincount(counts)):
+        group = np.flatnonzero(counts == n)
+        x, y = np.moveaxis(poly[group, :n], 2, 0)  # strided, as poly[:, 0]
+        nxt = np.arange(1, n + 1) % n
+        area[group] = 0.5 * (x[:, None] @ y[:, nxt, None] - y[:, None] @ x[:, nxt, None])[:, 0, 0]
+    return area
 
 
-def fan_triangulate(poly):
-    """Triangulate a simple CCW polygon.
+def vertex_means(polys, counts):
+    """The vertex means of a padded stack (P, V, 2) of polygons with counts
+    (P,) vertices, summed in vertex order: bitwise each one's `mean(axis=0)`."""
+    total = polys[:, 0]
+    for v in range(1, polys.shape[1]):
+        total = np.where((v < counts)[:, None], total + polys[:, v], total)
+    return total / counts[:, None]
 
-    Fans from the centroid when the polygon is star-shaped with respect to it,
-    otherwise falls back to ear clipping. Returns a list of (3, 2) vertex arrays.
-    """
-    poly = np.asarray(poly, dtype=float)
-    n = poly.shape[0]
-    if n < 3:
-        return []
-    if n == 3:
-        return [poly.copy()]
-    centroid = poly.mean(axis=0)
-    tris = []
-    ok = True
-    for i in range(n):
-        a, b = poly[i], poly[(i + 1) % n]
-        cross = (a[0] - centroid[0]) * (b[1] - centroid[1]) - (a[1] - centroid[1]) * (b[0] - centroid[0])
-        if cross <= 0.0:
-            ok = False
-            break
-        tris.append(np.array([centroid, a, b]))
-    if ok:
-        return tris
-    return _ear_clip(poly)
+
+def fan_triangulate(polys, counts):
+    """Triangulate a padded stack (P, V, 2) of simple CCW polygons with
+    counts (P,) >= 3 vertices: a triangle is its own triangulation, a polygon
+    star-shaped about its vertex mean is fanned from it, any other is ear
+    clipped. Returns triangle vertices (P, V, 3, 2), of which the first
+    ntri[p] triangulate polygon p, and ntri (P,)."""
+    slot = np.arange(polys.shape[1])
+    valid = slot < counts[:, None]
+    centroid = np.broadcast_to(vertex_means(polys, counts)[:, None], polys.shape)
+    nxt = np.where(slot + 1 < counts[:, None], slot + 1, 0)
+    a, b = polys, np.take_along_axis(polys, nxt[..., None], axis=1)
+    ca, cb = a - centroid, b - centroid
+    cross = ca[..., 0] * cb[..., 1] - ca[..., 1] * cb[..., 0]
+    tris = np.stack([centroid, a, b], axis=2)
+    ntri = counts.copy()
+    own = counts == 3
+    tris[own, 0] = polys[own, :3]
+    ntri[own] = 1
+    for p in np.flatnonzero(~own & np.any(valid & (cross <= 0.0), axis=1)):
+        ears = _ear_clip(polys[p, : counts[p]])
+        tris[p, : len(ears)] = ears
+        ntri[p] = len(ears)
+    return tris, ntri
+
+
+def stack_polygons(polys):
+    """The padded (P, V, 2) stack of a list of (n_p, 2) polygons, zeros past
+    each polygon's vertices, and the vertex counts (P,); an empty list gives
+    an empty stack of triangles, V = 3."""
+    counts = np.array([len(p) for p in polys], dtype=np.intp)
+    stack = np.zeros((len(polys), max(counts, default=3), 2))
+    stack[np.arange(stack.shape[1]) < counts[:, None]] = np.concatenate([np.zeros((0, 2)), *polys])
+    return stack, counts
 
 
 def _ear_clip(poly):
@@ -178,14 +177,32 @@ def _ear_clip(poly):
     return tris
 
 
-def polygon_rule(poly):
-    """Volume rule on a simple CCW polygon; weights sum to the polygon area.
+def polygon_rule(poly, counts=None):
+    """Degree-4 volume rule on a simple CCW polygon (V, 2), from the 6-point
+    rules of the triangles of `fan_triangulate`; weights sum to the polygon
+    area, and a zero-area polygon or triangle yields no points.
 
-    Zero-area polygons yield an empty rule.
+    With `counts` (P,), `poly` is a padded stack (P, V, 2) of such polygons
+    with counts[p] vertices each. Returns the rule of all of them, polygon
+    by polygon, and the number of points of each (P,); every polygon gets
+    the points and weights of its single rule bitwise, from one
+    triangulation of the stack and one product for all triangles.
     """
-    poly = np.asarray(poly, dtype=float)
-    if poly.shape[0] < 3 or signed_area(poly) == 0.0:
-        return QuadratureRule.empty()
-    if signed_area(poly) < 0.0:
+    single = counts is None
+    if single:
+        poly = np.asarray(poly, dtype=float)[None]
+        counts = np.array([poly.shape[1]])
+    area = signed_area(poly, counts)
+    if np.any((counts >= 3) & (area < 0.0)):
         raise ValueError("polygon must be counterclockwise")
-    return QuadratureRule.concat([triangle_rule(*t) for t in fan_triangulate(poly)])
+    ruled = np.flatnonzero((counts >= 3) & (area != 0.0))
+    sizes = np.zeros(len(counts), dtype=np.intp)
+    rule = QuadratureRule(np.zeros((0, 2)), np.zeros(0))
+    if ruled.size:
+        tris, ntri = fan_triangulate(poly[ruled], counts[ruled])
+        e1, e2 = tris[..., 1, :] - tris[..., 0, :], tris[..., 2, :] - tris[..., 0, :]
+        tri_area = 0.5 * np.abs(e1[..., 0] * e2[..., 1] - e2[..., 0] * e1[..., 1])
+        used = (np.arange(tris.shape[1]) < ntri[:, None]) & (tri_area != 0.0)
+        rule = QuadratureRule(_TRI6_BARY @ tris[used], tri_area[used][:, None] * _TRI6_W)
+        sizes[ruled] = _TRI6_W.size * np.count_nonzero(used, axis=1)
+    return rule if single else (rule, sizes)

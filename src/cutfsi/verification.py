@@ -47,6 +47,7 @@ from .fluid import FluidParams, volume_batches
 from .meshes import StructuredGrid, rectangle_fitted_mesh
 from .output import evaluate_fitted_probe
 from .projection import CFL_MESSAGE, ProjectionError, SpaceProjector
+from .quadrature import signed_area
 from .solid import (
     GenAlphaParams,
     NeoHookeanMaterial,
@@ -111,11 +112,6 @@ def run_suites(names=None, tol_scale: float = 1.0) -> list[CheckResult]:
 
 # ---------------------------------------------------------------------------
 # shared small helpers
-
-
-def _shoelace(poly: np.ndarray) -> float:
-    x, y = poly[:, 0], poly[:, 1]
-    return 0.5 * float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
 
 
 def _perimeter(poly: np.ndarray) -> float:
@@ -196,7 +192,7 @@ def _check_geometry(tol_scale: float) -> CheckResult:
         corners = np.array([[-ax, -ay], [ax, -ay], [ax, ay], [-ax, ay]])
         poly = corners @ np.array([[c, s], [-s, c]]) + (cx, cy)
         cfg = build_cut_configuration(grid, poly)
-        covered = abs(_shoelace(poly))
+        covered = abs(signed_area(poly))
         worst_area = max(worst_area, abs(cfg.fluid_area() + covered - 1.0))
         worst_len = max(
             worst_len,

@@ -11,9 +11,9 @@ from cutfsi.cutting import (
     ElemStatus,
     GeometryError,
     NodeRole,
+    _clip_round,
     _dist_to_segments,
     _inside,
-    _split_convex,
     avg,
     avg_conjugate,
     build_cut_configuration,
@@ -95,6 +95,51 @@ def _scalar_dist(p, poly):
         t = 0.0 if denom == 0.0 else min(max((ap[0] * ab[0] + ap[1] * ab[1]) / denom, 0.0), 1.0)
         best = min(best, float(np.hypot(*(p - (a + t * ab)))))
     return best
+
+
+def _split_convex(poly, d, tol):
+    """Split a convex CCW polygon by the level set d=0 sampled at vertices.
+
+    Returns (negative_side, positive_side); either may be None. Intersection
+    points are computed once and shared, so areas are conserved.
+    """
+    n = poly.shape[0]
+    sign = np.where(np.abs(d) <= tol, 0, np.sign(d)).astype(int)
+    if np.all(sign <= 0):
+        return poly, None
+    if np.all(sign >= 0):
+        return None, poly
+    neg: list[np.ndarray] = []
+    pos: list[np.ndarray] = []
+    for i in range(n):
+        j = (i + 1) % n
+        si, sj = sign[i], sign[j]
+        if si <= 0:
+            neg.append(poly[i])
+        if si >= 0:
+            pos.append(poly[i])
+        if si * sj < 0:
+            t = d[i] / (d[i] - d[j])
+            q = poly[i] + t * (poly[j] - poly[i])
+            neg.append(q)
+            pos.append(q)
+    return _finalize_poly(neg, tol), _finalize_poly(pos, tol)
+
+
+def _finalize_poly(pts, tol):
+    if len(pts) < 3:
+        return None
+    arr = np.array(pts)
+    keep = [0]
+    for i in range(1, len(arr)):
+        if np.hypot(*(arr[i] - arr[keep[-1]])) > tol:
+            keep.append(i)
+    while len(keep) > 1 and np.hypot(*(arr[keep[-1]] - arr[keep[0]])) <= tol:
+        keep.pop()
+    arr = arr[keep]
+    if arr.shape[0] < 3 or abs(signed_area(arr)) <= tol * tol:
+        return None
+    return arr
 
 
 def _scalar_reference_cut(grid, loop_vertices):
@@ -441,6 +486,56 @@ def test_flap_cut_matches_scalar_reference():
         cfg = build_cut_configuration(grid, loop, wet)
         assert cfg.pieces
         _assert_matches_scalar_reference(grid, cfg, loop)
+
+
+def _clip_matches_oracle(poly, nrm, c, tol):
+    """One `_clip_round` split of `poly` by nrm . x = c, checked bitwise
+    against the scalar `_split_convex`; returns the parts."""
+    want = [q for q in _split_convex(poly, poly @ nrm - c, tol) if q is not None]
+    parts, cnt, parent = _clip_round(poly[None], np.array([len(poly)]), nrm[None], np.array([c]), tol)
+    got = [parts[i, : cnt[i]] for i in range(len(cnt))]
+    assert parent.tolist() == [0] * len(want)
+    assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+    return got
+
+
+def test_split_drops_a_closing_duplicate():
+    # a line just past the apex of a thin triangle: the crossing points on
+    # both apex edges lie within tol of each other, so the lower side's last
+    # vertex duplicates its first and the upper side collapses
+    poly = np.array([[0.0, 1.0], [-0.1, 0.0], [0.1, 0.0]])
+    parts = _clip_matches_oracle(poly, np.array([0.0, 1.0]), 1.0 - 2e-12, 1e-12)
+    assert len(parts) == 1 and len(parts[0]) == 3
+
+
+def test_split_drops_a_vertex_near_the_last_kept_one():
+    # the same apex as the last vertex: the lower side emits both crossing
+    # points in a row, and the second is dropped against the first
+    poly = np.array([[-0.1, 0.0], [0.1, 0.0], [0.0, 1.0]])
+    parts = _clip_matches_oracle(poly, np.array([0.0, 1.0]), 1.0 - 2e-12, 1e-12)
+    assert len(parts) == 1 and len(parts[0]) == 3
+
+
+def test_split_drops_a_sliver_below_the_area_tolerance():
+    # near the origin, where the shoelace is exact enough to tell: the upper
+    # side is a triangle with sides above tol but an area of 0.9 tol^2
+    s, a, tol = 1e-10, 0.625, 1e-12
+    poly = np.array([[0.0, s], [-a * s, 0.0], [a * s, 0.0]])
+    parts = _clip_matches_oracle(poly, np.array([0.0, 1.0]), s - 1.2 * tol, tol)
+    assert len(parts) == 1 and len(parts[0]) == 4
+
+
+def test_cell_crossed_by_five_edges_matches_scalar_reference():
+    # a pentagon inside one cell: its fluid part is clipped by all five lines
+    centre = np.array([0.31, 0.3])
+    ang = 2 * np.pi * (np.arange(5) + 0.3) / 5
+    loop = centre + 0.04 * np.column_stack([np.cos(ang), np.sin(ang)])
+    cfg = build_cut_configuration(GRID, loop)
+    e = GRID.locate(centre)
+    rect = GRID.elem_bbox(e)
+    assert all(_segment_param_in_rect(loop[k], loop[(k + 1) % 5], rect) for k in range(5))
+    assert cfg.status[e] == ElemStatus.CUT and len(cfg.pieces[e]) >= 5
+    _assert_matches_scalar_reference(GRID, cfg, loop)
 
 
 @given(

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from cutfsi import fluid, projection, quadrature
+from cutfsi import fluid, projection
 from cutfsi.cutting import CutConfiguration, ElemStatus, NodeRole, build_cut_configuration
 from cutfsi.driver import patch_boundary_loop
 from cutfsi.fluid import (
@@ -226,10 +226,7 @@ def _triangle_cut_config():
     grid = StructuredGrid((0.0, 0.0), (0.25, 0.25), (4, 4))
     solid = np.array([[0.31, 0.28], [0.83, 0.41], [0.52, 0.77]])
     cfg = build_cut_configuration(grid, solid)
-    lengths = {
-        len(QuadratureRule.concat([polygon_rule(p) for p in polys]))
-        for polys in cfg.pieces.values()
-    }
+    lengths = {sum(len(polygon_rule(p)) for p in polys) for polys in cfg.pieces.values()}
     assert len(lengths) >= 3
     return grid, cfg
 
@@ -270,26 +267,61 @@ def test_cut_batch_equals_sum_of_single_cut_element_assemblies():
 
 def test_cut_rules_are_built_once_per_configuration(monkeypatch):
     # the configuration is fixed across Newton iterations, so the second
-    # assembly on it reuses the padded cut batch of the first, bitwise
+    # assembly on it reuses the padded cut batch of the first, bitwise; one
+    # `polygon_rule` call rules all pieces of a configuration
     grid, cfg = _triangle_cut_config()
     rng = np.random.default_rng(4)
     n = grid.n_nodes
     U, Uo, Ao, Cb = (rng.standard_normal(2 * n) for _ in range(4))
     args = (PAR, 0.2, 0.6, U, rng.standard_normal(n), Uo, Ao, Cb)
-    n_pieces = sum(len(polys) for polys in cfg.pieces.values())
     calls = []
     rule = fluid.polygon_rule
-    monkeypatch.setattr(fluid, "polygon_rule", lambda poly: calls.append(1) or rule(poly))
+    monkeypatch.setattr(fluid, "polygon_rule", lambda *a: calls.append(a) or rule(*a))
     first = flow_blocks(assemble_navier_stokes(cfg, *args, body_force=_swirl_force))
     second = flow_blocks(assemble_navier_stokes(cfg, *args, body_force=_swirl_force))
-    assert len(calls) == n_pieces
+    assert len(calls) == 1
+    assert len(calls[0][1]) == sum(len(polys) for polys in cfg.pieces.values())
     for a, b in zip(first, second):
         if sp.issparse(a):
             a, b = a.toarray(), b.toarray()
         assert a.tobytes() == b.tobytes()
     # another configuration builds its own rules
     assemble_navier_stokes(build_cut_configuration(grid, cfg.loop), *args)
-    assert len(calls) == 2 * n_pieces
+    assert len(calls) == 2
+
+
+def test_cut_batch_holds_the_rules_of_the_pieces():
+    # every cut element's batch row is its pieces' single rules one after
+    # the other, bitwise, padded with zero weights at its first point
+    grid, cfg = _triangle_cut_config()
+    elems, pts, w = fluid._cut_batch(cfg)
+    assert elems.tolist() == list(cfg.pieces)
+    for row, e in enumerate(cfg.pieces):
+        rules = [polygon_rule(p) for p in cfg.pieces[e]]
+        want_pts = np.vstack([r.points for r in rules])
+        want_w = np.concatenate([r.weights for r in rules])
+        m = want_w.size
+        assert pts[row, :m].tobytes() == want_pts.tobytes()
+        assert w[row, :m].tobytes() == want_w.tobytes()
+        assert np.all(w[row, m:] == 0.0) and np.all(pts[row, m:] == want_pts[0])
+
+
+def test_benchmark_quadrature_hook_is_called_and_keeps_its_single_polygon_contract(monkeypatch):
+    # the benchmark times `fluid.polygon_rule`, looked up at call time, and
+    # rules single pieces with it, reading `.points`, `.weights` and len()
+    grid, cfg = _triangle_cut_config()
+    calls = []
+    rule = fluid.polygon_rule
+    monkeypatch.setattr(fluid, "polygon_rule", lambda *a: calls.append(1) or rule(*a))
+    n = grid.n_nodes
+    zero = np.zeros(2 * n)
+    assemble_navier_stokes(cfg, PAR, 0.2, 0.6, zero, np.zeros(n), zero, zero, zero)
+    assert len(calls) >= 1
+    piece = next(iter(cfg.pieces.values()))[0]
+    single = polygon_rule(piece)
+    assert isinstance(single, QuadratureRule)
+    assert single.points.shape == (len(single), 2) and single.weights.shape == (len(single),)
+    assert len(single) > 0
 
 
 def _l2_errors_per_element(grid, cfg, U, P, exact_u, exact_p, t):
@@ -358,12 +390,10 @@ def test_flow_l2_errors_match_per_element_rules(case):
 
 def test_flow_l2_errors_reuse_the_assembly_rules(monkeypatch):
     # the error norm integrates over the rules the flow assembly built and
-    # kept on the configuration; every polygon rule is a sum of triangle rules
+    # kept on the configuration, one `polygon_rule` call per configuration
     calls = []
-    triangle_rule = quadrature.triangle_rule
-    monkeypatch.setattr(
-        quadrature, "triangle_rule", lambda *v: calls.append(1) or triangle_rule(*v)
-    )
+    rule = fluid.polygon_rule
+    monkeypatch.setattr(fluid, "polygon_rule", lambda *a: calls.append(1) or rule(*a))
     grid, cfg = _triangle_cut_config()
     n = grid.n_nodes
     rng = np.random.default_rng(2)
@@ -371,13 +401,13 @@ def test_flow_l2_errors_reuse_the_assembly_rules(monkeypatch):
     P = rng.standard_normal(n)
     calls.clear()
     assemble_navier_stokes(cfg, PAR, 0.2, 0.6, U, P, Uo, Ao, Cb)
-    assert calls
+    assert len(calls) == 1
     calls.clear()
     _flow_l2_errors(cfg, U, P, _exact_u, _exact_p, 0.0)
     assert calls == []
     # on a configuration no assembly has seen, the error norm builds them
     _flow_l2_errors(build_cut_configuration(grid, cfg.loop), U, P, _exact_u, _exact_p, 0.0)
-    assert calls
+    assert len(calls) == 1
 
 
 def test_cut_batch_force_load_matches_shape_function_integrals():

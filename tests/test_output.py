@@ -183,7 +183,8 @@ class TestFluidVtk:
         for e, polys in sorted(cfg.pieces.items()):
             nodes = grid.elem_nodes(e)
             for poly in polys:
-                for tri in fan_triangulate(poly):
+                tris, ntri = fan_triangulate(poly[None], np.array([len(poly)]))
+                for tri in tris[0, : ntri[0]]:
                     N = _grid_shape_rows(grid, e, tri)
                     want_u.append(N @ u[nodes])
                     want_p.append(N @ p[nodes])
