@@ -37,6 +37,7 @@ def main():
     load = np.array([1.2, 0.0])  # lateral force per unit mass
     f_ext = model.body_force_vector(load)
     mass = model.mass_matrix()
+    M = mass.tocsr().toarray()
     params = GenAlphaParams(rho_inf=0.9)
     dt, n_steps = 0.01, 600
 
@@ -52,11 +53,11 @@ def main():
         for _ in range(30):
             f_int, K = model.internal_force(d, tangent=True)
             r = genalpha_displacement_residual(
-                d, state, dt, params, mass.dot, f_int, f_int_old, f_ext, f_ext
+                d, state, dt, params, mass.matvec, f_int, f_int_old, f_ext, f_ext
             )
             if np.linalg.norm(r[free]) < 1e-10:
                 break
-            J = scale_m * mass.toarray() + (1.0 - params.alpha_f) * K.toarray()
+            J = scale_m * M + (1.0 - params.alpha_f) * K.tocsr().toarray()
             d[free] -= np.linalg.solve(J[np.ix_(free, free)], r[free])
         else:
             raise RuntimeError("Newton did not converge")

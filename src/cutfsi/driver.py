@@ -20,7 +20,7 @@ per-mesh flow-block assembly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -29,7 +29,7 @@ import scipy.sparse as sp
 from .coupling import NitscheParams, assemble_ff_coupling, assemble_fs_coupling
 from .cutting import CutConfiguration, NodeRole, build_cut_configuration
 from .fluid import FluidParams, assemble_ghost_penalties, assemble_navier_stokes
-from .linalg import AssemblyPlan, BlockSystem, LinearSolveError, LocalBlocks, factor_solve
+from .linalg import AssemblyPlan, BlockSystem, LinearSolveError, factor_solve
 from .meshes import StructuredGrid
 from .projection import SpaceProjector
 from .solid import (
@@ -356,12 +356,6 @@ def _add_flow_blocks(
     system.add(p, p, K_press)
 
 
-def _sparse_blocks(A, scale: float) -> LocalBlocks:
-    """The CSR matrix ``scale * A`` as one 1x1 block per stored entry."""
-    rows = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
-    return LocalBlocks(A.shape, rows[:, None], A.indices[:, None], scale * A.data[:, None, None])
-
-
 def _solved(system: BlockSystem, fixed, plan, coupling_force) -> CoupledSystem:
     """Scatter `system` through `plan`, or through a new plan when `plan` is
     None or was built for another structure, and constrain it: the fixed
@@ -440,13 +434,13 @@ def assemble_coupled_system(
         f_int, K_s = model.internal_force(D, tangent=True)
         mass = model.mass_matrix()
         R_s = genalpha_displacement_residual(
-            D, history.solid_prev, dt, ga, mass.dot,
+            D, history.solid_prev, dt, ga, mass.matvec,
             f_int, history.f_int_old, history.f_ext_new, history.f_ext_old,
         )
         Rd = scale * R_s - (af * scale) * history.f_iface_prev
         system.set_residual("d", Rd if c_res is None else Rd + c_res["d"])
-        system.add("d", "d", _sparse_blocks(mass, scale * genalpha_effective_mass_scale(dt, ga)))
-        system.add("d", "d", _sparse_blocks(K_s, scale * (1.0 - af)))
+        m = genalpha_effective_mass_scale(dt, ga)
+        system.add("d", "d", replace(K_s, vals=scale * (m * mass.vals + (1.0 - af) * K_s.vals)))
     for key, block in (c_jac or {}).items():
         system.add(*key, block)
 

@@ -1,9 +1,10 @@
 """Sparse assembly containers and direct linear solves.
 
-Wraps scipy.sparse for triplet accumulation, block systems of local element
-blocks filled through a fixed assembly plan, guarded LU solves and
-matrix-market export for offline inspection. Every LU is SuperLU in
-symmetric mode (see `factor_solve`), and every solve is residual-guarded.
+Every sparse matrix is built as dense local blocks (`LocalBlocks`) and
+summed into CSR through the fixed assembly plan of a block system, or by
+`LocalBlocks.tocsr` outside one. Also guarded LU solves and matrix-market
+export for offline inspection. Every LU is SuperLU in symmetric mode (see
+`factor_solve`), and every solve is residual-guarded.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 __all__ = [
-    "TripletAccumulator",
     "LocalBlocks",
     "BlockSystem",
     "AssemblyPlan",
@@ -38,53 +38,6 @@ _SPLU_OPTIONS = {
 }
 
 
-class TripletAccumulator:
-    """COO triplet buffer; duplicate entries sum on conversion."""
-
-    def __init__(self, n_rows: int, n_cols: int):
-        self.n_rows = n_rows
-        self.n_cols = n_cols
-        self._rows: list[np.ndarray] = []
-        self._cols: list[np.ndarray] = []
-        self._vals: list[np.ndarray] = []
-
-    def add(self, rows, cols, vals):
-        rows = np.asarray(rows, dtype=np.int64).ravel()
-        cols = np.asarray(cols, dtype=np.int64).ravel()
-        vals = np.asarray(vals, dtype=float).ravel()
-        if not (rows.size == cols.size == vals.size):
-            raise ValueError("triplet arrays must have identical lengths")
-        self._rows.append(rows)
-        self._cols.append(cols)
-        self._vals.append(vals)
-
-    def add_block(self, row_ids, col_ids, dense):
-        """Scatter dense (..., r, c) blocks at rows `row_ids` (..., r) and
-        columns `col_ids` (..., c); leading axes batch several blocks and
-        broadcast against each other."""
-        row_ids = np.asarray(row_ids, dtype=np.int64)
-        col_ids = np.asarray(col_ids, dtype=np.int64)
-        shape = np.broadcast_shapes(row_ids.shape[:-1], col_ids.shape[:-1]) + (
-            row_ids.shape[-1], col_ids.shape[-1],
-        )
-        self.add(
-            np.broadcast_to(row_ids[..., :, None], shape),
-            np.broadcast_to(col_ids[..., None, :], shape),
-            np.broadcast_to(np.asarray(dense, dtype=float), shape),
-        )
-
-    def tocsr(self) -> sp.csr_matrix:
-        if not self._rows:
-            return sp.csr_matrix((self.n_rows, self.n_cols))
-        rows = np.concatenate(self._rows)
-        cols = np.concatenate(self._cols)
-        vals = np.concatenate(self._vals)
-        mat = sp.coo_matrix((vals, (rows, cols)), shape=(self.n_rows, self.n_cols))
-        out = mat.tocsr()
-        out.sum_duplicates()
-        return out
-
-
 @dataclass(frozen=True)
 class LocalBlocks:
     """A sparse ``shape`` matrix held as dense local blocks: the sum of the
@@ -101,6 +54,20 @@ class LocalBlocks:
         y = (self.vals @ x[self.cols][..., None])[..., 0]
         rows = np.broadcast_to(self.rows, y.shape)
         return np.bincount(rows.ravel(), weights=y.ravel(), minlength=self.shape[0])
+
+    @property
+    def entry_shape(self) -> tuple[int, ...]:
+        """Shape (..., r, c) of the local entries, leading axes broadcast."""
+        lead = np.broadcast_shapes(self.rows.shape[:-1], self.cols.shape[:-1])
+        return lead + (self.rows.shape[-1], self.cols.shape[-1])
+
+    def tocsr(self) -> sp.csr_matrix:
+        """The blocks summed into one CSR matrix of ``shape``."""
+        shape = self.entry_shape
+        rows = np.broadcast_to(self.rows[..., :, None], shape).ravel()
+        cols = np.broadcast_to(self.cols[..., None, :], shape).ravel()
+        vals = np.broadcast_to(self.vals, shape).ravel()
+        return sp.coo_matrix((vals, (rows, cols)), shape=self.shape).tocsr()
 
 
 class BlockSystem:
@@ -188,10 +155,7 @@ class AssemblyPlan:
         n = self.n = system.n
         self.maps = [(r, c, b.rows, b.cols) for r, c, b in system.terms]
         self.fixed = np.array(fixed, dtype=bool)
-        self.term_shapes = []
-        for _, _, b in system.terms:
-            lead = np.broadcast_shapes(b.rows.shape[:-1], b.cols.shape[:-1])
-            self.term_shapes.append(lead + (b.rows.shape[-1], b.cols.shape[-1]))
+        self.term_shapes = [b.entry_shape for _, _, b in system.terms]
         # flat entries row * n + col of every local entry, then every diagonal
         size = sum(int(np.prod(shape)) for shape in self.term_shapes)
         key = np.empty(size + n, dtype=np.int32 if n * n < 2**31 else np.int64)

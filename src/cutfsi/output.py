@@ -105,8 +105,8 @@ def _vtk_lines(title: str, points, cells, cell_types, point_data, cell_data):
         "DATASET UNSTRUCTURED_GRID",
         f"POINTS {len(points)} double",
     ]
-    for x, y in points:
-        lines.append(f"{float(x)!r} {float(y)!r} 0.0")
+    for x, y in np.asarray(points, float).tolist():
+        lines.append(f"{x!r} {y!r} 0.0")
     size = sum(len(c) + 1 for c in cells)
     lines.append(f"CELLS {len(cells)} {size}")
     for c in cells:
@@ -118,12 +118,12 @@ def _vtk_lines(title: str, points, cells, cell_types, point_data, cell_data):
         for name, kind, values in point_data:
             if kind == "vectors":
                 lines.append(f"VECTORS {name} double")
-                for vx, vy in values:
-                    lines.append(f"{float(vx)!r} {float(vy)!r} 0.0")
+                for vx, vy in np.asarray(values, float).tolist():
+                    lines.append(f"{vx!r} {vy!r} 0.0")
             else:
                 lines.append(f"SCALARS {name} double 1")
                 lines.append("LOOKUP_TABLE default")
-                lines.extend(repr(float(v)) for v in values)
+                lines.extend(map(repr, np.asarray(values, float).tolist()))
     if cell_data:
         lines.append(f"CELL_DATA {len(cells)}")
         for name, values in cell_data:
@@ -143,9 +143,6 @@ def write_fluid_vtk(path, cfg: CutConfiguration, U, P, title="flow snapshot"):
     grid = cfg.grid
     u = np.asarray(U, dtype=float).reshape(grid.n_nodes, 2)
     p = np.asarray(P, dtype=float).reshape(grid.n_nodes)
-    points = [tuple(xy) for xy in grid.node_coords()]
-    point_u = list(map(tuple, u))
-    point_p = list(p)
     conn = grid.all_elem_nodes()
     cells = [tuple(quad) for quad in conn[cfg.status == ElemStatus.FLUID].tolist()]
     types, mask = [9] * len(cells), [0] * len(cells)  # VTK_QUAD
@@ -154,11 +151,10 @@ def write_fluid_vtk(path, cfg: CutConfiguration, U, P, title="flow snapshot"):
     tris = tris[np.arange(tris.shape[1]) < ntri[:, None]]
     elems = np.repeat([e for e, polys in pieces for _ in polys], ntri).astype(np.intp)
     N = grid_basis(grid, elems, tris)[0]
-    first = len(points)
-    points.extend(map(tuple, tris.reshape(-1, 2).tolist()))
-    point_u.extend(map(tuple, (N @ u[conn[elems]]).reshape(-1, 2).tolist()))
-    point_p.extend((N @ p[conn[elems]][..., None]).ravel().tolist())
-    cells.extend(tuple(range(k, k + 3)) for k in range(first, len(points), 3))
+    points = np.concatenate([grid.node_coords(), tris.reshape(-1, 2)])
+    point_u = np.concatenate([u, (N @ u[conn[elems]]).reshape(-1, 2)])
+    point_p = np.concatenate([p, (N @ p[conn[elems]][..., None]).ravel()])
+    cells.extend(tuple(range(k, k + 3)) for k in range(grid.n_nodes, len(points), 3))
     types += [5] * len(tris)  # VTK_TRIANGLE
     mask += [1] * len(tris)
     lines = _vtk_lines(
@@ -181,17 +177,13 @@ def write_solid_vtk(path, mesh: FittedMesh, d, v=None, title="structure snapshot
         if v is None
         else np.asarray(v, dtype=float).reshape(mesh.n_nodes, 2)
     )
-    points = [tuple(xy) for xy in (mesh.nodes + disp)]
     cells = [tuple(int(n) for n in quad) for quad in mesh.elems]
     lines = _vtk_lines(
         title,
-        points,
+        mesh.nodes + disp,
         cells,
         [9] * len(cells),
-        [
-            ("displacement", "vectors", list(map(tuple, disp))),
-            ("velocity", "vectors", list(map(tuple, vel))),
-        ],
+        [("displacement", "vectors", disp), ("velocity", "vectors", vel)],
         [],
     )
     Path(path).write_text("\n".join(lines) + "\n")

@@ -20,7 +20,7 @@ import scipy.sparse as sp
 
 from .cutting import CutConfiguration, NodeRole
 from .fluid import facet_jump_grams
-from .linalg import TripletAccumulator, factor
+from .linalg import LocalBlocks, factor
 
 __all__ = [
     "ProjectionError",
@@ -92,9 +92,8 @@ def _extension_matrix(cfg: CutConfiguration, widened: bool) -> sp.csr_matrix:
     it is scaled by the cube of the facet length.
     """
     nodes, length, Mn, _ = facet_jump_grams(cfg.grid, cfg.ghost_facets(widened=widened))
-    acc = TripletAccumulator(cfg.grid.n_nodes, cfg.grid.n_nodes)
-    acc.add_block(nodes, nodes, length[:, None, None] ** 3 * Mn)
-    return acc.tocsr()
+    n = cfg.grid.n_nodes
+    return LocalBlocks((n, n), nodes, nodes, length[:, None, None] ** 3 * Mn).tocsr()
 
 
 class SpaceProjector:

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import TripletAccumulator
+from .linalg import LocalBlocks
 from .meshes import FittedMesh
 
 __all__ = [
@@ -166,20 +166,19 @@ class SolidModel:
         dofs = self._reference().dofs
         return np.bincount(dofs.ravel(), weights=nodal.ravel(), minlength=self.n_dofs)
 
-    def mass_matrix(self):
-        """Consistent mass (referential density) as CSR; cached."""
-        if self._mass is not None:
-            return self._mass
-        ref = self._reference()
-        Me = self.density * np.einsum("eq,qa,qb->eab", ref.wdet, ref.N, ref.N)
-        block = np.einsum("eab,ik->eaibk", Me, _I2).reshape(-1, 8, 8)
-        acc = TripletAccumulator(self.n_dofs, self.n_dofs)
-        acc.add_block(ref.dofs, ref.dofs, block)
-        self._mass = acc.tocsr()
+    def mass_matrix(self) -> LocalBlocks:
+        """Consistent mass (referential density) as (E, 8, 8) element
+        blocks; built on first use."""
+        if self._mass is None:
+            ref, n = self._reference(), self.n_dofs
+            Me = self.density * np.einsum("eq,qa,qb->eab", ref.wdet, ref.N, ref.N)
+            block = np.einsum("eab,ik->eaibk", Me, _I2).reshape(-1, 8, 8)
+            self._mass = LocalBlocks((n, n), ref.dofs, ref.dofs, block)
         return self._mass
 
     def internal_force(self, d: np.ndarray, tangent: bool = True):
-        """Internal nodal forces and (optionally) the analytic stiffness.
+        """Internal nodal forces and (optionally) the analytic stiffness as
+        (E, 8, 8) element blocks.
 
         Raises SolidInversionError, naming the first element in mesh order
         that has a quadrature point with det J <= 0 or det F <= 0.
@@ -203,9 +202,7 @@ class SolidModel:
         B = np.einsum("eqaJ,ik->eqiJak", ref.dN, _I2).reshape(*ref.det.shape, 4, 8)
         wA = ref.wdet[..., None, None] * A.reshape(*ref.det.shape, 4, 4)
         Ke = (np.swapaxes(B, -1, -2) @ wA @ B).sum(axis=1)
-        acc = TripletAccumulator(self.n_dofs, self.n_dofs)
-        acc.add_block(ref.dofs, ref.dofs, Ke)
-        return f, acc.tocsr()
+        return f, LocalBlocks((self.n_dofs, self.n_dofs), ref.dofs, ref.dofs, Ke)
 
     def body_force_vector(self, load: np.ndarray) -> np.ndarray:
         """Consistent load vector for a constant referential body force

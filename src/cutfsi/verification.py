@@ -252,8 +252,7 @@ def _check_solid_statics(tol_scale: float) -> CheckResult:
     )
     rng = np.random.default_rng(3)
     d = 0.02 * rng.standard_normal(model.n_dofs)
-    _, K = model.internal_force(d, tangent=True)
-    K = K.toarray()
+    K = model.internal_force(d, tangent=True)[1].tocsr().toarray()
     fd = np.zeros_like(K)
     eps = 1e-6
     for j in range(model.n_dofs):

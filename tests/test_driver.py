@@ -309,7 +309,7 @@ class TestCoupledAssembly:
         mass = model.mass_matrix()
         f_int = model.internal_force(D, tangent=False)[0]
         R_s = genalpha_displacement_residual(
-            D, history.solid_prev, 0.1, ga, mass.dot,
+            D, history.solid_prev, 0.1, ga, mass.matvec,
             f_int, history.f_int_old, history.f_ext_new, history.f_ext_old,
         )
         scale = 1.0 / (1.0 - ga.alpha_f)
@@ -1144,6 +1144,33 @@ class TestAssemblyPlan:
         driver = FsiDriver(_gentle_flap_problem(), DriverConfig(dt=0.05, n_steps=1, nitsche=GAMMA))
         state = driver.initial_state()
         assert built == [] and cuts == [] and driver.plan is None and state.cfg is None
+
+    def test_flap_iterations_convert_nothing_once_the_plan_exists(self, monkeypatch):
+        conversions, per_assembly = [], []
+        for cls in (LocalBlocks, sp.coo_matrix):
+            def counting(self, *args, _tocsr=cls.tocsr, **kwargs):
+                conversions.append(type(self))
+                return _tocsr(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "tocsr", counting)
+        assemble = driver_module.assemble_coupled_system
+
+        def counted(*args, **kwargs):
+            before = len(conversions)
+            asm = assemble(*args, **kwargs)
+            per_assembly.append(len(conversions) - before)
+            return asm
+
+        monkeypatch.setattr(driver_module, "assemble_coupled_system", counted)
+        driver, _, _, built, seen = self._flap_run(monkeypatch)
+        assert len(built) == 1 and len(per_assembly) == len(seen) > 10
+        assert sum(per_assembly[1:]) == 0
+        # the solid's Jacobian is one term over its element dofs, added
+        # before the interface coupling's term over the segment edge dofs
+        solid, coupling = [b for r, c, b in seen[-1].system.terms if (r, c) == ("d", "d")]
+        elems = driver.problem.solid.model.mesh.elems
+        assert np.array_equal(solid.rows, (2 * elems[:, :, None] + np.arange(2)).reshape(-1, 8))
+        assert solid.cols is solid.rows and coupling.rows.shape[1:] == (4,)
 
     def test_fsi_system_matches_coo_reference(self, monkeypatch):
         _, _, _, _, seen = self._flap_run(monkeypatch, steps=2)

@@ -10,22 +10,11 @@ from cutfsi.linalg import (
     BlockSystem,
     LinearSolveError,
     LocalBlocks,
-    TripletAccumulator,
     export_matrix_market,
     factor,
     factor_solve,
 )
 from coo_reference import coo, raw_matrix, solved_matrix
-
-
-def test_triplets_sum_duplicates():
-    acc = TripletAccumulator(3, 3)
-    acc.add([0, 0, 1], [0, 0, 2], [1.0, 2.0, 5.0])
-    acc.add_block([2], [0, 1], np.array([[3.0, 4.0]]))
-    A = acc.tocsr()
-    assert A[0, 0] == 3.0
-    assert A[1, 2] == 5.0
-    assert A[2, 0] == 3.0 and A[2, 1] == 4.0
 
 
 def _dense_block(shape, rows, cols, vals):
@@ -92,6 +81,28 @@ def test_plan_matches_coo_reference(seed):
     assert solved.nnz == np.count_nonzero(~touches) + fixed.sum()
     assert plan.fits(sys, fixed) and not plan.fits(sys, ~fixed)
     assert plan.slots.dtype == np.int32 and plan.indices.dtype == np.int32
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_local_blocks_tocsr_is_the_coo_reference(seed):
+    # duplicate entries sum and broadcast rows (the last "a", "a" term)
+    # expand exactly as in the reference conversion
+    sys, _ = _random_system(np.random.default_rng(seed))
+    for _, _, blocks in sys.terms:
+        got, want = blocks.tocsr(), coo(blocks)
+        assert got.shape == blocks.shape and got.has_canonical_format
+        for attr in ("data", "indices", "indptr"):
+            assert getattr(got, attr).tobytes() == getattr(want, attr).tobytes()
+
+
+def test_local_blocks_tocsr_sums_duplicates_and_empty_blocks():
+    blocks = LocalBlocks((3, 3), np.array([[0, 0], [2, 0]]), np.array([[0, 2], [0, 1]]),
+                         np.array([[[1.0, 5.0], [2.0, 0.0]], [[3.0, 4.0], [6.0, 7.0]]]))
+    assert np.array_equal(blocks.tocsr().toarray(), [[9.0, 7.0, 5.0], [0, 0, 0], [3.0, 4.0, 0]])
+    # no ghost facets: zero blocks give the all-zero matrix of their shape
+    empty = LocalBlocks((4, 4), np.zeros((0, 8), int), np.zeros((0, 8), int), np.zeros((0, 8, 8)))
+    A = empty.tocsr()
+    assert A.shape == (4, 4) and A.nnz == 0 and not A.toarray().any()
 
 
 def test_local_blocks_matvec_matches_coo():
