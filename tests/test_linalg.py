@@ -17,6 +17,17 @@ from cutfsi.linalg import (
 from coo_reference import coo, raw_matrix, solved_matrix
 
 
+def test_triplets_sum_duplicates():
+    # triplets are 1x1 local blocks; the last two are the block row [2] x [0, 1]
+    rows, cols = [0, 0, 1, 2, 2], [0, 0, 2, 0, 1]
+    vals = [1.0, 2.0, 5.0, 3.0, 4.0]
+    A = LocalBlocks((3, 3), np.array(rows)[:, None], np.array(cols)[:, None],
+                    np.array(vals)[:, None, None]).tocsr()
+    assert A[0, 0] == 3.0
+    assert A[1, 2] == 5.0
+    assert A[2, 0] == 3.0 and A[2, 1] == 4.0
+
+
 def _dense_block(shape, rows, cols, vals):
     return LocalBlocks(shape, np.array([rows]), np.array([cols]), np.array([vals], dtype=float))
 
