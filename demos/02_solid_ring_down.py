@@ -53,7 +53,7 @@ def main():
         for _ in range(30):
             f_int, K = model.internal_force(d, tangent=True)
             r = genalpha_displacement_residual(
-                d, state, dt, params, mass.matvec, f_int, f_int_old, f_ext, f_ext
+                d, state, dt, params, mass.matvec, f_int, f_int_old, f_ext
             )
             if np.linalg.norm(r[free]) < 1e-10:
                 break

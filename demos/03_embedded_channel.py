@@ -18,6 +18,7 @@ from cutfsi import (
     DriverConfig,
     FluidParams,
     FluidProblem,
+    FsiDriver,
     FsiProblem,
     NeoHookeanMaterial,
     NitscheParams,
@@ -27,7 +28,6 @@ from cutfsi import (
     VelocityDirichlet,
     build_cut_configuration,
     rectangle_fitted_mesh,
-    time_loop,
 )
 from cutfsi.output import evaluate_grid_probe, write_fluid_vtk
 
@@ -65,7 +65,7 @@ def main():
 
     # one enormous pseudo-time step lands on the steady state
     config = DriverConfig(dt=1e8, n_steps=1, nitsche=NitscheParams(gamma=35.0))
-    states, reports = time_loop(problem, config)
+    states, reports = FsiDriver(problem, config).run()
     state = states[-1]
     print(f"steady solve: {reports[0].newton[-1].iterations} Newton iterations")
 

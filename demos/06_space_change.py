@@ -19,6 +19,7 @@ from cutfsi import (
     DriverConfig,
     FluidParams,
     FluidProblem,
+    FsiDriver,
     FsiProblem,
     NeoHookeanMaterial,
     NitscheParams,
@@ -27,7 +28,6 @@ from cutfsi import (
     StructuredGrid,
     VelocityDirichlet,
     rectangle_fitted_mesh,
-    time_loop,
 )
 
 
@@ -65,7 +65,7 @@ def run(freeze_space):
         nitsche=NitscheParams(gamma=35.0),
         freeze_space=freeze_space,
     )
-    return time_loop(build_problem(), config)
+    return FsiDriver(build_problem(), config).run()
 
 
 def main():

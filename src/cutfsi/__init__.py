@@ -38,7 +38,6 @@ from .driver import (
     load_checkpoint,
     save_checkpoint,
     solve_overlapping_fluid,
-    time_loop,
 )
 from .fluid import FluidParams
 from .coupling import NitscheParams
@@ -104,7 +103,6 @@ __all__ = [
     "run_suites",
     "save_checkpoint",
     "solve_overlapping_fluid",
-    "time_loop",
     "write_fluid_vtk",
     "write_mesh_text",
     "write_snapshot",

@@ -26,7 +26,6 @@ from .config import ConfigError, parse_config
 from .cutting import ElemStatus
 from .driver import (
     FsiDriver,
-    StepHistory,
     assemble_coupled_system,
     load_checkpoint,
     save_checkpoint,
@@ -239,34 +238,23 @@ def _cmd_run(args) -> int:
 def _dump_matrix(driver: FsiDriver, state, report, directory: Path) -> None:
     """Reassemble the coupled system at an accepted state and export it.
 
-    The tangent does not depend on the previous-level history vectors (they
-    only shift the residual), so zeroed histories reproduce the matrix the
-    final iteration factorized.
+    The tangent does not depend on the step's previous-level history (it
+    only shifts the residual), so the history of a step taken from the
+    accepted state reproduces the matrix the final iteration factorized.
+    The final iteration used the widened ghost facets when the step had
+    frozen its active space.
     """
-    problem = driver.problem
-    nd = state.solid.d.size
-    history = StepHistory(
-        U_tilde=np.zeros_like(state.U),
-        P_tilde=np.zeros_like(state.P),
-        A_tilde=np.zeros_like(state.A),
-        solid_prev=state.solid,
-        u_iface_prev=np.zeros_like(state.u_iface),
-        f_iface_prev=np.zeros(nd),
-        f_int_old=np.zeros(nd),
-        f_ext_old=np.zeros(nd),
-        f_ext_new=np.zeros(nd),
-    )
     asm = assemble_coupled_system(
-        problem,
+        driver.problem,
         driver.config,
         driver.configuration(state),
         state.U,
         state.P,
         state.solid.d,
-        history,
+        driver.history(state),
         time=state.time,
         theta=report.theta,
-        advection=state.U,
+        widened=driver.space_frozen(report.space_changes),
     )
     export_matrix_market(
         directory / f"system_{report.step:06d}.mtx",

@@ -244,7 +244,9 @@ class FsiState:
 
 @dataclass
 class StepHistory:
-    """Previous-level data expressed on the current active space."""
+    """Previous-level data expressed on the current active space, built by
+    `FsiDriver.history`.  `f_ext` is the constant structural body load, so
+    one vector serves both time levels of the generalized-alpha balance."""
 
     U_tilde: np.ndarray
     P_tilde: np.ndarray
@@ -253,8 +255,7 @@ class StepHistory:
     u_iface_prev: np.ndarray
     f_iface_prev: np.ndarray
     f_int_old: np.ndarray
-    f_ext_old: np.ndarray
-    f_ext_new: np.ndarray
+    f_ext: np.ndarray
 
 
 # ----------------------------------------------------------------------------
@@ -339,7 +340,7 @@ def _add_flow_blocks(
         body_force=fluid.body_force, time=time,
     )
     K_conv, K_div, K_press = assemble_ghost_penalties(
-        fluid.grid, cfg, fluid.params, dt, theta, advection, widened=widened
+        cfg, fluid.params, dt, theta, advection, widened=widened
     )
     Ru = Ru + (K_conv.matvec(U) + K_div.matvec(U))
     Rp = Rp + K_press.matvec(P)
@@ -435,7 +436,7 @@ def assemble_coupled_system(
         mass = model.mass_matrix()
         R_s = genalpha_displacement_residual(
             D, history.solid_prev, dt, ga, mass.matvec,
-            f_int, history.f_int_old, history.f_ext_new, history.f_ext_old,
+            f_int, history.f_int_old, history.f_ext,
         )
         Rd = scale * R_s - (af * scale) * history.f_iface_prev
         system.set_residual("d", Rd if c_res is None else Rd + c_res["d"])
@@ -737,6 +738,35 @@ class FsiDriver:
             state.cfg = self._cut_from(state.d_space)
         return state.cfg
 
+    def history(
+        self, state: FsiState, carry: SpaceProjector | None = None
+    ) -> StepHistory:
+        """Previous-level data of a step taken from `state`: the flow vectors
+        moved onto the step's active space by `carry`, or copied when it is
+        None (the same space); the solid state and interface history of
+        `state`; the internal force at its displacement; the body load."""
+        move = np.copy if carry is None else carry.apply
+        solid = self.problem.solid
+        return StepHistory(
+            U_tilde=move(state.U),
+            P_tilde=move(state.P),
+            A_tilde=move(state.A),
+            solid_prev=state.solid,
+            u_iface_prev=state.u_iface,
+            f_iface_prev=state.f_iface,
+            f_int_old=(
+                solid.model.internal_force(state.solid.d, tangent=False)[0]
+                if solid is not None
+                else np.zeros(0)
+            ),
+            f_ext=self._f_body,
+        )
+
+    def space_frozen(self, space_changes: int) -> bool:
+        """Whether a step's attempt after `space_changes` space changes keeps
+        its active space: no re-cut, widened ghost facets and extension."""
+        return self.config.freeze_space or space_changes >= 2
+
     def _predict(self, state: FsiState) -> np.ndarray:
         if self.config.predictor == "velocity":
             return state.solid.d + self.config.dt * state.solid.v
@@ -761,22 +791,7 @@ class FsiDriver:
             cfg = cfg_prev
         else:
             cfg = self._cut_from(d_pred)
-        carry = SpaceProjector(cfg_prev, cfg)
-        history = StepHistory(
-            U_tilde=carry.apply(state.U),
-            P_tilde=carry.apply(state.P),
-            A_tilde=carry.apply(state.A),
-            solid_prev=state.solid,
-            u_iface_prev=state.u_iface,
-            f_iface_prev=state.f_iface,
-            f_int_old=(
-                solid.model.internal_force(state.solid.d, tangent=False)[0]
-                if solid is not None
-                else np.zeros(0)
-            ),
-            f_ext_old=self._f_body,
-            f_ext_new=self._f_body,
-        )
+        history = self.history(state, SpaceProjector(cfg_prev, cfg))
 
         U = history.U_tilde.copy()
         P = history.P_tilde.copy()
@@ -788,7 +803,7 @@ class FsiDriver:
         while True:
             if cycle > config.max_cycles:
                 raise FunctionSpaceCycleError(CYCLE_MESSAGE)
-            frozen = config.freeze_space or signals >= 2
+            frozen = self.space_frozen(signals)
             result = newton_loop(
                 self.problem, config, cfg, U, P, D, history,
                 time=t_new, theta=theta,
@@ -801,8 +816,7 @@ class FsiDriver:
             signals += 1
             cycle += 1
             cfg = result.cfg
-            frozen = config.freeze_space or signals >= 2
-            carry = SpaceProjector(cfg_prev, cfg, widened=frozen)
+            carry = SpaceProjector(cfg_prev, cfg, widened=self.space_frozen(signals))
             history.U_tilde = carry.apply(state.U)
             history.P_tilde = carry.apply(state.P)
             history.A_tilde = carry.apply(state.A)
@@ -862,17 +876,6 @@ class FsiDriver:
             if on_step is not None:
                 on_step(state, report)
         return states, reports
-
-
-def time_loop(
-    problem: FsiProblem,
-    config: DriverConfig,
-    initial_state: FsiState | None = None,
-    n_steps: int | None = None,
-    on_step=None,
-) -> tuple[list[FsiState], list[StepReport]]:
-    """Run the monolithic time integration and return the state trajectory."""
-    return FsiDriver(problem, config).run(initial_state, n_steps, on_step)
 
 
 # ----------------------------------------------------------------------------

@@ -370,7 +370,6 @@ def facet_jump_grams(grid: StructuredGrid, facets: np.ndarray):
 
 
 def assemble_ghost_penalties(
-    grid: StructuredGrid,
     cfg: CutConfiguration,
     params: FluidParams,
     dt: float,
@@ -391,6 +390,7 @@ def assemble_ghost_penalties(
     `projection`), the per-facet scalings from array operations over the
     facets' element pairs, and each operator is one batch of facet blocks.
     """
+    grid = cfg.grid
     n = grid.n_nodes
     h_elem = grid.elem_diameter()
     sigma = 1.0 / (theta * dt)

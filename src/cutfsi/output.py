@@ -97,7 +97,10 @@ def evaluate_fitted_probe(mesh: FittedMesh, nodal: np.ndarray, point) -> np.ndar
 # -- legacy VTK writers ----------------------------------------------------------
 
 
-def _vtk_lines(title: str, points, cells, cell_types, point_data, cell_data):
+def _vtk_lines(title: str, points, cells, point_data, cell_data):
+    """Lines of a legacy ASCII VTK unstructured grid; `cells` holds one
+    (VTK cell type, (m, k) int connectivity array) pair per cell type."""
+    n_cells = sum(len(conn) for _, conn in cells)
     lines = [
         "# vtk DataFile Version 3.0",
         title,
@@ -107,12 +110,16 @@ def _vtk_lines(title: str, points, cells, cell_types, point_data, cell_data):
     ]
     for x, y in np.asarray(points, float).tolist():
         lines.append(f"{x!r} {y!r} 0.0")
-    size = sum(len(c) + 1 for c in cells)
-    lines.append(f"CELLS {len(cells)} {size}")
-    for c in cells:
-        lines.append(" ".join(str(v) for v in (len(c), *c)))
-    lines.append(f"CELL_TYPES {len(cells)}")
-    lines.extend(str(t) for t in cell_types)
+    lines.append(f"CELLS {n_cells} {sum(conn.size + len(conn) for _, conn in cells)}")
+    for _, conn in cells:
+        if len(conn):  # all cells of a type in one format: "k n_1 ... n_k"
+            m, k = conn.shape
+            row = " ".join(["%d"] * (k + 1))
+            counted = np.column_stack([np.full(m, k), conn]).ravel().tolist()
+            lines.append("\n".join([row] * m) % tuple(counted))
+    lines.append(f"CELL_TYPES {n_cells}")
+    for cell_type, conn in cells:
+        lines.extend([str(cell_type)] * len(conn))
     if point_data:
         lines.append(f"POINT_DATA {len(points)}")
         for name, kind, values in point_data:
@@ -125,11 +132,11 @@ def _vtk_lines(title: str, points, cells, cell_types, point_data, cell_data):
                 lines.append("LOOKUP_TABLE default")
                 lines.extend(map(repr, np.asarray(values, float).tolist()))
     if cell_data:
-        lines.append(f"CELL_DATA {len(cells)}")
+        lines.append(f"CELL_DATA {n_cells}")
         for name, values in cell_data:
             lines.append(f"SCALARS {name} int 1")
             lines.append("LOOKUP_TABLE default")
-            lines.extend(str(int(v)) for v in values)
+            lines.extend(map(str, np.asarray(values, int).tolist()))
     return lines
 
 
@@ -144,8 +151,7 @@ def write_fluid_vtk(path, cfg: CutConfiguration, U, P, title="flow snapshot"):
     u = np.asarray(U, dtype=float).reshape(grid.n_nodes, 2)
     p = np.asarray(P, dtype=float).reshape(grid.n_nodes)
     conn = grid.all_elem_nodes()
-    cells = [tuple(quad) for quad in conn[cfg.status == ElemStatus.FLUID].tolist()]
-    types, mask = [9] * len(cells), [0] * len(cells)  # VTK_QUAD
+    quads = conn[cfg.status == ElemStatus.FLUID]
     pieces = sorted(cfg.pieces.items())
     tris, ntri = fan_triangulate(*stack_polygons([poly for _, polys in pieces for poly in polys]))
     tris = tris[np.arange(tris.shape[1]) < ntri[:, None]]
@@ -154,16 +160,13 @@ def write_fluid_vtk(path, cfg: CutConfiguration, U, P, title="flow snapshot"):
     points = np.concatenate([grid.node_coords(), tris.reshape(-1, 2)])
     point_u = np.concatenate([u, (N @ u[conn[elems]]).reshape(-1, 2)])
     point_p = np.concatenate([p, (N @ p[conn[elems]][..., None]).ravel()])
-    cells.extend(tuple(range(k, k + 3)) for k in range(grid.n_nodes, len(points), 3))
-    types += [5] * len(tris)  # VTK_TRIANGLE
-    mask += [1] * len(tris)
+    triangles = np.arange(grid.n_nodes, len(points)).reshape(-1, 3)
     lines = _vtk_lines(
         title,
         points,
-        cells,
-        types,
+        [(9, quads), (5, triangles)],  # VTK_QUAD, VTK_TRIANGLE
         [("velocity", "vectors", point_u), ("pressure", "scalars", point_p)],
-        [("mask", mask)],
+        [("mask", np.repeat([0, 1], [len(quads), len(triangles)]))],
     )
     Path(path).write_text("\n".join(lines) + "\n")
 
@@ -177,12 +180,10 @@ def write_solid_vtk(path, mesh: FittedMesh, d, v=None, title="structure snapshot
         if v is None
         else np.asarray(v, dtype=float).reshape(mesh.n_nodes, 2)
     )
-    cells = [tuple(int(n) for n in quad) for quad in mesh.elems]
     lines = _vtk_lines(
         title,
         mesh.nodes + disp,
-        cells,
-        [9] * len(cells),
+        [(9, mesh.elems)],  # VTK_QUAD
         [("displacement", "vectors", disp), ("velocity", "vectors", vel)],
         [],
     )

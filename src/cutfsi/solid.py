@@ -294,19 +294,19 @@ def genalpha_displacement_residual(
     mass_apply,
     f_int_new,
     f_int_old,
-    f_ext_new,
-    f_ext_old,
+    f_ext,
 ):
     """Dynamic residual in the unknown end-of-step displacement.
 
     Zero when the alpha-weighted balance
-    M[(1-am) a_new + am a_old] + (1-af)(f_int - f_ext)_new
-    + af (f_int - f_ext)_old = 0 holds with a_new recovered from d_new.
+    M[(1-am) a_new + am a_old] + (1-af)(f_int_new - f_ext)
+    + af (f_int_old - f_ext) = 0 holds with a_new recovered from d_new;
+    the external load `f_ext` is constant in time.
     """
     a_new = genalpha_recover_acceleration(d_new, state, dt, p)
     inertial = mass_apply((1.0 - p.alpha_m) * a_new + p.alpha_m * state.a)
     return (
         inertial
-        + (1.0 - p.alpha_f) * (f_int_new - f_ext_new)
-        + p.alpha_f * (f_int_old - f_ext_old)
+        + (1.0 - p.alpha_f) * (f_int_new - f_ext)
+        + p.alpha_f * (f_int_old - f_ext)
     )

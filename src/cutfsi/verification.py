@@ -14,7 +14,7 @@ are structural claims and stay fixed.
 from __future__ import annotations
 
 import time as _time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from types import SimpleNamespace
 
@@ -34,14 +34,11 @@ from .driver import (
     FsiDriver,
     FsiProblem,
     SolidProblem,
-    StepHistory,
     VelocityDirichlet,
     assemble_coupled_system,
-    fluid_acceleration_update,
     interface_velocity,
     newton_loop,
     solve_overlapping_fluid,
-    time_loop,
 )
 from .fluid import FluidParams, volume_batches
 from .meshes import StructuredGrid, rectangle_fitted_mesh
@@ -116,36 +113,6 @@ def run_suites(names=None, tol_scale: float = 1.0) -> list[CheckResult]:
 
 def _perimeter(poly: np.ndarray) -> float:
     return float(np.hypot(*(np.roll(poly, -1, axis=0) - poly).T).sum())
-
-
-def _fluid_history(n_nodes, U=None, P=None, A=None) -> StepHistory:
-    z2, z1 = np.zeros(2 * n_nodes), np.zeros(n_nodes)
-    return StepHistory(
-        U_tilde=z2 if U is None else np.asarray(U, float),
-        P_tilde=z1 if P is None else np.asarray(P, float),
-        A_tilde=z2 if A is None else np.asarray(A, float),
-        solid_prev=None,
-        u_iface_prev=None,
-        f_iface_prev=None,
-        f_int_old=None,
-        f_ext_old=None,
-        f_ext_new=None,
-    )
-
-
-def _rest_history(model: SolidModel, n_nodes: int) -> StepHistory:
-    nd = model.n_dofs
-    return StepHistory(
-        U_tilde=np.zeros(2 * n_nodes),
-        P_tilde=np.zeros(n_nodes),
-        A_tilde=np.zeros(2 * n_nodes),
-        solid_prev=SolidState(np.zeros(nd), np.zeros(nd), np.zeros(nd)),
-        u_iface_prev=np.zeros(nd),
-        f_iface_prev=np.zeros(nd),
-        f_int_old=model.internal_force(np.zeros(nd), tangent=False)[0],
-        f_ext_old=np.zeros(nd),
-        f_ext_new=np.zeros(nd),
-    )
 
 
 def _flow_l2_errors(cfg, U, P, exact_u, exact_p, t) -> tuple[float, float]:
@@ -307,8 +274,7 @@ def _check_solid_dynamics(tol_scale: float) -> CheckResult:
                 mass_apply=lambda a: m * a,
                 f_int_new=k * state.d,
                 f_int_old=k * state.d,
-                f_ext_new=zero,
-                f_ext_old=zero,
+                f_ext=zero,
             )
             d_new = state.d - r0 / coeff
             a_new = genalpha_recover_acceleration(d_new, state, dt, p)
@@ -386,7 +352,6 @@ def _check_fitted_flow(tol_scale: float) -> CheckResult:
     start = _time.perf_counter()
     for n in (8, 16, 32):
         grid = StructuredGrid((0.0, 0.0), (1.0 / n, 1.0 / n), (n, n))
-        cfg = build_cut_configuration(grid, None)
         problem = FluidProblem(
             grid,
             FluidParams(density=rho, viscosity=mu),
@@ -398,24 +363,19 @@ def _check_fitted_flow(tol_scale: float) -> CheckResult:
             pin_pressure=True,
         )
         dt = horizon * 8.0 / (16.0 * n)  # halves with h
-        steps = round(horizon / dt)
-        theta = 0.5
-        config = DriverConfig(dt=dt, n_steps=steps, theta=theta)
+        config = DriverConfig(
+            dt=dt, n_steps=round(horizon / dt), theta=0.5,
+            backward_euler_first_step=False,
+        )
+        driver = FsiDriver(FsiProblem(problem, None), config)
         coords = grid.node_coords()
-        U = exact_u(coords, 0.0).ravel()
-        A = exact_dudt(coords, 0.0).ravel()
-        P = exact_p(coords, 0.0)
-        fsi = FsiProblem(problem, None)
-        for step in range(steps):
-            t_new = (step + 1) * dt
-            result = newton_loop(
-                fsi, config, cfg, U, P, None,
-                _fluid_history(grid.n_nodes, U, P, A),
-                time=t_new, theta=theta,
-            )
-            A = fluid_acceleration_update(result.U, U, A, theta, dt)
-            U, P = result.U, result.P
-        eu, ep = _flow_l2_errors(cfg, U, P, exact_u, exact_p, horizon)
+        initial = replace(
+            driver.initial_state(exact_u(coords, 0.0).ravel(), exact_p(coords, 0.0)),
+            A=exact_dudt(coords, 0.0).ravel(),
+        )
+        states, _ = driver.run(initial)
+        end = states[-1]
+        eu, ep = _flow_l2_errors(end.cfg, end.U, end.P, exact_u, exact_p, horizon)
         err_u.append(eu)
         err_p.append(ep)
     elapsed = _time.perf_counter() - start
@@ -469,18 +429,13 @@ def _check_embedded_channel(tol_scale: float) -> CheckResult:
     errors = []
     for n in (8, 16, 32):
         problem, profile = _poiseuille_problem(n, y_wall, u_max, mu)
-        grid = problem.fluid.grid
-        solid = problem.solid
         config = DriverConfig(dt=1e8, n_steps=1, nitsche=NitscheParams(gamma=35.0))
-        cfg = build_cut_configuration(
-            grid, solid.model.mesh.nodes[solid.loop_nodes], solid.wet_mask
-        )
+        driver = FsiDriver(problem, config)
+        rest = driver.initial_state()
+        cfg = driver.configuration(rest)
         result = newton_loop(
-            problem, config, cfg,
-            np.zeros(2 * grid.n_nodes), np.zeros(grid.n_nodes),
-            np.zeros(solid.model.n_dofs),
-            _rest_history(solid.model, grid.n_nodes),
-            time=1.0, theta=1.0, allow_recut=False,
+            problem, config, cfg, rest.U, rest.P, rest.solid.d,
+            driver.history(rest), time=1.0, theta=1.0, allow_recut=False,
         )
         eu, _ = _flow_l2_errors(
             cfg, result.U, result.P,
@@ -532,16 +487,12 @@ def _sliver_condition(n: int, eps: float, ghost_on: bool) -> float:
         dirichlet=[VelocityDirichlet("left"), VelocityDirichlet("bottom")],
     )
     problem = FsiProblem(fluid, solid)
-    cfg = build_cut_configuration(
-        grid, wall.nodes[solid.loop_nodes], solid.wet_mask
-    )
     config = DriverConfig(dt=1e12, n_steps=1, nitsche=NitscheParams(gamma=35.0))
+    driver = FsiDriver(problem, config)
+    rest = driver.initial_state()
     asm = assemble_coupled_system(
-        problem, config, cfg,
-        np.zeros(2 * grid.n_nodes), np.zeros(grid.n_nodes),
-        np.zeros(solid.model.n_dofs),
-        _rest_history(solid.model, grid.n_nodes),
-        time=1.0, theta=1.0,
+        problem, config, driver.configuration(rest), rest.U, rest.P,
+        rest.solid.d, driver.history(rest), time=1.0, theta=1.0,
     )
     n_f = 3 * grid.n_nodes
     dense = asm.matrix.toarray()[:n_f, :n_f]
@@ -675,12 +626,14 @@ def _overlap_level(n: int, exact_u, body, rho, mu, gamma):
         StructuredGrid((0.0, 0.0), (1.0 / n, 1.0 / n), (n, n)),
         params, dirichlet=dirichlet, body_force=body, pin_pressure=True,
     )
-    cfg_single = build_cut_configuration(single.grid, None)
+    fsi = FsiProblem(single, None)
     config = DriverConfig(dt=1e8, n_steps=1)
+    driver = FsiDriver(fsi, config)
+    rest = driver.initial_state()
+    cfg_single = driver.configuration(rest)
     result = newton_loop(
-        FsiProblem(single, None), config, cfg_single,
-        np.zeros(2 * single.grid.n_nodes), np.zeros(single.grid.n_nodes),
-        None, _fluid_history(single.grid.n_nodes), time=0.0, theta=1.0,
+        fsi, config, cfg_single, rest.U, rest.P, rest.solid.d,
+        driver.history(rest), time=0.0, theta=1.0,
     )
     e_single, _ = _flow_l2_errors(
         cfg_single, result.U, result.P,
@@ -788,7 +741,7 @@ def _check_jacobian_newton(tol_scale: float) -> CheckResult:
     P = state.P + 0.01 * rng.standard_normal(state.P.shape)
     D = state.solid.d + 0.002 * rng.standard_normal(state.solid.d.shape)
     cfg = driver.configuration(state)
-    history = _history_from_state(driver, state0)
+    history = driver.history(state0)
     frozen = U.copy()
 
     # audit the raw block system (before boundary-condition elimination):
@@ -833,7 +786,7 @@ def _check_jacobian_newton(tol_scale: float) -> CheckResult:
     run_config = DriverConfig(
         dt=0.05, n_steps=20, nitsche=NitscheParams(gamma=35.0), max_newton=10
     )
-    _, reports = time_loop(_micro_flap_problem(), run_config)
+    _, reports = FsiDriver(_micro_flap_problem(), run_config).run()
     for report in reports:
         worst_cycles = max(worst_cycles, report.cycles)
         for attempt in report.newton:
@@ -851,22 +804,6 @@ def _check_jacobian_newton(tol_scale: float) -> CheckResult:
             "worst_newton": worst_newton,
             "worst_cycles": worst_cycles,
         },
-    )
-
-
-def _history_from_state(driver: FsiDriver, state) -> StepHistory:
-    """Previous-level data for a step taken from `state` (same space)."""
-    model = driver.problem.solid.model
-    return StepHistory(
-        U_tilde=state.U.copy(),
-        P_tilde=state.P.copy(),
-        A_tilde=state.A.copy(),
-        solid_prev=state.solid.copy(),
-        u_iface_prev=state.u_iface.copy(),
-        f_iface_prev=state.f_iface.copy(),
-        f_int_old=model.internal_force(state.solid.d, tangent=False)[0],
-        f_ext_old=driver._f_body.copy(),
-        f_ext_new=driver._f_body.copy(),
     )
 
 

@@ -1,16 +1,19 @@
 """Command-line interface: subcommand behavior, exit codes, artifacts."""
 
+import csv
+
 import numpy as np
 import pytest
 import scipy.io
 
+import cutfsi.driver as driver_module
 from cutfsi.cli import main
 from cutfsi.meshes import rectangle_fitted_mesh, write_mesh_text
 
 # -- fixtures -----------------------------------------------------------------
 
 
-def _write_flap_case(tmp_path, n_steps=4, stride=2, probes=True):
+def _write_flap_case(tmp_path, n_steps=4, stride=2, probes=True, freeze_space=False):
     """A 3x3-grid channel with a short clamped flap: small enough that a
     handful of coupled steps run in about a second."""
     mesh = rectangle_fitted_mesh(0.27, 0.0, 0.1, 0.3, 1, 2, {"bottom": "clamped"})
@@ -41,6 +44,7 @@ noslip_sides = bottom top
 dt = 0.05
 n_steps = {n_steps}
 gamma = 35.0
+freeze_space = {str(freeze_space).lower()}
 
 [output]
 directory = {tmp_path / "out"}
@@ -208,6 +212,38 @@ class TestRun:
         matrix = scipy.io.mmread(mats / "system_000001.mtx")
         # 16 background nodes x (u, v, p) plus 6 structure nodes x (dx, dy)
         assert matrix.shape == (60, 60)
+
+    @pytest.mark.parametrize("freeze_space", [False, True])
+    def test_dump_matrix_is_the_last_factorized_matrix_of_each_step(
+        self, tmp_path, monkeypatch, freeze_space
+    ):
+        factorized = []
+        solve = driver_module.factor_solve
+
+        def recording(A, b):
+            factorized.append(A.copy())
+            return solve(A, b)
+
+        monkeypatch.setattr(driver_module, "factor_solve", recording)
+        path = _write_flap_case(
+            tmp_path, n_steps=6, probes=False, freeze_space=freeze_space
+        )
+        mats = tmp_path / "mats"
+        assert main(["run", str(path), "--dump-matrix", str(mats)]) == 0
+        # an attempt interrupted by a space change counts the iteration it
+        # stopped at, which factorizes nothing
+        with open(tmp_path / "out" / "diagnostics.csv", newline="") as f:
+            solves = [
+                int(row["newton_iterations"]) - int(row["space_changes"])
+                for row in csv.DictReader(f)
+            ]
+        assert len(solves) == 6
+        assert len(factorized) == sum(solves)
+        for step, last in enumerate(np.cumsum(solves) - 1, start=1):
+            A = factorized[last]
+            B = scipy.io.mmread(mats / f"system_{step:06d}.mtx")
+            assert A.shape == B.shape
+            assert (A != B).nnz == 0, step
 
     def test_config_flag_form(self, tmp_path, capsys):
         path = _write_flap_case(tmp_path, n_steps=1, probes=False)

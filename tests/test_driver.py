@@ -1,7 +1,10 @@
 """Monolithic time stepping: coupled assembly, Newton iteration, space-change
 cycles, restart files, and the two-mesh overlapping flow solver."""
 
+import ast
+import dataclasses
 import gc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -37,7 +40,6 @@ from cutfsi.driver import (
     newton_loop,
     save_checkpoint,
     solve_overlapping_fluid,
-    time_loop,
 )
 from cutfsi.fluid import FluidParams, assemble_navier_stokes, basis_tables
 from cutfsi.linalg import AssemblyPlan, BlockSystem, LinearSolveError, LocalBlocks
@@ -134,21 +136,14 @@ def _overlap_shear(patch_force=None):
     return background, patch
 
 
-def _fluid_only_history(n_nodes):
-    return StepHistory(
-        U_tilde=np.zeros(2 * n_nodes),
-        P_tilde=np.zeros(n_nodes),
-        A_tilde=np.zeros(2 * n_nodes),
-        solid_prev=None,
-        u_iface_prev=None,
-        f_iface_prev=None,
-        f_int_old=None,
-        f_ext_old=None,
-        f_ext_new=None,
-    )
+def _history_at_rest(problem, config):
+    driver = FsiDriver(problem, config)
+    return driver.history(driver.initial_state())
 
 
 def _rest_history(model, n_nodes):
+    """Hand-built history of a step from rest, the oracle of
+    `FsiDriver.history` for a problem without body loads."""
     nd = model.n_dofs
     return StepHistory(
         U_tilde=np.zeros(2 * n_nodes),
@@ -158,8 +153,7 @@ def _rest_history(model, n_nodes):
         u_iface_prev=np.zeros(nd),
         f_iface_prev=np.zeros(nd),
         f_int_old=model.internal_force(np.zeros(nd), tangent=False)[0],
-        f_ext_old=np.zeros(nd),
-        f_ext_new=np.zeros(nd),
+        f_ext=np.zeros(nd),
     )
 
 
@@ -286,7 +280,7 @@ class TestCoupledAssembly:
         U = 0.1 * rng.standard_normal(2 * n)
         P = 0.1 * rng.standard_normal(n)
         D = 0.002 * rng.standard_normal(model.n_dofs)
-        history = _rest_history(model, n)
+        history = _history_at_rest(problem, config)
         asm = assemble_coupled_system(
             problem, config, cfg, U, P, D, history, time=0.1, theta=1.0
         )
@@ -310,7 +304,7 @@ class TestCoupledAssembly:
         f_int = model.internal_force(D, tangent=False)[0]
         R_s = genalpha_displacement_residual(
             D, history.solid_prev, 0.1, ga, mass.matvec,
-            f_int, history.f_int_old, history.f_ext_new, history.f_ext_old,
+            f_int, history.f_int_old, history.f_ext,
         )
         scale = 1.0 / (1.0 - ga.alpha_f)
         assert np.allclose(blocks["d"], scale * R_s, rtol=1e-14, atol=0.0)
@@ -345,7 +339,7 @@ class TestCoupledAssembly:
         U = 0.1 * rng.standard_normal(2 * n)
         P = 0.1 * rng.standard_normal(n)
         D = 0.001 * rng.standard_normal(solid.model.n_dofs)
-        history = _rest_history(solid.model, n)
+        history = _history_at_rest(problem, config)
         asm = assemble_coupled_system(
             problem, config, cfg, U, P, D, history, time=0.1, theta=1.0
         )
@@ -397,7 +391,7 @@ class TestCoupledAssembly:
         pin = int(cfg.active_nodes[0])
         p_exact = rho * g * (pts[pin, 1] - pts[:, 1])
         p_exact[cfg.node_role == NodeRole.INACTIVE] = 0.0
-        history = _rest_history(model, grid.n_nodes)
+        history = _history_at_rest(problem, config)
         history.P_tilde = p_exact.copy()
         asm = assemble_coupled_system(
             problem, config, cfg, np.zeros(2 * grid.n_nodes), p_exact,
@@ -437,7 +431,7 @@ class TestCoupledAssembly:
         P0 = 0.1 * rng.standard_normal(n)
         D0 = 0.002 * rng.standard_normal(nd)
         advection = 0.1 * rng.standard_normal(2 * n)
-        history = _rest_history(model, n)
+        history = _history_at_rest(problem, config)
         history.f_iface_prev = 0.01 * rng.standard_normal(nd)
 
         def raw(U, P, D):
@@ -488,7 +482,7 @@ class TestNewtonLoop:
         n = grid.n_nodes
         res = newton_loop(
             problem, config, build_cut_configuration(grid, None),
-            np.zeros(2 * n), np.zeros(n), None, _fluid_only_history(n),
+            np.zeros(2 * n), np.zeros(n), None, _history_at_rest(problem, config),
             time=1.0, theta=1.0,
         )
         assert res.status == "converged"
@@ -507,7 +501,7 @@ class TestNewtonLoop:
         n = grid.n_nodes
         res = newton_loop(
             problem, config, build_cut_configuration(grid, None),
-            np.zeros(2 * n), np.zeros(n), None, _fluid_only_history(n),
+            np.zeros(2 * n), np.zeros(n), None, _history_at_rest(problem, config),
             time=1.0, theta=1.0,
         )
         assert res.status == "converged"
@@ -530,7 +524,7 @@ class TestNewtonLoop:
         with pytest.raises(NewtonError) as err:
             newton_loop(
                 problem, config, build_cut_configuration(grid, None),
-                np.zeros(2 * n), np.zeros(n), None, _fluid_only_history(n),
+                np.zeros(2 * n), np.zeros(n), None, _history_at_rest(problem, config),
                 time=1.0, theta=1.0,
             )
         assert str(err.value) == NEWTON_MESSAGE
@@ -545,8 +539,8 @@ class TestNewtonLoop:
         model = problem.solid.model
         grid = problem.fluid.grid
         n = grid.n_nodes
-        history = _rest_history(model, n)
         config = DriverConfig(dt=0.05, n_steps=1, nitsche=GAMMA)
+        history = _history_at_rest(problem, config)
         cfg = build_cut_configuration(
             grid, model.mesh.nodes[problem.solid.loop_nodes], problem.solid.wet_mask
         )
@@ -615,13 +609,14 @@ class TestLinearSolveHook:
         assert sol.iterations >= 1
         assert len(calls) == sol.iterations
 
-    @pytest.mark.parametrize("field, block", [("U_tilde", "u"), ("f_ext_new", "d")])
+    @pytest.mark.parametrize("field, block", [("U_tilde", "u"), ("f_ext", "d")])
     def test_non_finite_residual_block_is_named(self, monkeypatch, field, block):
         problem = _gentle_flap_problem()
         model = problem.solid.model
         grid = problem.fluid.grid
         n = grid.n_nodes
-        history = _rest_history(model, n)
+        config = DriverConfig(dt=0.05, n_steps=1, nitsche=GAMMA)
+        history = _history_at_rest(problem, config)
         cfg = build_cut_configuration(
             grid, model.mesh.nodes[problem.solid.loop_nodes], problem.solid.wet_mask
         )
@@ -633,7 +628,6 @@ class TestLinearSolveHook:
             idx = np.setdiff1d(np.arange(model.n_dofs), model.clamped_dofs())[0]
         getattr(history, field)[idx] = np.nan
         calls = self._count_solves(monkeypatch)
-        config = DriverConfig(dt=0.05, n_steps=1, nitsche=GAMMA)
         with pytest.raises(
             LinearSolveError,
             match=f"non-finite residual in block {block} at Newton iteration 1",
@@ -653,6 +647,31 @@ class TestLinearSolveHook:
         assert calls == []
 
 
+class TestStepHistory:
+    def test_history_of_a_fresh_state_is_the_rest_history(self):
+        problem = _gentle_flap_problem()
+        driver = FsiDriver(problem, DriverConfig(dt=0.05, n_steps=1, nitsche=GAMMA))
+        got = driver.history(driver.initial_state())
+        want = _rest_history(problem.solid.model, problem.fluid.grid.n_nodes)
+        for f in dataclasses.fields(StepHistory):
+            a, b = getattr(got, f.name), getattr(want, f.name)
+            pairs = zip((a.d, a.v, a.a), (b.d, b.v, b.a)) if f.name == "solid_prev" else [(a, b)]
+            for x, y in pairs:
+                assert (x.dtype, x.shape) == (y.dtype, y.shape), f.name
+                assert x.tobytes() == y.tobytes(), f.name
+
+    def test_history_is_built_and_the_body_load_read_only_in_the_driver(self):
+        built, read = [], []
+        for path in sorted(Path(driver_module.__file__).parent.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+                if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "StepHistory":
+                    built.append(path.name)
+                if isinstance(node, ast.Attribute) and node.attr == "_f_body":
+                    read.append(path.name)
+        assert built == ["driver.py"]
+        assert set(read) == {"driver.py"}
+
+
 class TestTimeLoop:
     def test_rest_state_stays_identically_zero(self):
         problem = _gentle_flap_problem()
@@ -661,7 +680,7 @@ class TestTimeLoop:
             VelocityDirichlet(s) for s in ("left", "right", "bottom", "top")
         ]
         config = DriverConfig(dt=0.1, n_steps=3, nitsche=GAMMA)
-        states, reports = time_loop(problem, config)
+        states, reports = FsiDriver(problem, config).run()
         for report in reports:
             assert report.space_changes == 0
             assert [n.iterations for n in report.newton] == [1]
@@ -673,7 +692,7 @@ class TestTimeLoop:
     def test_first_step_bootstraps_history_with_implicit_euler(self):
         problem = _gentle_flap_problem()
         config = DriverConfig(dt=0.05, n_steps=2, theta=0.5, nitsche=GAMMA)
-        _, reports = time_loop(problem, config)
+        _, reports = FsiDriver(problem, config).run()
         assert reports[0].theta == 1.0
         assert reports[1].theta == 0.5
 
@@ -700,7 +719,7 @@ class TestTimeLoop:
         )
         problem = FsiProblem(fluid, SolidProblem(model, rigid=True))
         config = DriverConfig(dt=0.5, n_steps=8, nitsche=GAMMA)
-        states, reports = time_loop(problem, config)
+        states, reports = FsiDriver(problem, config).run()
         assert all(r.space_changes == 0 for r in reports)
         assert all(r.newton[-1].status == "converged" for r in reports)
         # the flow approaches a steady state: late steps converge quickly
@@ -714,7 +733,7 @@ class TestTimeLoop:
         # signals once, and the restarted cycle converges.
         problem = _channel_with_flap(young=40.0, umax=3.0)
         config = DriverConfig(dt=0.1, n_steps=4, nitsche=GAMMA)
-        states, reports = time_loop(problem, config)
+        states, reports = FsiDriver(problem, config).run()
         assert [r.space_changes for r in reports] == [0, 0, 0, 1]
         last = reports[-1]
         assert len(last.newton) == 2
@@ -729,22 +748,22 @@ class TestTimeLoop:
         problem = _channel_with_flap(young=40.0, umax=3.0)
         config = DriverConfig(dt=0.1, n_steps=4, nitsche=GAMMA, max_cycles=1)
         with pytest.raises(FunctionSpaceCycleError) as err:
-            time_loop(problem, config)
+            FsiDriver(problem, config).run()
         assert str(err.value) == CYCLE_MESSAGE
         assert CYCLE_MESSAGE == "maximum number of function space changes at t^n exceeded!"
 
     def test_frozen_space_mode_avoids_restarts(self):
         problem = _channel_with_flap(young=40.0, umax=3.0)
         config = DriverConfig(dt=0.1, n_steps=4, nitsche=GAMMA, freeze_space=True)
-        states, reports = time_loop(problem, config)
+        states, reports = FsiDriver(problem, config).run()
         assert all(r.space_changes == 0 for r in reports)
         assert all(len(r.newton) == 1 for r in reports)
         assert all(r.newton[0].status == "converged" for r in reports)
         # same physics as the restarting run, up to the frozen-geometry lag
-        reference, _ = time_loop(
+        reference, _ = FsiDriver(
             _channel_with_flap(young=40.0, umax=3.0),
             DriverConfig(dt=0.1, n_steps=4, nitsche=GAMMA),
-        )
+        ).run()
         tip = states[-1].solid.d.reshape(-1, 2)[:, 0].max()
         tip_ref = reference[-1].solid.d.reshape(-1, 2)[:, 0].max()
         assert tip == pytest.approx(tip_ref, rel=0.25)
@@ -752,15 +771,15 @@ class TestTimeLoop:
     def test_velocity_predictor_converges(self):
         problem = _gentle_flap_problem()
         config = DriverConfig(dt=0.05, n_steps=2, nitsche=GAMMA, predictor="velocity")
-        _, reports = time_loop(problem, config)
+        _, reports = FsiDriver(problem, config).run()
         assert all(r.newton[-1].status == "converged" for r in reports)
 
     def test_restart_reproduces_trajectory_bitwise(self, tmp_path):
         problem = _gentle_flap_problem()
         config = DriverConfig(dt=0.05, n_steps=6, nitsche=GAMMA)
-        straight, _ = time_loop(problem, config)
+        straight, _ = FsiDriver(problem, config).run()
 
-        first, _ = time_loop(_gentle_flap_problem(), config, n_steps=3)
+        first, _ = FsiDriver(_gentle_flap_problem(), config).run(n_steps=3)
         path = tmp_path / "level3.npz"
         save_checkpoint(path, first[-1])
         resumed = load_checkpoint(path)
@@ -835,7 +854,7 @@ class TestTimeLoop:
             config = DriverConfig(
                 dt=0.5, n_steps=4, nitsche=NitscheParams(gamma=gamma)
             )
-            states, _ = time_loop(problem, config)
+            states, _ = FsiDriver(problem, config).run()
             state = states[-1]
             cfg = build_cut_configuration(
                 grid, mesh.nodes[problem.solid.loop_nodes], problem.solid.wet_mask
@@ -918,7 +937,7 @@ class TestCarriedConfiguration:
     def test_carried_configuration_is_the_cut_of_d_space(self):
         problem = _channel_with_flap(young=40.0, umax=3.0)
         config = DriverConfig(dt=0.1, n_steps=4, nitsche=GAMMA)
-        states, reports = time_loop(problem, config)
+        states, reports = FsiDriver(problem, config).run()
         assert sum(r.space_changes for r in reports) > 0
         for state in states:
             _same_cut(state.cfg, self._fresh_cut(problem, state))

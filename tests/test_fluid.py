@@ -592,7 +592,7 @@ def test_ghost_penalty_hand_computed_energy():
     sigma = 1.0 / (theta * dt)
     C = np.zeros(2 * n)
     C.reshape(n, 2)[:] = [0.3, -0.4]  # nodal max-norm 0.4 everywhere
-    Kc, Kd, Kp = map(coo, assemble_ghost_penalties(grid, cfg, par, dt, theta, C))
+    Kc, Kd, Kp = map(coo, assemble_ghost_penalties(cfg, par, dt, theta, C))
 
     # hat velocity: u_x = 1 on the shared column -> normal-derivative jump 2
     U = np.zeros(2 * n)
@@ -621,7 +621,7 @@ def test_ghost_penalty_vanishes_on_bilinear_fields():
     cfg = CutConfiguration(grid, status, {}, [], None, role)
     par = FluidParams(density=1.0, viscosity=0.01)
     C = np.zeros(2 * grid.n_nodes)
-    Kc, Kd, Kp = map(coo, assemble_ghost_penalties(grid, cfg, par, 0.1, 1.0, C))
+    Kc, Kd, Kp = map(coo, assemble_ghost_penalties(cfg, par, 0.1, 1.0, C))
     xy = grid.node_coords()
     for ax, ay, axy in [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)]:
         f = 0.7 + ax * xy[:, 0] + ay * xy[:, 1] + axy * xy[:, 0] * xy[:, 1]
@@ -644,7 +644,7 @@ def test_ghost_penalty_symmetric_psd():
     grid = StructuredGrid((0.0, 0.0), (0.25, 0.25), (4, 4))
     solid = np.array([[0.31, 0.28], [0.69, 0.28], [0.69, 0.66], [0.31, 0.66]])
     cfg = build_cut_configuration(grid, solid)
-    Kc, Kd, Kp = map(coo, assemble_ghost_penalties(grid, cfg, PAR, 0.1, 1.0, np.zeros(2 * grid.n_nodes)))
+    Kc, Kd, Kp = map(coo, assemble_ghost_penalties(cfg, PAR, 0.1, 1.0, np.zeros(2 * grid.n_nodes)))
     for K in (Kc, Kd, Kp):
         A = K.toarray()
         assert np.allclose(A, A.T, atol=1e-14)
@@ -715,7 +715,7 @@ def test_ghost_penalties_match_per_facet_reference(widened):
     assert vertical.any() and not vertical.all()
     par = FluidParams(density=1.3, viscosity=0.02, gamma_conv=0.04, gamma_div=0.06, gamma_press=0.08)
     C = np.random.default_rng(4).standard_normal(2 * FACET_GRID.n_nodes)
-    got = map(coo, assemble_ghost_penalties(FACET_GRID, cfg, par, 0.05, 0.7, C, widened=widened))
+    got = map(coo, assemble_ghost_penalties(cfg, par, 0.05, 0.7, C, widened=widened))
     want = _ghost_reference(FACET_GRID, cfg, par, 0.05, 0.7, C, widened)
     for K, ref in zip(got, want):
         assert np.abs(K.toarray() - ref).max() <= 1e-13 * np.abs(ref).max()
@@ -750,7 +750,7 @@ def test_facet_operators_evaluate_the_basis_once_per_call(monkeypatch):
         n_facets.append(len(cfg.ghost_facets(widened=True)))
         calls.clear()
         assemble_ghost_penalties(
-            FACET_GRID, cfg, PAR, 0.1, 1.0, np.zeros(2 * FACET_GRID.n_nodes), widened=True
+            cfg, PAR, 0.1, 1.0, np.zeros(2 * FACET_GRID.n_nodes), widened=True
         )
         projection._extension_matrix(cfg, True)
         counts.append(len(calls))

@@ -389,8 +389,7 @@ def test_genalpha_residual_matches_sdof_oracle():
         mass_apply=lambda x: m * x,
         f_int_new=k * np.array([d1]),
         f_int_old=k * np.array([d0]),
-        f_ext_new=np.zeros(1),
-        f_ext_old=np.zeros(1),
+        f_ext=np.zeros(1),
     )
     assert abs(res[0]) < 1e-12
     a_rec = genalpha_recover_acceleration(np.array([d1]), state, dt, p)
@@ -402,7 +401,7 @@ def test_genalpha_residual_matches_sdof_oracle():
     h = 1e-7
     rp = genalpha_displacement_residual(
         np.array([d1 + h]), state, dt, p, lambda x: m * x,
-        k * np.array([d1 + h]), k * np.array([d0]), np.zeros(1), np.zeros(1),
+        k * np.array([d1 + h]), k * np.array([d0]), np.zeros(1),
     )
     fd = (rp[0] - res[0]) / h
     assert fd == pytest.approx(m * scale + (1 - p.alpha_f) * k, rel=1e-6)
