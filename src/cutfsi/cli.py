@@ -161,10 +161,9 @@ def _cmd_run(args) -> int:
         raise ConfigError("structural probes configured but no solid mesh")
 
     driver = FsiDriver(problem, dconfig)
+    state = driver.initial_state()
     if args.resume is not None:
-        state = load_checkpoint(args.resume)
-    else:
-        state = driver.initial_state()
+        state = _resumed(args.resume, state)
     remaining = dconfig.n_steps - state.step
     if remaining < 0:
         raise ConfigError(
@@ -233,6 +232,29 @@ def _cmd_run(args) -> int:
         f"wrote {written} snapshots to {outdir}"
     )
     return 0
+
+
+def _resumed(path: Path, initial):
+    """The state of the checkpoint at `path`, refused unless every vector
+    has the size it has in `initial`, the case's initial state."""
+    state = load_checkpoint(path)
+    for name, got, want in (
+        ("U", state.U, initial.U),
+        ("P", state.P, initial.P),
+        ("A", state.A, initial.A),
+        ("d", state.solid.d, initial.solid.d),
+        ("v", state.solid.v, initial.solid.v),
+        ("a", state.solid.a, initial.solid.a),
+        ("u_iface", state.u_iface, initial.u_iface),
+        ("f_iface", state.f_iface, initial.f_iface),
+        ("d_space", state.d_space, initial.d_space),
+    ):
+        if got.shape != want.shape:
+            raise ConfigError(
+                f"checkpoint {path} does not fit the case: {name} has "
+                f"{got.size} entries, the case needs {want.size}"
+            )
+    return state
 
 
 def _dump_matrix(driver: FsiDriver, state, report, directory: Path) -> None:

@@ -21,7 +21,6 @@ per-mesh flow-block assembly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from types import SimpleNamespace
 
 import numpy as np
 import scipy.sparse as sp
@@ -553,13 +552,11 @@ def _newton(
 
 @dataclass
 class NewtonResult:
-    status: str  # "converged" | "space-changed"
-    cfg: CutConfiguration
-    U: np.ndarray
-    P: np.ndarray
-    D: np.ndarray
-    d_geometry: np.ndarray
-    coupling_force: np.ndarray
+    """What one Newton attempt of a step did: ``status`` is "converged" or
+    "space-changed" (interrupted by a changed active space and restarted),
+    with its iteration count and one record per completed iteration."""
+
+    status: str
     iterations: int
     records: list[IterationRecord]
 
@@ -569,93 +566,17 @@ def _deformed_loop(solid: SolidProblem, D: np.ndarray) -> np.ndarray:
     return solid.model.mesh.nodes[solid.loop_nodes] + disp
 
 
-def newton_loop(
-    problem: FsiProblem,
-    config: DriverConfig,
-    cfg: CutConfiguration,
-    U: np.ndarray,
-    P: np.ndarray,
-    D: np.ndarray,
-    history: StepHistory,
-    *,
-    time: float,
-    theta: float,
-    allow_recut: bool = True,
-    widened: bool = False,
-    d_geometry: np.ndarray | None = None,
-    slot=None,
-) -> NewtonResult:
-    """Newton-Raphson-like iteration at a fixed active function space.
-
-    Re-cuts the background mesh from the current displacement before every
-    iteration but the first; if the active space differs, the current iterate
-    is carried to the new space by copy/extension and returned as the initial
-    guess of the next restart.  A structural update that inverts an element
-    is halved a bounded number of times.  `slot` keeps the assembly plan
-    in its ``plan`` attribute across calls (the driver); without it the plan
-    lasts for this call.
-    """
-    solid = problem.solid
-    D = np.zeros(0) if D is None else D.copy()
-    d_geom = D.copy() if d_geometry is None else d_geometry.copy()
-    slot = SimpleNamespace(plan=None) if slot is None else slot
-
-    def assemble(x):
-        _apply_fluid_values(problem.fluid, cfg, x["u"], x["p"], time)
-        asm = assemble_coupled_system(
-            problem, config, cfg, x["u"], x["p"], x["d"], history,
-            time=time, theta=theta, widened=widened, plan=slot.plan,
-        )
-        slot.plan = asm.system.plan
-        return asm
-
-    def recut(x):
-        nonlocal cfg, d_geom
-        cfg_new = build_cut_configuration(
-            problem.fluid.grid, _deformed_loop(solid, x["d"]), solid.wet_mask
-        )
-        if not cfg_new.same_active_space(cfg):
-            return cfg_new
-        cfg, d_geom = cfg_new, x["d"].copy()
-        return None
-
-    def limit_step(x, blocks):
-        scale = 1.0
-        for _ in range(_MAX_HALVINGS + 1):
-            try:
-                solid.model.internal_force(x["d"] + scale * blocks["d"], tangent=False)
-                return scale
-            except SolidInversionError:
-                scale *= 0.5
-        raise SolidInversionError(
-            "structural update still inverts an element after "
-            f"{_MAX_HALVINGS} increment halvings"
-        )
-
-    x, assembled, it, records, cfg_new = _newton(
-        {"u": U.copy(), "p": P.copy(), "d": D},
-        assemble, config.tol, config.max_newton,
-        recut=recut if allow_recut and solid is not None else None,
-        limit_step=limit_step if solid is not None else None,
-    )
-    if cfg_new is not None:
-        carry = SpaceProjector(cfg, cfg_new)
-        return NewtonResult(
-            "space-changed", cfg_new, carry.apply(x["u"]), carry.apply(x["p"]),
-            x["d"], x["d"].copy(), np.zeros(0), it, records,
-        )
-    return NewtonResult(
-        "converged", cfg, x["u"], x["p"], x["d"], d_geom,
-        assembled.coupling_force, it, records,
-    )
-
-
 # ----------------------------------------------------------------------------
 # time loop
 
 
 @dataclass
 class StepReport:
+    """What one accepted step did: its index, time and flow theta, its
+    Newton attempts (`cycles`), how many of them a space change interrupted
+    (`space_changes`), and one `NewtonResult` per attempt.  It holds no
+    solution vector and no configuration."""
+
     step: int
     time: float
     theta: float
@@ -774,6 +695,85 @@ class FsiDriver:
 
     # -- stepping ----------------------------------------------------------
 
+    def _attempt(
+        self,
+        cfg: CutConfiguration,
+        U: np.ndarray,
+        P: np.ndarray,
+        D: np.ndarray,
+        d_geometry: np.ndarray,
+        history: StepHistory,
+        *,
+        time: float,
+        theta: float,
+        frozen: bool,
+    ):
+        """One Newton-Raphson-like attempt of a step from the iterate
+        (U, P, D) on `cfg`, the cut of `d_geometry`.
+
+        Unless `frozen`, re-cuts the background mesh from the current
+        displacement before every iteration but the first; if the active
+        space differs, the current iterate is carried to the new space by
+        copy/extension as the initial guess of the step's next attempt.
+        `frozen` keeps the space and widens the ghost facets.  A structural
+        update that inverts an element is halved a bounded number of times.
+
+        Returns ``(result, cfg, U, P, D, d_geometry, coupling_force)``: the
+        attempt's report, then the converged or carried iterate with its
+        configuration and the displacement that cut it, and the converged
+        interface force (empty after a space change).
+        """
+        problem = self.problem
+        solid = problem.solid
+
+        def assemble(x):
+            _apply_fluid_values(problem.fluid, cfg, x["u"], x["p"], time)
+            asm = assemble_coupled_system(
+                problem, self.config, cfg, x["u"], x["p"], x["d"], history,
+                time=time, theta=theta, widened=frozen, plan=self.plan,
+            )
+            self.plan = asm.system.plan
+            return asm
+
+        def recut(x):
+            nonlocal cfg, d_geometry
+            cfg_new = self._cut_from(x["d"])
+            if not cfg_new.same_active_space(cfg):
+                return cfg_new
+            cfg, d_geometry = cfg_new, x["d"].copy()
+            return None
+
+        def limit_step(x, blocks):
+            scale = 1.0
+            for _ in range(_MAX_HALVINGS + 1):
+                try:
+                    solid.model.internal_force(x["d"] + scale * blocks["d"], tangent=False)
+                    return scale
+                except SolidInversionError:
+                    scale *= 0.5
+            raise SolidInversionError(
+                "structural update still inverts an element after "
+                f"{_MAX_HALVINGS} increment halvings"
+            )
+
+        x, assembled, it, records, cfg_new = _newton(
+            {"u": U.copy(), "p": P.copy(), "d": D},
+            assemble, self.config.tol, self.config.max_newton,
+            recut=recut if solid is not None and not frozen else None,
+            limit_step=limit_step if solid is not None else None,
+        )
+        if cfg_new is not None:
+            carry = SpaceProjector(cfg, cfg_new)
+            return (
+                NewtonResult("space-changed", it, records), cfg_new,
+                carry.apply(x["u"]), carry.apply(x["p"]), x["d"], x["d"].copy(),
+                np.zeros(0),
+            )
+        return (
+            NewtonResult("converged", it, records), cfg,
+            x["u"], x["p"], x["d"], d_geometry, assembled.coupling_force,
+        )
+
     def step(self, state: FsiState) -> tuple[FsiState, StepReport]:
         config = self.config
         solid = self.problem.solid
@@ -793,68 +793,55 @@ class FsiDriver:
             cfg = self._cut_from(d_pred)
         history = self.history(state, SpaceProjector(cfg_prev, cfg))
 
-        U = history.U_tilde.copy()
-        P = history.P_tilde.copy()
-        D = d_pred
-        d_geom = d_pred
-        reports: list[NewtonResult] = []
+        U, P, D, d_geom = history.U_tilde, history.P_tilde, d_pred, d_pred
+        attempts: list[NewtonResult] = []
         signals = 0
-        cycle = 1
         while True:
-            if cycle > config.max_cycles:
+            if signals >= config.max_cycles:
                 raise FunctionSpaceCycleError(CYCLE_MESSAGE)
-            frozen = self.space_frozen(signals)
-            result = newton_loop(
-                self.problem, config, cfg, U, P, D, history,
-                time=t_new, theta=theta,
-                allow_recut=not frozen, widened=frozen,
-                d_geometry=d_geom, slot=self,
+            attempt, cfg, U, P, D, d_geom, force = self._attempt(
+                cfg, U, P, D, d_geom, history,
+                time=t_new, theta=theta, frozen=self.space_frozen(signals),
             )
-            reports.append(result)
-            if result.status == "converged":
+            attempts.append(attempt)
+            if attempt.status == "converged":
                 break
             signals += 1
-            cycle += 1
-            cfg = result.cfg
             carry = SpaceProjector(cfg_prev, cfg, widened=self.space_frozen(signals))
             history.U_tilde = carry.apply(state.U)
             history.P_tilde = carry.apply(state.P)
             history.A_tilde = carry.apply(state.A)
-            U, P, D = result.U, result.P, result.D
-            d_geom = result.d_geometry
 
         A_new = fluid_acceleration_update(
-            result.U, history.U_tilde, history.A_tilde, theta, config.dt
+            U, history.U_tilde, history.A_tilde, theta, config.dt
         )
         if solid is not None:
             ga = config.genalpha
-            a_new = genalpha_recover_acceleration(
-                result.D, state.solid, config.dt, ga
-            )
+            a_new = genalpha_recover_acceleration(D, state.solid, config.dt, ga)
             v_new = genalpha_recover_velocity(a_new, state.solid, config.dt, ga)
             u_if = interface_velocity(
-                result.D, state.solid.d, state.u_iface,
+                D, state.solid.d, state.u_iface,
                 config.theta_interface, config.dt,
             )
-            new_solid = SolidState(result.D.copy(), v_new, a_new)
+            new_solid = SolidState(D.copy(), v_new, a_new)
         else:
             new_solid = SolidState(np.zeros(0), np.zeros(0), np.zeros(0))
             u_if = np.zeros(0)
         new_state = FsiState(
             time=t_new,
             step=n_step,
-            U=result.U.copy(),
-            P=result.P.copy(),
+            U=U,
+            P=P,
             A=A_new,
             solid=new_solid,
             u_iface=u_if,
-            f_iface=result.coupling_force.copy(),
-            d_space=result.d_geometry.copy(),
-            cfg=result.cfg,
+            f_iface=force,
+            d_space=d_geom.copy(),
+            cfg=cfg,
         )
         report = StepReport(
             step=n_step, time=t_new, theta=theta,
-            cycles=cycle, space_changes=signals, newton=reports,
+            cycles=signals + 1, space_changes=signals, newton=attempts,
         )
         return new_state, report
 
@@ -864,18 +851,24 @@ class FsiDriver:
         n_steps: int | None = None,
         on_step=None,
     ) -> tuple[list[FsiState], list[StepReport]]:
+        """Take `n_steps` steps (the configured count by default) from
+        `state` (the initial state by default), calling
+        ``on_step(state, report)`` after each.
+
+        Returns ``([final_state], reports)`` with one report per step.  Only
+        the current state is kept, so a caller that needs the intermediate
+        states collects them in `on_step`.
+        """
         if state is None:
             state = self.initial_state()
         steps = self.config.n_steps if n_steps is None else n_steps
-        states = [state]
         reports: list[StepReport] = []
         for _ in range(steps):
             state, report = self.step(state)
-            states.append(state)
             reports.append(report)
             if on_step is not None:
                 on_step(state, report)
-        return states, reports
+        return [state], reports
 
 
 # ----------------------------------------------------------------------------

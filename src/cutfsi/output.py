@@ -97,6 +97,13 @@ def evaluate_fitted_probe(mesh: FittedMesh, nodal: np.ndarray, point) -> np.ndar
 # -- legacy VTK writers ----------------------------------------------------------
 
 
+def _xy0_lines(pairs):
+    """The lines "x y 0.0" of the rows of `pairs` (n, 2), each value its
+    repr, as one string formatted with one `%` over the whole section."""
+    flat = np.asarray(pairs, float).ravel().tolist()
+    return ["\n".join(["%r %r 0.0"] * (len(flat) // 2)) % tuple(flat)] if flat else []
+
+
 def _vtk_lines(title: str, points, cells, point_data, cell_data):
     """Lines of a legacy ASCII VTK unstructured grid; `cells` holds one
     (VTK cell type, (m, k) int connectivity array) pair per cell type."""
@@ -108,8 +115,7 @@ def _vtk_lines(title: str, points, cells, point_data, cell_data):
         "DATASET UNSTRUCTURED_GRID",
         f"POINTS {len(points)} double",
     ]
-    for x, y in np.asarray(points, float).tolist():
-        lines.append(f"{x!r} {y!r} 0.0")
+    lines.extend(_xy0_lines(points))
     lines.append(f"CELLS {n_cells} {sum(conn.size + len(conn) for _, conn in cells)}")
     for _, conn in cells:
         if len(conn):  # all cells of a type in one format: "k n_1 ... n_k"
@@ -125,8 +131,7 @@ def _vtk_lines(title: str, points, cells, point_data, cell_data):
         for name, kind, values in point_data:
             if kind == "vectors":
                 lines.append(f"VECTORS {name} double")
-                for vx, vy in np.asarray(values, float).tolist():
-                    lines.append(f"{vx!r} {vy!r} 0.0")
+                lines.extend(_xy0_lines(values))
             else:
                 lines.append(f"SCALARS {name} double 1")
                 lines.append("LOOKUP_TABLE default")

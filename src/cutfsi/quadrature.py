@@ -9,6 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
+    "NotStarShapedError",
     "QuadratureRule",
     "rectangle_rule",
     "polygon_rule",
@@ -34,6 +35,11 @@ _TRI6_BARY = np.array(
     ]
 )
 _TRI6_W = np.array([_TRI6_W1] * 3 + [_TRI6_W2] * 3)
+
+
+class NotStarShapedError(ValueError):
+    """A polygon is not star-shaped about its vertex mean, so it has no fan
+    triangulation."""
 
 
 class QuadratureRule:
@@ -100,10 +106,12 @@ def vertex_means(polys, counts):
 
 def fan_triangulate(polys, counts):
     """Triangulate a padded stack (P, V, 2) of simple CCW polygons with
-    counts (P,) >= 3 vertices: a triangle is its own triangulation, a polygon
-    star-shaped about its vertex mean is fanned from it, any other is ear
-    clipped. Returns triangle vertices (P, V, 3, 2), of which the first
-    ntri[p] triangulate polygon p, and ntri (P,)."""
+    counts (P,) >= 3 vertices: a triangle is its own triangulation, any
+    other polygon is fanned from its vertex mean, about which it must be
+    star-shaped (cut pieces are convex: grid cells cut by half-planes).
+    Returns triangle vertices (P, V, 3, 2), of which the first ntri[p]
+    triangulate polygon p, and ntri (P,); raises NotStarShapedError for a
+    polygon that cannot be fanned."""
     slot = np.arange(polys.shape[1])
     valid = slot < counts[:, None]
     centroid = np.broadcast_to(vertex_means(polys, counts)[:, None], polys.shape)
@@ -116,10 +124,11 @@ def fan_triangulate(polys, counts):
     own = counts == 3
     tris[own, 0] = polys[own, :3]
     ntri[own] = 1
-    for p in np.flatnonzero(~own & np.any(valid & (cross <= 0.0), axis=1)):
-        ears = _ear_clip(polys[p, : counts[p]])
-        tris[p, : len(ears)] = ears
-        ntri[p] = len(ears)
+    bad = np.count_nonzero(~own & np.any(valid & (cross <= 0.0), axis=1))
+    if bad:
+        raise NotStarShapedError(
+            f"{bad} polygon(s) not star-shaped about their vertex means"
+        )
     return tris, ntri
 
 
@@ -133,54 +142,11 @@ def stack_polygons(polys):
     return stack, counts
 
 
-def _ear_clip(poly):
-    verts = list(range(poly.shape[0]))
-    tris = []
-
-    def cross(o, a, b):
-        return (poly[a, 0] - poly[o, 0]) * (poly[b, 1] - poly[o, 1]) - (
-            poly[a, 1] - poly[o, 1]
-        ) * (poly[b, 0] - poly[o, 0])
-
-    def inside_tri(p, a, b, c):
-        d1 = (poly[b, 0] - poly[a, 0]) * (p[1] - poly[a, 1]) - (poly[b, 1] - poly[a, 1]) * (p[0] - poly[a, 0])
-        d2 = (poly[c, 0] - poly[b, 0]) * (p[1] - poly[b, 1]) - (poly[c, 1] - poly[b, 1]) * (p[0] - poly[b, 0])
-        d3 = (poly[a, 0] - poly[c, 0]) * (p[1] - poly[c, 1]) - (poly[a, 1] - poly[c, 1]) * (p[0] - poly[c, 0])
-        return d1 >= 0 and d2 >= 0 and d3 >= 0
-
-    guard = 0
-    while len(verts) > 3:
-        guard += 1
-        if guard > 10000:
-            raise ValueError("ear clipping failed; polygon may be self-intersecting")
-        n = len(verts)
-        clipped = False
-        for k in range(n):
-            i_prev, i, i_next = verts[k - 1], verts[k], verts[(k + 1) % n]
-            if cross(i_prev, i, i_next) <= 0.0:
-                continue
-            ear = True
-            for j in verts:
-                if j in (i_prev, i, i_next):
-                    continue
-                if inside_tri(poly[j], i_prev, i, i_next):
-                    ear = False
-                    break
-            if ear:
-                tris.append(poly[[i_prev, i, i_next]].copy())
-                verts.pop(k)
-                clipped = True
-                break
-        if not clipped:
-            raise ValueError("ear clipping failed; polygon may be self-intersecting")
-    tris.append(poly[verts].copy())
-    return tris
-
-
 def polygon_rule(poly, counts=None):
-    """Degree-4 volume rule on a simple CCW polygon (V, 2), from the 6-point
-    rules of the triangles of `fan_triangulate`; weights sum to the polygon
-    area, and a zero-area polygon or triangle yields no points.
+    """Degree-4 volume rule on a simple CCW polygon (V, 2), star-shaped
+    about its vertex mean, from the 6-point rules of the triangles of
+    `fan_triangulate`; weights sum to the polygon area, and a zero-area
+    polygon or triangle yields no points.
 
     With `counts` (P,), `poly` is a padded stack (P, V, 2) of such polygons
     with counts[p] vertices each. Returns the rule of all of them, polygon

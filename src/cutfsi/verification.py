@@ -16,7 +16,6 @@ from __future__ import annotations
 import time as _time
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -37,7 +36,6 @@ from .driver import (
     VelocityDirichlet,
     assemble_coupled_system,
     interface_velocity,
-    newton_loop,
     solve_overlapping_fluid,
 )
 from .fluid import FluidParams, volume_batches
@@ -431,14 +429,9 @@ def _check_embedded_channel(tol_scale: float) -> CheckResult:
         problem, profile = _poiseuille_problem(n, y_wall, u_max, mu)
         config = DriverConfig(dt=1e8, n_steps=1, nitsche=NitscheParams(gamma=35.0))
         driver = FsiDriver(problem, config)
-        rest = driver.initial_state()
-        cfg = driver.configuration(rest)
-        result = newton_loop(
-            problem, config, cfg, rest.U, rest.P, rest.solid.d,
-            driver.history(rest), time=1.0, theta=1.0, allow_recut=False,
-        )
+        state, _ = driver.step(driver.initial_state())
         eu, _ = _flow_l2_errors(
-            cfg, result.U, result.P,
+            state.cfg, state.U, state.P,
             profile, lambda pts, t: grad_p * pts[:, 0], 1.0,
         )
         errors.append(eu)
@@ -626,17 +619,10 @@ def _overlap_level(n: int, exact_u, body, rho, mu, gamma):
         StructuredGrid((0.0, 0.0), (1.0 / n, 1.0 / n), (n, n)),
         params, dirichlet=dirichlet, body_force=body, pin_pressure=True,
     )
-    fsi = FsiProblem(single, None)
-    config = DriverConfig(dt=1e8, n_steps=1)
-    driver = FsiDriver(fsi, config)
-    rest = driver.initial_state()
-    cfg_single = driver.configuration(rest)
-    result = newton_loop(
-        fsi, config, cfg_single, rest.U, rest.P, rest.solid.d,
-        driver.history(rest), time=0.0, theta=1.0,
-    )
+    driver = FsiDriver(FsiProblem(single, None), DriverConfig(dt=1e8, n_steps=1))
+    state, _ = driver.step(driver.initial_state())
     e_single, _ = _flow_l2_errors(
-        cfg_single, result.U, result.P,
+        state.cfg, state.U, state.P,
         exact_u, lambda pts, t: np.zeros(len(pts)), 0.0,
     )
 
@@ -811,17 +797,25 @@ def _check_jacobian_newton(tol_scale: float) -> CheckResult:
 # 11 & 12. the coarse flap run and its interface force balance
 
 
+_FLAP_HEIGHT = 0.63
+_FLAP_DT = 0.01
+
+
 @lru_cache(maxsize=1)
-def _flap_trajectory() -> SimpleNamespace:
+def _flap_trajectory():
     """Five hundred coupled steps of the coarse channel-with-flap case.
 
     Material and discretization constants: E = 500, nu = 0.4, solid density
     250, fluid density 1, dynamic viscosity 0.01, penalty 10, dt = 0.01,
-    backward-Euler flow update.  Cached so the force-balance audit reuses the
-    same trajectory.
+    backward-Euler flow update.  Returns ``(failure, reports, tip,
+    balance)``: the repr of the error that aborted the run (None if it
+    completed), the step reports, and per step the tip displacement and the
+    two interface force resultants with the stored-force check.  The last
+    two are taken in `on_step`, so no state outlives its successor.  Cached
+    so the force-balance audit reuses the same trajectory.
     """
     grid = StructuredGrid((0.0, 0.0), (0.1, 0.1), (30, 13))
-    flap = rectangle_fitted_mesh(0.935, 0.0, 0.21, 0.63, 2, 6, {"bottom": "clamped"})
+    flap = rectangle_fitted_mesh(0.935, 0.0, 0.21, _FLAP_HEIGHT, 2, 6, {"bottom": "clamped"})
     solid = SolidProblem(
         SolidModel(flap, NeoHookeanMaterial(young=500.0, poisson=0.4), density=250.0),
         rigid=False,
@@ -846,50 +840,42 @@ def _flap_trajectory() -> SimpleNamespace:
     )
     problem = FsiProblem(fluid, solid)
     config = DriverConfig(
-        dt=0.01, n_steps=500, theta=1.0, nitsche=NitscheParams(gamma=10.0)
+        dt=_FLAP_DT, n_steps=500, theta=1.0, nitsche=NitscheParams(gamma=10.0)
     )
     driver = FsiDriver(problem, config)
-    failure = None
-    states, reports = [], []
-    try:
-        states, reports = driver.run()
-    except Exception as err:  # noqa: BLE001 - the suite reports any failure
-        failure = repr(err)
+    tip, balance = [], []
+    prev = driver.initial_state()
 
-    tip = []
-    balance = []
-    for k in range(1, len(states)):
-        state, prev = states[k], states[k - 1]
+    def observe(state, report):
+        nonlocal prev
         tip.append(
             evaluate_fitted_probe(
-                flap, state.solid.d.reshape(-1, 2), (1.04, 0.63)
+                flap, state.solid.d.reshape(-1, 2), (1.04, _FLAP_HEIGHT)
             )
         )
-        cfg = driver.configuration(state)
         u_if = interface_velocity(
             state.solid.d, prev.solid.d, prev.u_iface,
             config.theta_interface, config.dt,
         )
         res, _ = assemble_fs_coupling(
-            grid, cfg, fluid.params, config.nitsche,
+            grid, driver.configuration(state), fluid.params, config.nitsche,
             state.U, state.P, state.U, solid.loop_nodes, u_if,
             config.theta_interface, config.dt,
-            1.0 / (reports[k - 1].theta * config.dt),
+            1.0 / (report.theta * config.dt),
             tangent=False,
         )
         stored_ok = np.array_equal(-res["d"], state.f_iface)
         f_fluid = res["u"].reshape(-1, 2).sum(axis=0)
         f_solid = res["d"].reshape(-1, 2).sum(axis=0)
         balance.append((f_fluid, f_solid, stored_ok))
-    return SimpleNamespace(
-        failure=failure,
-        reports=reports,
-        tip=np.asarray(tip, dtype=float).reshape(-1, 2),
-        balance=balance,
-        flap_height=0.63,
-        mean_inflow=2.0 / 3.0,
-        dt=config.dt,
-    )
+        prev = state
+
+    failure, reports = None, []
+    try:
+        _, reports = driver.run(prev, on_step=observe)
+    except Exception as err:  # noqa: BLE001 - the suite reports any failure
+        failure = repr(err)
+    return failure, reports, np.asarray(tip, dtype=float).reshape(-1, 2), balance
 
 
 @_suite("flap-run")
@@ -897,19 +883,19 @@ def _check_flap_run(tol_scale: float) -> CheckResult:
     """The coarse flap case runs 500 steps with every Newton solve
     converging and a bounded, smooth tip-displacement history."""
     del tol_scale
-    traj = _flap_trajectory()
-    if traj.failure is not None:
+    failure, reports, tip, _ = _flap_trajectory()
+    if failure is not None:
         return CheckResult(
-            "flap-run", False, f"run aborted: {traj.failure}", {"failure": traj.failure}
+            "flap-run", False, f"run aborted: {failure}", {"failure": failure}
         )
-    converged = all(r.newton[-1].status == "converged" for r in traj.reports)
-    magnitude = np.hypot(traj.tip[:, 0], traj.tip[:, 1])
-    bound = 0.5 * traj.flap_height
+    converged = all(r.newton[-1].status == "converged" for r in reports)
+    magnitude = np.hypot(tip[:, 0], tip[:, 1])
+    bound = 0.5 * _FLAP_HEIGHT
     bounded = float(magnitude.max()) <= bound
-    increments = np.abs(np.diff(traj.tip, axis=0, prepend=traj.tip[:1])).max(axis=1)
-    smooth_limit = 5.0 * traj.dt  # five peak-velocity units per step
+    increments = np.abs(np.diff(tip, axis=0, prepend=tip[:1])).max(axis=1)
+    smooth_limit = 5.0 * _FLAP_DT  # five peak-velocity units per step
     smooth = float(increments.max()) <= smooth_limit
-    passed = converged and bounded and smooth and len(traj.reports) == 500
+    passed = converged and bounded and smooth and len(reports) == 500
     return CheckResult(
         "flap-run",
         passed,
@@ -919,7 +905,7 @@ def _check_flap_run(tol_scale: float) -> CheckResult:
         {
             "max_tip": float(magnitude.max()),
             "max_increment": float(increments.max()),
-            "steps": len(traj.reports),
+            "steps": len(reports),
         },
     )
 
@@ -929,17 +915,17 @@ def _check_force_balance(tol_scale: float) -> CheckResult:
     """At every converged level of the flap run the two interface force
     resultants cancel to round-off relative to their size."""
     tol = 1e-10 * tol_scale
-    traj = _flap_trajectory()
-    if traj.failure is not None:
+    failure, _, _, balance = _flap_trajectory()
+    if failure is not None:
         return CheckResult(
             "force-balance",
             False,
-            f"flap run aborted: {traj.failure}",
-            {"failure": traj.failure},
+            f"flap run aborted: {failure}",
+            {"failure": failure},
         )
     worst = 0.0
     stored_all = True
-    for f_fluid, f_solid, stored_ok in traj.balance:
+    for f_fluid, f_solid, stored_ok in balance:
         stored_all = stored_all and stored_ok
         norm = max(np.linalg.norm(f_fluid), np.linalg.norm(f_solid))
         if norm == 0.0:
@@ -949,7 +935,7 @@ def _check_force_balance(tol_scale: float) -> CheckResult:
     return CheckResult(
         "force-balance",
         passed,
-        f"worst relative force defect {worst:.2e} over {len(traj.balance)} "
+        f"worst relative force defect {worst:.2e} over {len(balance)} "
         f"steps (tol {tol:.0e}); stored forces reproduced {stored_all}",
         {"worst_defect": worst, "stored_reproduced": stored_all},
     )

@@ -205,6 +205,26 @@ class TestRun:
         ]) == 1
         assert "past the requested" in capsys.readouterr().err
 
+    def test_resume_on_another_grid_exits_one(self, tmp_path, capsys):
+        path = _write_flap_case(tmp_path, n_steps=2, probes=False)
+        ck = tmp_path / "ck.npz"
+        assert main([
+            "run", str(path), "--steps", "1", "--checkpoint", str(ck),
+            "--output-dir", str(tmp_path / "a"),
+        ]) == 0
+        # the same 0.6 x 0.6 domain, refined from 3x3 to 6x6 cells
+        path.write_text(
+            path.read_text()
+            .replace("background_spacing = 0.2 0.2", "background_spacing = 0.1 0.1")
+            .replace("background_counts = 3 3", "background_counts = 6 6")
+        )
+        assert main([
+            "run", str(path), "--resume", str(ck), "--output-dir", str(tmp_path / "b"),
+        ]) == 1
+        err = capsys.readouterr().err
+        assert f"checkpoint {ck} does not fit the case: U has 32 entries, " in err
+        assert "the case needs 98" in err
+
     def test_dump_matrix_exports_square_coupled_system(self, tmp_path):
         path = _write_flap_case(tmp_path, n_steps=1, probes=False)
         mats = tmp_path / "mats"

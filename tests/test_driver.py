@@ -4,6 +4,8 @@ cycles, restart files, and the two-mesh overlapping flow solver."""
 import ast
 import dataclasses
 import gc
+import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +20,7 @@ from cutfsi.coupling import (
     assemble_fs_coupling,
     interface_jump_norms,
 )
-from cutfsi.cutting import NodeRole, build_cut_configuration
+from cutfsi.cutting import CutConfiguration, NodeRole, build_cut_configuration
 from cutfsi.driver import (
     CYCLE_MESSAGE,
     NEWTON_MESSAGE,
@@ -27,6 +29,7 @@ from cutfsi.driver import (
     FsiDriver,
     FsiProblem,
     FunctionSpaceCycleError,
+    IterationRecord,
     NewtonError,
     SolidProblem,
     StepHistory,
@@ -37,7 +40,6 @@ from cutfsi.driver import (
     fluid_acceleration_update,
     interface_velocity,
     load_checkpoint,
-    newton_loop,
     save_checkpoint,
     solve_overlapping_fluid,
 )
@@ -471,39 +473,32 @@ class TestNewtonLoop:
         )
         return FsiProblem(fluid, None)
 
+    @staticmethod
+    def _step_from_rest(problem, config):
+        driver = FsiDriver(problem, config)
+        return driver.step(driver.initial_state())
+
     def test_vanishing_density_limit_converges_in_one_real_iteration(self):
         # With negligible density the flow problem is discretely linear, so
         # the first solve lands on the solution and the second iteration only
         # confirms it at roundoff level.
         problem = self._shear_problem(1e-10)
         problem.fluid.params = FluidParams(density=1e-10, viscosity=1.0)
-        config = DriverConfig(dt=1e6, n_steps=1)
-        grid = problem.fluid.grid
-        n = grid.n_nodes
-        res = newton_loop(
-            problem, config, build_cut_configuration(grid, None),
-            np.zeros(2 * n), np.zeros(n), None, _history_at_rest(problem, config),
-            time=1.0, theta=1.0,
-        )
+        state, report = self._step_from_rest(problem, DriverConfig(dt=1e6, n_steps=1))
+        (res,) = report.newton
         assert res.status == "converged"
         assert res.iterations == 2
         last = res.records[-1]
         for pair in list(last.residual.values()) + list(last.increment.values()):
             assert max(pair) < 1e-8
-        exact = _shear(1.0)(grid.node_coords(), 0.0).ravel()
-        assert np.abs(res.U - exact).max() < 1e-9
-        assert np.abs(res.P).max() < 1e-8
+        exact = _shear(1.0)(problem.fluid.grid.node_coords(), 0.0).ravel()
+        assert np.abs(state.U - exact).max() < 1e-9
+        assert np.abs(state.P).max() < 1e-8
 
     def test_shear_flow_newton_path_contracts_monotonically(self):
         problem = self._shear_problem(1.0)
-        config = DriverConfig(dt=1e9, n_steps=1)
-        grid = problem.fluid.grid
-        n = grid.n_nodes
-        res = newton_loop(
-            problem, config, build_cut_configuration(grid, None),
-            np.zeros(2 * n), np.zeros(n), None, _history_at_rest(problem, config),
-            time=1.0, theta=1.0,
-        )
+        state, report = self._step_from_rest(problem, DriverConfig(dt=1e9, n_steps=1))
+        (res,) = report.newton
         assert res.status == "converged"
         assert res.iterations <= 8
         combined = [
@@ -513,52 +508,41 @@ class TestNewtonLoop:
         # near the root every accepted step contracts the residual strongly
         ratios = [b / a for a, b in zip(combined, combined[1:])]
         assert all(r < 0.5 for r in ratios)
-        exact = _shear(1.0)(grid.node_coords(), 0.0).ravel()
-        assert np.abs(res.U - exact).max() < 1e-6
+        exact = _shear(1.0)(problem.fluid.grid.node_coords(), 0.0).ravel()
+        assert np.abs(state.U - exact).max() < 1e-6
 
     def test_iteration_budget_exhaustion_message(self):
         problem = self._shear_problem(1.0)
-        config = DriverConfig(dt=1e9, n_steps=1, max_newton=1)
-        grid = problem.fluid.grid
-        n = grid.n_nodes
         with pytest.raises(NewtonError) as err:
-            newton_loop(
-                problem, config, build_cut_configuration(grid, None),
-                np.zeros(2 * n), np.zeros(n), None, _history_at_rest(problem, config),
-                time=1.0, theta=1.0,
-            )
+            self._step_from_rest(problem, DriverConfig(dt=1e9, n_steps=1, max_newton=1))
         assert str(err.value) == NEWTON_MESSAGE
         assert NEWTON_MESSAGE == "maximum number of Newton-Raphson iterations reached!"
 
     @staticmethod
     def _flap_newton_with_inversions(monkeypatch, inverted_trials):
-        """Newton on the gentle flap from rest, with the admissibility check
-        of the first `inverted_trials` structural updates reporting an
-        inverted element; returns the result and the number of checks."""
-        problem = _gentle_flap_problem()
-        model = problem.solid.model
-        grid = problem.fluid.grid
-        n = grid.n_nodes
-        config = DriverConfig(dt=0.05, n_steps=1, nitsche=GAMMA)
-        history = _history_at_rest(problem, config)
-        cfg = build_cut_configuration(
-            grid, model.mesh.nodes[problem.solid.loop_nodes], problem.solid.wet_mask
+        """The first step of the gentle flap from rest, with the
+        admissibility check of the first `inverted_trials` structural
+        updates reporting an inverted element; returns the step's one Newton
+        attempt and the number of checks."""
+        driver = FsiDriver(
+            _gentle_flap_problem(), DriverConfig(dt=0.05, n_steps=1, nitsche=GAMMA)
         )
+        rest = driver.initial_state()
         checks = []
         original = SolidModel.internal_force
 
         def internal_force(self, d, tangent=True):
-            if not tangent:
+            # the step's history takes the force at the rest displacement
+            # once; only the checks of structural updates count
+            if not tangent and d is not rest.solid.d:
                 checks.append(d)
                 if len(checks) <= inverted_trials:
                     raise SolidInversionError("forced inversion")
             return original(self, d, tangent=tangent)
 
         monkeypatch.setattr(SolidModel, "internal_force", internal_force)
-        result = newton_loop(
-            problem, config, cfg, np.zeros(2 * n), np.zeros(n),
-            np.zeros(model.n_dofs), history, time=config.dt, theta=1.0,
-        )
+        _, report = driver.step(rest)
+        (result,) = report.newton
         return result, len(checks)
 
     @pytest.mark.parametrize("k", [0, 1, 3])
@@ -611,31 +595,23 @@ class TestLinearSolveHook:
 
     @pytest.mark.parametrize("field, block", [("U_tilde", "u"), ("f_ext", "d")])
     def test_non_finite_residual_block_is_named(self, monkeypatch, field, block):
+        # the step moves the previous velocity onto its space as U_tilde;
+        # f_ext is the structural body load
         problem = _gentle_flap_problem()
-        model = problem.solid.model
-        grid = problem.fluid.grid
-        n = grid.n_nodes
-        config = DriverConfig(dt=0.05, n_steps=1, nitsche=GAMMA)
-        history = _history_at_rest(problem, config)
-        cfg = build_cut_configuration(
-            grid, model.mesh.nodes[problem.solid.loop_nodes], problem.solid.wet_mask
-        )
-        if block == "u":
+        if field == "f_ext":
+            problem.solid.body_load = (np.nan, 0.0)
+        driver = FsiDriver(problem, DriverConfig(dt=0.05, n_steps=1, nitsche=GAMMA))
+        state = driver.initial_state()
+        if field == "U_tilde":
             # one velocity entry of an active fluid node
-            idx = 2 * np.flatnonzero(cfg.node_role != NodeRole.INACTIVE)[0]
-        else:
-            # one free structural dof
-            idx = np.setdiff1d(np.arange(model.n_dofs), model.clamped_dofs())[0]
-        getattr(history, field)[idx] = np.nan
+            cfg = driver.configuration(state)
+            state.U[2 * np.flatnonzero(cfg.node_role != NodeRole.INACTIVE)[0]] = np.nan
         calls = self._count_solves(monkeypatch)
         with pytest.raises(
             LinearSolveError,
             match=f"non-finite residual in block {block} at Newton iteration 1",
         ):
-            newton_loop(
-                problem, config, cfg, np.zeros(2 * n), np.zeros(n),
-                np.zeros(model.n_dofs), history, time=config.dt, theta=1.0,
-            )
+            driver.step(state)
         assert calls == []
 
     def test_non_finite_patch_block_is_named(self, monkeypatch):
@@ -936,8 +912,9 @@ class TestCarriedConfiguration:
 
     def test_carried_configuration_is_the_cut_of_d_space(self):
         problem = _channel_with_flap(young=40.0, umax=3.0)
-        config = DriverConfig(dt=0.1, n_steps=4, nitsche=GAMMA)
-        states, reports = FsiDriver(problem, config).run()
+        driver = FsiDriver(problem, DriverConfig(dt=0.1, n_steps=4, nitsche=GAMMA))
+        states = [driver.initial_state()]
+        _, reports = driver.run(states[0], on_step=lambda s, r: states.append(s))
         assert sum(r.space_changes for r in reports) > 0
         for state in states:
             _same_cut(state.cfg, self._fresh_cut(problem, state))
@@ -1089,6 +1066,92 @@ class TestOverlapSolver:
             solve_overlapping_fluid(background, patch, GAMMA)
 
 
+def _flap_fine_driver(steps):
+    """The flap-run suite case on a 60x26 grid (h = 0.05): no space change
+    within its first fifteen steps from rest."""
+    height = 1.3
+
+    def inflow(pts, t):
+        out = np.zeros((len(pts), 2))
+        factor = 0.5 * (1.0 - np.cos(np.pi * min(t, 1.0))) if t < 1.0 else 1.0
+        out[:, 0] = factor * 4.0 * pts[:, 1] * (height - pts[:, 1]) / height**2
+        return out
+
+    flap = rectangle_fitted_mesh(0.935, 0.0, 0.21, 0.63, 2, 6, {"bottom": "clamped"})
+    fluid = FluidProblem(
+        StructuredGrid((0.0, 0.0), (0.05, 0.05), (60, 26)),
+        FluidParams(density=1.0, viscosity=0.01),
+        dirichlet=[
+            VelocityDirichlet("left", inflow),
+            VelocityDirichlet("bottom"),
+            VelocityDirichlet("top"),
+        ],
+    )
+    solid = SolidModel(flap, NeoHookeanMaterial(young=500.0, poisson=0.4), density=250.0)
+    config = DriverConfig(
+        dt=0.01, n_steps=steps, theta=1.0, nitsche=NitscheParams(gamma=10.0)
+    )
+    return FsiDriver(FsiProblem(fluid, SolidProblem(solid)), config)
+
+
+class TestRetention:
+    """A run keeps its reports and its current state, nothing more: the
+    memory of a long run stays bounded."""
+
+    @staticmethod
+    def _reachable(root):
+        """Every object reachable from `root` through `gc.get_referents`,
+        not following classes or modules."""
+        seen, found, stack = set(), [], [root]
+        while stack:
+            obj = stack.pop()
+            if id(obj) in seen or isinstance(obj, (type, type(gc))):
+                continue
+            seen.add(id(obj))
+            found.append(obj)
+            stack.extend(gc.get_referents(obj))
+        return found
+
+    def test_step_reports_hold_no_arrays_configurations_or_plans(self):
+        problem = _channel_with_flap(young=40.0, umax=3.0)
+        _, reports = FsiDriver(problem, DriverConfig(dt=0.1, n_steps=4, nitsche=GAMMA)).run()
+        assert [a.status for a in reports[-1].newton] == ["space-changed", "converged"]
+        reachable = self._reachable(reports)
+        assert any(isinstance(obj, IterationRecord) for obj in reachable)
+        held = (np.ndarray, CutConfiguration, AssemblyPlan)
+        assert [type(obj) for obj in reachable if isinstance(obj, held)] == []
+
+    def test_run_releases_every_state_but_the_last(self):
+        driver = FsiDriver(
+            _gentle_flap_problem(), DriverConfig(dt=0.05, n_steps=3, nitsche=GAMMA)
+        )
+        refs = []
+        states, _ = driver.run(on_step=lambda s, r: refs.append(weakref.ref(s)))
+        assert refs[0]() is None and refs[1]() is None
+        assert states == [refs[-1]()]
+
+    def test_flap_fine_run_retains_under_6_kb_per_step(self):
+        def retained(steps):
+            """Traced bytes that the return value of a run holds; what
+            numpy's allocator caches keep counts on neither side."""
+            gc.collect()
+            tracemalloc.start()
+            try:
+                kept = _flap_fine_driver(steps).run()
+                assert all(r.space_changes == 0 for r in kept[1])
+                gc.collect()
+                held = tracemalloc.get_traced_memory()[0]
+                del kept
+                gc.collect()
+                return held - tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+
+        retained(1)  # a process's first run also fills interpreter caches
+        short = retained(5)
+        assert (retained(15) - short) / 10 < 6 * 1024
+
+
 class TestAssemblyPlan:
     """One assembly plan per structure, owned by the solver that uses it."""
 
@@ -1122,7 +1185,8 @@ class TestAssemblyPlan:
         seen = self._record_systems(monkeypatch, "assemble_coupled_system")
         problem = _gentle_flap_problem(root=1.13)
         driver = FsiDriver(problem, DriverConfig(dt=0.05, n_steps=steps, nitsche=GAMMA))
-        states, reports = driver.run()
+        states = [driver.initial_state()]
+        _, reports = driver.run(states[0], on_step=lambda s, r: states.append(s))
         return driver, states, reports, built, seen
 
     def test_pattern_is_fixed_across_iterations_and_recuts(self, monkeypatch):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cutfsi.quadrature import (
-    _ear_clip,
+    NotStarShapedError,
     fan_triangulate,
     polygon_rule,
     rectangle_rule,
@@ -80,13 +80,11 @@ def test_polygon_rule_convex_matches_oracle():
         assert got == pytest.approx(_poly_moment(poly, px, py), rel=1e-12, abs=1e-14)
 
 
-def test_polygon_rule_nonconvex_ear_clip():
-    # L-shaped polygon, centroid fan would fail star-shape test
+def test_polygon_rule_refuses_polygon_not_star_shaped():
+    # L-shaped polygon whose vertex mean is its reflex corner: no fan
     poly = np.array([[0.0, 0.0], [2.0, 0.0], [2.0, 1.0], [1.0, 1.0], [1.0, 2.0], [0.0, 2.0]])
-    rule = polygon_rule(poly)
-    assert rule.weights.sum() == pytest.approx(3.0, abs=1e-13)
-    got = np.sum(rule.weights * rule.points[:, 0] * rule.points[:, 1])
-    assert got == pytest.approx(_poly_moment(poly, 1, 1), rel=1e-12)
+    with pytest.raises(NotStarShapedError, match="not star-shaped"):
+        polygon_rule(poly)
 
 
 def test_fan_triangulate_star_shaped_uses_all_edges():
@@ -200,9 +198,6 @@ def _fan(poly):
     tris = []
     for i in range(n):
         a, b = poly[i], poly[(i + 1) % n]
-        cross = (a[0] - centroid[0]) * (b[1] - centroid[1]) - (a[1] - centroid[1]) * (b[0] - centroid[0])
-        if cross <= 0.0:
-            return _ear_clip(poly)
         tris.append(np.array([centroid, a, b]))
     return tris
 
@@ -221,9 +216,9 @@ NON_STAR = np.array([[0.0, 0.0], [2.0, 0.0], [2.0, 0.1], [0.2, 0.1], [0.2, 2.0],
 @given(st.lists(_convex_polygons(), min_size=1, max_size=12), st.integers(0, 12), st.floats(-3.0, 3.0))
 @settings(max_examples=60, deadline=None)
 def test_stack_rule_matches_rules_of_single_polygons(polys, at, shift):
-    polys = [*polys[:at], NON_STAR + shift, *polys[at:]]
-    _, ntri = fan_triangulate(NON_STAR[None], np.array([len(NON_STAR)]))
-    assert ntri.tolist() == [len(NON_STAR) - 2]  # ear clipping
+    # one polygon that is not star-shaped refuses the whole stack
+    with pytest.raises(NotStarShapedError, match="not star-shaped"):
+        polygon_rule(*_stack([*polys[:at], NON_STAR + shift, *polys[at:]]))
     stack, counts = _stack(polys)
     want_area = [signed_area(poly) for poly in polys]
     assert signed_area(stack, counts).tobytes() == np.array(want_area).tobytes()
