@@ -518,7 +518,9 @@ def _newton(
                 raise LinearSolveError(
                     f"non-finite residual in block {k} at Newton iteration {it}"
                 )
-        delta = factor_solve(assembled.matrix, -assembled.residual)
+        delta = factor_solve(
+            assembled.matrix, -assembled.residual, plan=assembled.system.plan
+        )
         blocks = assembled.system.split(delta)
         if reference is None:
             reference = {k: _norm_pair(v) for k, v in res_blocks.items()}

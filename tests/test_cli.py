@@ -240,9 +240,9 @@ class TestRun:
         factorized = []
         solve = driver_module.factor_solve
 
-        def recording(A, b):
+        def recording(A, b, **kw):
             factorized.append(A.copy())
-            return solve(A, b)
+            return solve(A, b, **kw)
 
         monkeypatch.setattr(driver_module, "factor_solve", recording)
         path = _write_flap_case(
@@ -264,6 +264,25 @@ class TestRun:
             B = scipy.io.mmread(mats / f"system_{step:06d}.mtx")
             assert A.shape == B.shape
             assert (A != B).nnz == 0, step
+
+    def test_dump_matrix_computes_no_ordering(self, tmp_path, monkeypatch):
+        # the dump reassembles through a fresh plan but factorises nothing
+        import cutfsi.linalg as linalg
+
+        orderings = []
+        spilu = linalg.spla.spilu
+        monkeypatch.setattr(
+            linalg.spla, "spilu", lambda S, **kw: orderings.append(1) or spilu(S, **kw)
+        )
+        path = _write_flap_case(tmp_path, n_steps=3, probes=False)
+        assert main(["run", str(path), "--output-dir", str(tmp_path / "a")]) == 0
+        plain = len(orderings)
+        mats = tmp_path / "mats"
+        assert main([
+            "run", str(path), "--output-dir", str(tmp_path / "b"), "--dump-matrix", str(mats)
+        ]) == 0
+        assert plain >= 1 and len(orderings) == 2 * plain
+        assert len(list(mats.glob("system_*.mtx"))) == 3
 
     def test_config_flag_form(self, tmp_path, capsys):
         path = _write_flap_case(tmp_path, n_steps=1, probes=False)

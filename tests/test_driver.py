@@ -569,9 +569,9 @@ class TestLinearSolveHook:
         calls = []
         solve = driver_module.factor_solve
 
-        def counting(A, b):
+        def counting(A, b, **kw):
             calls.append(A.shape[0])
-            return solve(A, b)
+            return solve(A, b, **kw)
 
         monkeypatch.setattr(driver_module, "factor_solve", counting)
         return calls
@@ -1216,6 +1216,47 @@ class TestAssemblyPlan:
         holders += [vars(s.cfg) for s in states if s.cfg is not None]
         referrers = gc.get_referrers(driver.plan)
         assert not any(h is r for h in holders for r in referrers)
+
+    @staticmethod
+    def _count_orderings(monkeypatch):
+        import cutfsi.linalg as linalg
+
+        built = []
+        spilu = linalg.spla.spilu
+
+        def counting(S, **kwargs):
+            built.append(S.shape[0])
+            return spilu(S, **kwargs)
+
+        monkeypatch.setattr(linalg.spla, "spilu", counting)
+        return built
+
+    def test_one_ordering_per_factorised_plan(self, monkeypatch):
+        orderings = self._count_orderings(monkeypatch)
+        _, _, reports, built, _ = self._flap_run(monkeypatch)
+        assert len(built) == 1 and sum(a.iterations for r in reports for a in r.newton) > 5
+        assert len(orderings) == 1
+        background, patch = _overlap_shear()
+        for k in (1, 2):
+            sol = solve_overlapping_fluid(background, patch, GAMMA, dt=0.1)
+            assert sol.iterations > 1 and len(orderings) == 1 + k
+
+    def test_plan_ordering_is_the_minimum_degree_ordering(self, monkeypatch):
+        import cutfsi.linalg as linalg
+
+        _, _, _, _, seen = self._flap_run(monkeypatch, steps=2)
+        A, plan = seen[-1].matrix, seen[-1].system.plan
+        lus = []
+        splu = linalg.spla.splu
+        monkeypatch.setattr(
+            linalg.spla, "splu", lambda B, **kw: lus.append(splu(B, **kw)) or lus[-1]
+        )
+        b = np.random.default_rng(0).standard_normal(plan.n)
+        plain, planned = linalg.factor(A)(b), linalg.factor(A, plan)(b)
+        mmd, natural = lus
+        assert np.array_equal(plan.ordering()[0], np.argsort(mmd.perm_c))
+        assert natural.L.nnz + natural.U.nnz <= mmd.L.nnz + mmd.U.nnz
+        assert np.linalg.norm(planned - plain) <= 1e-13 * np.linalg.norm(plain)
 
     def test_construction_builds_no_plan_and_cuts_nothing(self, monkeypatch):
         built = self._count_plans(monkeypatch)

@@ -203,9 +203,49 @@ def test_factor_uses_symmetric_mode(monkeypatch):
 
     monkeypatch.setattr(linalg.spla, "splu", recording)
     factor_solve(sp.identity(3, format="csr"), np.ones(3))
+    # a solved matrix of a plan is factorised in the plan's ordering
+    sys = BlockSystem({"a": 3})
+    sys.add("a", "a", _dense_block((3, 3), [0, 1, 2], [0, 1, 2], np.eye(3)))
+    plan = sys.plan = AssemblyPlan(sys, np.zeros(3, dtype=bool))
+    factor_solve(plan.constrain(sys.assemble()), np.ones(3), plan=plan)
     assert [(kw["permc_spec"], kw["diag_pivot_thresh"]) for kw in seen] == [
-        ("MMD_AT_PLUS_A", 0.0)
+        ("MMD_AT_PLUS_A", 0.0), ("NATURAL", 0.0)
     ]
+
+
+def _planned_system(seed):
+    """A random plan (its pattern is not symmetric) and a solved matrix of
+    it with random values and a dominant diagonal."""
+    rng = np.random.default_rng(seed)
+    sys, fixed = _random_system(rng)
+    plan = sys.plan = AssemblyPlan(sys, fixed)
+    A = plan.constrain(sys.assemble())
+    rows = np.repeat(np.arange(sys.n), np.diff(A.indptr))
+    A.data[:] = rng.standard_normal(A.nnz) + np.where(rows == A.indices, sys.n, 0.0)
+    return plan, A, rng
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_planned_factor_matches_dense(seed):
+    plan, A, rng = _planned_system(seed)
+    B = rng.standard_normal((plan.n, 3))
+    solve = factor(A, plan)
+    assert np.allclose(solve(B), np.linalg.solve(A.toarray(), B), rtol=1e-12, atol=1e-12)
+    assert np.allclose(
+        factor_solve(A, B[:, 0], plan=plan), solve(B)[:, 0], rtol=1e-14, atol=1e-14
+    )
+    with pytest.raises(ValueError):
+        solve(np.ones(plan.n + 1))
+    # one ordering per plan, built at its first factorisation
+    assert plan.ordering() is plan.ordering()
+
+
+def test_planned_factor_rejects_singular():
+    plan, A, _ = _planned_system(0)
+    free = np.flatnonzero(~plan.fixed)[0]
+    A.data[A.indptr[free] : A.indptr[free + 1]] = 0.0
+    with pytest.raises(LinearSolveError):
+        factor(A, plan)(np.ones(plan.n))
 
 
 def test_factor_uses_small_supernodes(monkeypatch):
