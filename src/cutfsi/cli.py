@@ -264,7 +264,7 @@ def _dump_matrix(driver: FsiDriver, state, report, directory: Path) -> None:
     only shifts the residual), so the history of a step taken from the
     accepted state reproduces the matrix the final iteration factorized.
     The final iteration used the widened ghost facets when the step had
-    frozen its active space.
+    frozen its active space. The driver's plan is reused when it fits.
     """
     asm = assemble_coupled_system(
         driver.problem,
@@ -277,6 +277,7 @@ def _dump_matrix(driver: FsiDriver, state, report, directory: Path) -> None:
         time=state.time,
         theta=report.theta,
         widened=driver.space_frozen(report.space_changes),
+        plan=driver.plan,
     )
     export_matrix_market(
         directory / f"system_{report.step:06d}.mtx",

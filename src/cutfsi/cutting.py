@@ -230,7 +230,7 @@ class CutConfiguration:
         self.segments = segments  # list[InterfaceSegment]
         self.loop = loop  # snapped closed CCW polygon or None
         self.node_role = node_role  # (n_nodes,) NodeRole values
-        self.cut_batch = None  # padded cut-element rules, set by the flow assembly
+        self.volume_batches = None  # the fluid volume rules, set by the flow assembly
         self.batch_forces = None  # (callable, time, values per batch), set there too
         self.two_mesh_rule = None  # (embedded grid, rule, sides), set by the coupling
         self.active_elems = np.flatnonzero(status != ElemStatus.COVERED)

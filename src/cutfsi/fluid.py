@@ -103,83 +103,99 @@ def _ns_kernel(params, sigma, hist_ratio, dt, hx, hy, N, Dx, Dy, D2, w, Ue, Pe, 
 
     Shapes: N/Dx/Dy (E|1,Q,4) and w (E|1,Q), per element or shared by the
     whole batch; D2 (4,), Ue/Oe/Ae/Ce (E,4,2), Pe (E,4), Fe broadcasting to
-    (E,Q,2). Every
-    term is a weighted, transposed basis table times a table or a field at
-    the Gauss points, (E|1,4,Q) @ (E|1,Q,·). Returns Rv (E,4,2), Rq (E,4),
-    Juu (E,4,2,4,2), Jup (E,4,2,4), Jpu (E,4,4,2), Jpp (E,4,4).
+    (E,Q,2). Returns Rv (E,4,2), Rq (E,4), Juu (E,4,2,4,2), Jup (E,4,2,4),
+    Jpu (E,4,4,2), Jpp (E,4,4).
+
+    The form is one list of terms per block: a coefficient at the points,
+    or a constant, times a test table (N, Dx or Dy) and a trial table (N,
+    Dx, Dy, the constant D2, or 1 in a residual). A table is N times its
+    values at the corners, so a pair of tables is w N (x) N times a fixed
+    (16,16) matrix. A shared batch folds this into fixed pair tensors (Q,16)
+    and contracts each block's stacked coefficients with them in one product;
+    per-element tables take one batched product with w N (x) N, then one
+    product with the fixed matrices.
     """
     rho, mu = params.density, params.viscosity
-    E = Ue.shape[0]
-    D = (Dx, Dy)
+    E, Q = Ue.shape[0], w.shape[-1]
+    shared = N.shape[0] == 1
+    T, X, Y, M, ONE = range(5)  # the tables N, Dx, Dy, D2 and 1
+    tables = np.concatenate([N, Dx, Dy, np.broadcast_to(D2, N.shape)], axis=1)  # (E|1,4Q,4)
 
-    def weighted(*factors):
-        # (E|1,4,Q): w * factors * table, transposed for a left product
-        out = w[..., None]
-        for f in factors:
-            out = out * f
-        return np.swapaxes(out, 1, 2)
+    def at_points(nodal, m):
+        # nodal values (E,4,k) at the points P of the first m tables: (k,m,*P)
+        if shared:
+            return (tables[0, : m * Q] @ nodal.T).reshape(-1, m, Q, E)
+        return np.transpose((tables[:, : m * Q] @ nodal).reshape(E, m, Q, -1), (3, 1, 0, 2))
 
-    u, u_old, a_old, c = N @ Ue, N @ Oe, N @ Ae, N @ Ce  # (E,Q,2)
-    p = N @ Pe[..., None]  # (E,Q,1)
-    p_grad = np.concatenate([Dx @ Pe[..., None], Dy @ Pe[..., None]], axis=-1)
-    gu = (Dx @ Ue, Dy @ Ue)  # gu[j][..., i] = du_i/dx_j
-    div_u = gu[0][..., :1] + gu[1][..., 1:]  # (E,Q,1)
-    # constant mixed derivatives per element; the viscous strong term is
-    # mu * (d2 u_y/dxdy, d2 u_x/dxdy) on rectangles
-    visc_strong = mu * (D2 @ Ue)[:, None, ::-1]  # (E,1,2)
+    uv = at_points(Ue, 4)  # (2,4,*P), the points P being (Q,E) on a shared batch, else (E,Q)
+    u, d2u, G = uv[:, T], uv[:, M], np.swapaxes(uv[:, X:M], 0, 1)  # G[j, i] = du_i/dx_j
+    pv = at_points(Pe[..., None], 3)[0]  # p, dp/dx, dp/dy
+    c, u_old, a_old = (at_points(V, 1)[:, 0] for V in (Ce, Oe, Ae))
+    Fe = np.asarray(Fe, dtype=float)[(None,) * (3 - np.ndim(Fe))]
+    f = rho * (Fe.T if shared else np.moveaxis(Fe, -1, 0))
 
-    tau_m, tau_c = stabilization_times(params, dt, hx, hy, c)
-    tau_m, tau_c = tau_m[..., None], tau_c[..., None]  # (E,Q,1)
-
+    tau_m, tau_c = stabilization_times(params, dt, hx, hy, np.moveaxis(c, 0, -1))
     time_part = rho * sigma * (u - u_old)
-    strong = (
-        time_part
-        + rho * (c[..., :1] * gu[0] + c[..., 1:] * gu[1])
-        + p_grad
-        - visc_strong
-        - rho * Fe
-    )
-    conv_u = u[..., :1] * gu[0] + u[..., 1:] * gu[1]  # (u . grad) u
-    gal = time_part - hist_ratio * rho * a_old - rho * Fe + rho * conv_u
-    # sym[j][..., i] = du_i/dx_j + du_j/dx_i
-    sym = [gu[j] + np.concatenate([g[..., j : j + 1] for g in gu], axis=-1) for j in (0, 1)]
+    # the viscous strong term is mu * (d2 u_y/dxdy, d2 u_x/dxdy) on rectangles
+    strong = time_part + rho * (c[0] * G[0] + c[1] * G[1]) + pv[1:] - mu * d2u[::-1] - f
+    gal = time_part - hist_ratio * rho * a_old - f + rho * (u[0] * G[0] + u[1] * G[1])
+    div_u = G[0, 0] + G[1, 1]
+    sc = rho * tau_m * c  # the streamline test weight rho tau_m c
+    sym = mu * (G + np.swapaxes(G, 0, 1))
 
-    ca_dot = c[..., :1] * Dx + c[..., 1:] * Dy  # (E,Q,4): c . grad N_a
-    ub_dot = u[..., :1] * Dx + u[..., 1:] * Dy  # u . grad N_b
+    corners = basis_tables(hx, hy, [0, 1, 1, 0], [0, 0, 1, 1])[:3]  # node k at corner k
+    corners = np.stack([*corners, np.broadcast_to(D2, (4, 4)), np.ones((4, 4))])
+    fixed = np.einsum("Aca,Bdb->ABcdab", corners[:3], corners).reshape(3, 5, 16, 16)
+    NT = np.ascontiguousarray(np.swapaxes(N, 1, 2))  # (E|1,4,Q)
+    nn = np.swapaxes((NT[:, :, None] * (w[:, None] * NT)[:, None]).reshape(-1, 16, Q), 1, 2)
+    if shared:
+        fixed = nn[0] @ fixed  # the pair tensors w A (x) B, (3,5,Q,16)
 
-    WN = weighted(N)
-    WD = [weighted(Dj) for Dj in D]
-    WcD = [weighted(tau_c, Dj) for Dj in D]
-    WmD = [weighted(tau_m, Dj) for Dj in D]
-    Wca = weighted(rho * tau_m, ca_dot)
+    def contract(block):
+        # the sum over the terms (coef, A, B) of int coef A_a B_b: (E,4,4)
+        coefs = np.empty((len(block), *div_u.shape))
+        for j, (coef, _, _) in enumerate(block):
+            coefs[j] = coef
+        _, tests, trials = zip(*block)
+        pairs = fixed[tests, trials].reshape(-1, 16)
+        if shared:
+            return (coefs.reshape(-1, E).T @ pairs).reshape(E, 4, 4)
+        moments = np.swapaxes(coefs, 0, 1) @ nn  # (E,n,16): int coef w N_c N_d
+        return (moments.reshape(E, -1) @ pairs).reshape(E, 4, 4)
 
-    Rv = WN @ gal + mu * (WD[0] @ sym[0] + WD[1] @ sym[1]) + Wca @ strong
-    grad_test = tau_c * div_u - p
-    Rv += np.concatenate([WD[0] @ grad_test, WD[1] @ grad_test], axis=-1)
-    Rq = WN @ div_u + WmD[0] @ strong[..., :1] + WmD[1] @ strong[..., 1:]
-
-    # --- Jacobian at frozen advection field and stabilization times ---
-    # d(strong)/dU = lin_b delta_ik - mu D2_b SWAP_ik
-    lin = rho * (sigma * N + ca_dot)
-    diag = rho * (WN @ (sigma * N + ub_dot)) + mu * (WD[0] @ D[0] + WD[1] @ D[1]) + Wca @ lin
-    swap = mu * Wca.sum(axis=2)[..., None] * D2  # (E,4,4)
+    # blocks (test field, trial field or "R" for a residual) of u_x, u_y, p,
+    # each contracted as soon as its terms are written; "diag" and "swap" are
+    # the terms of both diagonal and both off-diagonal (u, u) blocks; the
+    # Jacobian is taken at frozen c, tau_m and tau_c
+    rs, D = rho * sigma, (X, Y)
+    lin = list(zip((rs, rho * c[0], rho * c[1]), (T, X, Y)))  # d strong_i / d u_i, D2 aside
+    J = {
+        "diag": contract(
+            [(rs, T, T), (rho * u[0], T, X), (rho * u[1], T, Y), (mu, X, X), (mu, Y, Y)]
+            + [(s * a, Dj, B) for s, Dj in zip(sc, D) for a, B in lin]
+        ),
+        "swap": contract([(-mu * s, Dj, M) for s, Dj in zip(sc, D)]),
+        (2, "R"): contract([(div_u, T, ONE)] + [(tau_m * r, Dj, ONE) for r, Dj in zip(strong, D)]),
+        (2, 2): contract([(tau_m, Dj, Dj) for Dj in D]),
+    }
+    for i, Di in enumerate(D):
+        J[i, "R"] = contract([(gal[i], T, ONE), (tau_c * div_u - pv[0], Di, ONE)] + [
+            (sym[j, i] + sc[j] * strong[i], Dj, ONE) for j, Dj in enumerate(D)
+        ])
+        J[i, 2] = contract([(s, Dj, Di) for s, Dj in zip(sc, D)] + [(-1.0, Di, T)])
+        J[2, i] = contract([(1.0, T, Di), (-mu * tau_m, D[1 - i], M)] + [
+            (tau_m * a, Di, B) for a, B in lin
+        ])
+        for k, Dk in enumerate(D):
+            J[i, k] = contract([(rho * G[k, i], T, T), (mu, Dk, Di), (tau_c, Di, Dk)])
 
     Juu = np.empty((E, 4, 2, 4, 2))
-    for i in (0, 1):
-        for k in (0, 1):
-            blk = rho * (WN @ (gu[k][..., i : i + 1] * N)) + mu * (WD[k] @ D[i]) + WcD[i] @ D[k]
-            Juu[:, :, i, :, k] = blk + diag if i == k else blk - swap
-
-    Jup = np.empty((E, 4, 2, 4))
-    Jpu = np.empty((E, 4, 4, 2))
-    for i in (0, 1):
-        Jup[:, :, i, :] = Wca @ D[i] - WD[i] @ N
-        Jpu[:, :, :, i] = (
-            WN @ D[i] + WmD[i] @ lin - mu * WmD[1 - i].sum(axis=2)[..., None] * D2
-        )
-    Jpp = WmD[0] @ D[0] + WmD[1] @ D[1]
-
-    return Rv, Rq[..., 0], Juu, Jup, Jpu, Jpp
+    for i, k in np.ndindex(2, 2):
+        Juu[:, :, i, :, k] = J[i, k] + J["diag" if i == k else "swap"]
+    Jup = np.stack([J[0, 2], J[1, 2]], axis=2)
+    Jpu = np.stack([J[2, 0], J[2, 1]], axis=-1)
+    Rv = np.stack([J[0, "R"][..., 0], J[1, "R"][..., 0]], axis=-1)
+    return Rv, J[2, "R"][..., 0], Juu, Jup, Jpu, J[2, 2]
 
 
 def _batch_forces(cfg: CutConfiguration, batches, body_force, time: float):
@@ -230,16 +246,12 @@ def assemble_navier_stokes(
     sigma = 1.0 / (theta * dt)
     hist_ratio = (1.0 - theta) / theta
 
-    empty = (np.zeros(0, dtype=np.intp), np.zeros(0))
-    res = {"u": [empty], "p": [empty]}  # (dofs, local residuals) per batch
+    Ru, Rp = np.zeros(2 * n), np.zeros(n)
     jac = []
     shapes = {"u": 2 * n, "p": n}
 
     conn_all = grid.all_elem_nodes()
-    Uv = U.reshape(n, 2)
-    Ov = U_old.reshape(n, 2)
-    Av = A_old.reshape(n, 2)
-    Cv = C_frozen.reshape(n, 2)
+    Uv, Ov, Av, Cv = (V.reshape(n, 2) for V in (U, U_old, A_old, C_frozen))
 
     batches = volume_batches(cfg)
     forces = _batch_forces(cfg, batches, body_force, time)
@@ -251,21 +263,13 @@ def assemble_navier_stokes(
             Uv[conn], P[conn], Ov[conn], Av[conn], Cv[conn], Fe,
         )
         dofs = {"u": np.stack([2 * conn, 2 * conn + 1], axis=-1).reshape(E, 8), "p": conn}
-        res["u"].append((dofs["u"], Rv))
-        res["p"].append((dofs["p"], Rq))
+        Ru += np.bincount(dofs["u"].ravel(), weights=Rv.ravel(), minlength=2 * n)
+        Rp += np.bincount(conn.ravel(), weights=Rq.ravel(), minlength=n)
         for (r, c), J in zip(
             (("u", "u"), ("u", "p"), ("p", "u"), ("p", "p")),
             (Juu.reshape(E, 8, 8), Jup.reshape(E, 8, 4), Jpu.reshape(E, 4, 8), Jpp),
         ):
             jac.append((r, c, LocalBlocks((shapes[r], shapes[c]), dofs[r], dofs[c], J)))
-    Ru, Rp = (
-        np.bincount(
-            np.concatenate([d.ravel() for d, _ in res[k]], dtype=np.intp),
-            weights=np.concatenate([v.ravel() for _, v in res[k]]),
-            minlength=shapes[k],
-        )
-        for k in ("u", "p")
-    )
     return Ru, Rp, jac
 
 
@@ -284,10 +288,16 @@ def grid_basis(grid: StructuredGrid, elems: np.ndarray, pts: np.ndarray, clip: b
 
 
 def volume_batches(cfg: CutConfiguration):
-    """The volume rules of the fluid part of the active elements of `cfg`:
-    the uncut elements with one shared 3x3 Gauss rule and the cut elements
-    with their padded polygon rules, as nonempty batches (elems (E,), points
-    (E, Q, 2), weights (E|1, Q), `basis_tables` at the points)."""
+    """The volume rules of the fluid part of the active elements of `cfg`,
+    as nonempty batches (elems (E,), points (E, Q, 2), weights (E|1, Q),
+    `basis_tables` at the points): the uncut elements with one shared 3x3
+    Gauss rule, and the cut elements with a nonempty fluid rule with their
+    polygon rules, padded to a common length Q with zero weights at a
+    repeated real point. One `polygon_rule` call rules every piece. The
+    batches are built on first use and kept on the configuration, which is
+    fixed across Newton iterations."""
+    if cfg.volume_batches is not None:
+        return cfg.volume_batches
     grid = cfg.grid
     hx, hy = grid.spacing
     batches = []
@@ -299,32 +309,21 @@ def volume_batches(cfg: CutConfiguration):
         pts = np.stack([x0[:, None] + s * hx, y0[:, None] + t * hy], axis=-1)
         w = _G3_W * 0.25 * hx * hy
         batches.append((full, pts, w[None], basis_tables(hx, hy, s[None], t[None])))
-    cut, pts, w = _cut_batch(cfg)
-    if cut.size:
-        batches.append((cut, pts, w, grid_basis(grid, cut, pts)))
-    return batches
-
-
-def _cut_batch(cfg):
-    """The cut elements with a nonempty fluid rule and their polygon rules,
-    padded to a common length Q with zero weights at a repeated real point:
-    (elems (E,), points (E, Q, 2), weights (E, Q)). One `polygon_rule` call
-    rules every piece of the configuration; the batch is built on first use
-    and kept on the configuration, which is fixed across Newton iterations."""
-    if cfg.cut_batch is None:
-        owner = np.repeat(np.arange(len(cfg.pieces)), [len(ps) for ps in cfg.pieces.values()])
-        stack = stack_polygons([p for ps in cfg.pieces.values() for p in ps])
-        rule, sizes = polygon_rule(*stack)
-        m = np.bincount(owner, weights=sizes, minlength=len(cfg.pieces)).astype(np.intp)
-        elems = np.array(list(cfg.pieces), dtype=int)[m > 0]
+    owner = np.repeat(np.arange(len(cfg.pieces)), [len(ps) for ps in cfg.pieces.values()])
+    stack = stack_polygons([p for ps in cfg.pieces.values() for p in ps])
+    rule, sizes = polygon_rule(*stack)
+    m = np.bincount(owner, weights=sizes, minlength=len(cfg.pieces)).astype(np.intp)
+    if np.any(m):
+        cut = np.array(list(cfg.pieces), dtype=int)[m > 0]
         m = m[m > 0]
-        filled = np.arange(max(m, default=0)) < m[:, None]
+        filled = np.arange(max(m)) < m[:, None]
         pts = np.repeat(rule.points[np.cumsum(m) - m, None], filled.shape[1], axis=1)
         pts[filled] = rule.points
         w = np.zeros(filled.shape)
         w[filled] = rule.weights
-        cfg.cut_batch = (elems, pts, w)
-    return cfg.cut_batch
+        batches.append((cut, pts, w, grid_basis(grid, cut, pts)))
+    cfg.volume_batches = batches
+    return batches
 
 
 def facet_jump_grams(grid: StructuredGrid, facets: np.ndarray):

@@ -266,7 +266,8 @@ class TestRun:
             assert (A != B).nnz == 0, step
 
     def test_dump_matrix_computes_no_ordering(self, tmp_path, monkeypatch):
-        # the dump reassembles through a fresh plan but factorises nothing
+        # the dump reassembles through the driver's plan, or a fresh one when
+        # the step changed the space, and factorises nothing
         import cutfsi.linalg as linalg
 
         orderings = []
@@ -282,6 +283,25 @@ class TestRun:
             "run", str(path), "--output-dir", str(tmp_path / "b"), "--dump-matrix", str(mats)
         ]) == 0
         assert plain >= 1 and len(orderings) == 2 * plain
+        assert len(list(mats.glob("system_*.mtx"))) == 3
+
+    def test_dump_matrix_builds_no_extra_plan(self, tmp_path, monkeypatch):
+        # the driver's plan fits the accepted state of a step that kept its space
+        import cutfsi.linalg as linalg
+
+        built = []
+        init = linalg.AssemblyPlan.__init__
+        monkeypatch.setattr(
+            linalg.AssemblyPlan, "__init__", lambda self, *a: built.append(1) or init(self, *a)
+        )
+        path = _write_flap_case(tmp_path, n_steps=3, probes=False)
+        assert main(["run", str(path), "--output-dir", str(tmp_path / "a")]) == 0
+        plain = len(built)
+        mats = tmp_path / "mats"
+        assert main([
+            "run", str(path), "--output-dir", str(tmp_path / "b"), "--dump-matrix", str(mats)
+        ]) == 0
+        assert plain >= 1 and len(built) == 2 * plain
         assert len(list(mats.glob("system_*.mtx"))) == 3
 
     def test_config_flag_form(self, tmp_path, capsys):

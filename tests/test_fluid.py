@@ -189,35 +189,33 @@ def test_uncut_batch_matches_scalar_reference_with_one_force_call():
     assert np.allclose(Rp - Rp_cut, want_q, rtol=1e-12, atol=1e-12 * scale)
 
 
-def test_jacobian_matches_finite_differences():
-    grid = StructuredGrid((0.0, 0.0), (0.5, 0.5), (2, 2))
-    cfg = _all_fluid(grid)
-    rng = np.random.default_rng(4)
-    n = grid.n_nodes
-    U = 0.5 * rng.standard_normal(2 * n)
-    P = 0.5 * rng.standard_normal(n)
-    Uo = 0.5 * rng.standard_normal(2 * n)
-    Ao = 0.5 * rng.standard_normal(2 * n)
-    Cb = 0.5 * rng.standard_normal(2 * n)  # frozen advection differs from U
-    dt, theta = 0.1, 1.0
+def _assert_jacobian_is_exact(cfg, body_force, seed):
+    # at fixed U_old, A_old and C_frozen the residual is quadratic in (U, P),
+    # so central differences reproduce every column of the Jacobian up to
+    # round-off
+    rng = np.random.default_rng(seed)
+    n = cfg.grid.n_nodes
+    U, P, Uo, Ao, Cb = (0.5 * rng.standard_normal(k * n) for k in (2, 1, 2, 2, 2))
+    dt, theta = 0.1, 0.8
 
-    def residual(Uv, Pv):
-        Ru, Rp, *_ = assemble_navier_stokes(cfg, PAR, dt, theta, Uv, Pv, Uo, Ao, Cb)
-        return np.concatenate([Ru, Rp])
+    def assemble(x):
+        return assemble_navier_stokes(
+            cfg, PAR, dt, theta, x[: 2 * n], x[2 * n :], Uo, Ao, Cb, body_force=body_force
+        )
 
-    J = flow_matrix(
-        assemble_navier_stokes(cfg, PAR, dt, theta, U, P, Uo, Ao, Cb)
-    ).toarray()
     x0 = np.concatenate([U, P])
-    r0 = residual(U, P)
-    h = 1e-7
-    cols = rng.choice(3 * n, size=12, replace=False)
-    for j in cols:
-        xp = x0.copy()
-        xp[j] += h
-        rp = residual(xp[: 2 * n], xp[2 * n :])
-        fd = (rp - r0) / h
-        assert np.allclose(J[:, j], fd, atol=2e-6 * max(1.0, np.abs(J).max()))
+    J = flow_matrix(assemble(x0)).toarray()
+    h = 1e-3
+    fd = np.column_stack([
+        (np.concatenate(assemble(x0 + h * e)[:2]) - np.concatenate(assemble(x0 - h * e)[:2]))
+        / (2 * h)
+        for e in np.eye(3 * n)
+    ])
+    assert np.abs(J - fd).max() <= 1e-10 * np.abs(J).max()
+
+
+def test_jacobian_matches_finite_differences():
+    _assert_jacobian_is_exact(_all_fluid(StructuredGrid((0.0, 0.0), (0.5, 0.5), (3, 3))), None, 4)
 
 
 def _triangle_cut_config():
@@ -294,7 +292,7 @@ def test_cut_batch_holds_the_rules_of_the_pieces():
     # every cut element's batch row is its pieces' single rules one after
     # the other, bitwise, padded with zero weights at its first point
     grid, cfg = _triangle_cut_config()
-    elems, pts, w = fluid._cut_batch(cfg)
+    elems, pts, w, _ = fluid.volume_batches(cfg)[-1]
     assert elems.tolist() == list(cfg.pieces)
     for row, e in enumerate(cfg.pieces):
         rules = [polygon_rule(p) for p in cfg.pieces[e]]
@@ -448,32 +446,26 @@ def test_cut_batch_force_load_matches_shape_function_integrals():
 
 
 def test_cut_jacobian_matches_finite_differences():
-    grid, cfg = _triangle_cut_config()
-    rng = np.random.default_rng(5)
-    n = grid.n_nodes
-    U, P, Uo, Ao, Cb = (0.5 * rng.standard_normal(k * n) for k in (2, 1, 2, 2, 2))
-    dt, theta = 0.1, 0.8
+    _assert_jacobian_is_exact(_triangle_cut_config()[1], _swirl_force, 5)
 
-    def residual(Uv, Pv):
-        Ru, Rp, *_ = assemble_navier_stokes(
-            cfg, PAR, dt, theta, Uv, Pv, Uo, Ao, Cb, body_force=_swirl_force
-        )
-        return np.concatenate([Ru, Rp])
 
-    J = flow_matrix(assemble_navier_stokes(
-        cfg, PAR, dt, theta, U, P, Uo, Ao, Cb, body_force=_swirl_force
-    )).toarray()
-    x0 = np.concatenate([U, P])
-    r0 = residual(U, P)
-    h = 1e-7
-    # every dof of the cut elements, where the padded rules enter
-    cols = np.unique(grid.all_elem_nodes()[list(cfg.pieces)])
-    cols = np.concatenate([2 * cols, 2 * cols + 1, 2 * n + cols])
-    for j in cols:
-        xp = x0.copy()
-        xp[j] += h
-        fd = (residual(xp[: 2 * n], xp[2 * n :]) - r0) / h
-        assert np.allclose(J[:, j], fd, atol=2e-6 * max(1.0, np.abs(J).max()))
+def test_shared_and_per_element_tables_give_the_same_blocks():
+    # the uncut batch through both contractions: its shared 3x3 tables, and
+    # the same tables repeated for every element
+    grid = StructuredGrid((0.3, -0.2), (0.25, 0.125), (5, 6))
+    ((elems, pts, w, (N, Dx, Dy, D2)),) = fluid.volume_batches(_all_fluid(grid))
+    rng = np.random.default_rng(8)
+    E = elems.size
+    Ue, Oe, Ae, Ce = (rng.standard_normal((E, 4, 2)) for _ in range(4))
+    force = _swirl_force(pts.reshape(-1, 2), 0.0).reshape(pts.shape)
+    fields = (Ue, rng.standard_normal((E, 4)), Oe, Ae, Ce, force)
+    common = (PAR, 1.0 / (0.6 * 0.2), 0.4 / 0.6, 0.2, *grid.spacing)
+    shared = fluid._ns_kernel(*common, N, Dx, Dy, D2, w, *fields)
+    tables = (np.broadcast_to(a, (E, *a.shape[1:])) for a in (N, Dx, Dy))
+    per_element = fluid._ns_kernel(*common, *tables, D2, np.broadcast_to(w, (E, 9)), *fields)
+    for a, b in zip(shared, per_element):
+        assert a.shape == b.shape
+        assert np.abs(a - b).max() <= 1e-13 * np.abs(b).max()
 
 
 def _apply_dirichlet(J, R, fixed, values, x):

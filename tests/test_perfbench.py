@@ -1,6 +1,7 @@
 """The benchmark reaches the program: `perfbench/run.py` patches program
 names and wraps `driver.factor_solve`, passing its keywords through, so a
-renamed name or a dropped keyword makes a traced run fail."""
+renamed name or a dropped keyword makes a traced run fail, and a flow
+assembly that bypasses the patched name leaves `fluid.ns.calls` at 0."""
 
 import json
 import subprocess
@@ -12,7 +13,7 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize("workload", ["overlap", "flap-churn"])
+@pytest.mark.parametrize("workload", ["overlap", "flap-churn", "flap-fine"])
 def test_traced_bench_run_is_correct(workload):
     done = subprocess.run(
         [
@@ -22,4 +23,6 @@ def test_traced_bench_run_is_correct(workload):
         cwd=ROOT, capture_output=True, text=True, timeout=300,
     )
     assert done.returncode == 0, done.stdout[-2000:] + done.stderr[-2000:]
-    assert json.loads(done.stdout.splitlines()[-1])["correct"] is True
+    result = json.loads(done.stdout.splitlines()[-1])
+    assert result["correct"] is True
+    assert result["metrics"]["fluid.ns.calls"]["value"] > 0
