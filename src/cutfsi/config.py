@@ -193,28 +193,14 @@ class CaseConfig:
 # -- parsing ------------------------------------------------------------------
 
 
-def _pair(raw, line, cast=float):
-    parts = raw.split()
-    if len(parts) != 2:
-        raise ConfigError(f"line {line}: expected two values, got {raw!r}")
-    try:
-        return (cast(parts[0]), cast(parts[1]))
-    except ValueError as err:
-        raise ConfigError(f"line {line}: {err}") from err
-
-
-def _floats(raw, line):
-    try:
-        return tuple(float(p) for p in raw.split())
-    except ValueError as err:
-        raise ConfigError(f"line {line}: {err}") from err
-
-
 def _float(raw, line):
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError as err:
         raise ConfigError(f"line {line}: {err}") from err
+    if not np.isfinite(value):
+        raise ConfigError(f"line {line}: expected a finite number, got {raw.strip()!r}")
+    return value
 
 
 def _int(raw, line):
@@ -222,6 +208,17 @@ def _int(raw, line):
         return int(raw)
     except ValueError as err:
         raise ConfigError(f"line {line}: {err}") from err
+
+
+def _pair(raw, line, convert=_float):
+    parts = raw.split()
+    if len(parts) != 2:
+        raise ConfigError(f"line {line}: expected two values, got {raw!r}")
+    return (convert(parts[0], line), convert(parts[1], line))
+
+
+def _floats(raw, line):
+    return tuple(_float(part, line) for part in raw.split())
 
 
 def _bool(raw, line):
@@ -250,7 +247,7 @@ _SCHEMA = {
     ("geometry", "background_spacing"): ("background_spacing", _pair),
     ("geometry", "background_counts"): (
         "background_counts",
-        lambda raw, line: _pair(raw, line, int),
+        lambda raw, line: _pair(raw, line, _int),
     ),
     ("geometry", "solid_mesh"): ("solid_mesh", lambda raw, line: raw.strip()),
     ("geometry", "solid_rigid"): ("solid_rigid", _bool),
@@ -429,6 +426,12 @@ def _validate(cfg: CaseConfig, where) -> None:
             )
     if cfg.inlet_side is not None and not cfg.inlet_profile:
         raise ConfigError("inlet_side given but inlet_profile missing")
+    if cfg.inlet_side in cfg.noslip_sides:
+        # the no-slip values would overwrite the inflow on that side
+        raise ConfigError(
+            f"line {_line(where, 'boundaries', 'noslip_sides')}: "
+            f"noslip_sides lists the inlet side {cfg.inlet_side!r}"
+        )
     if cfg.output_stride < 1:
         raise ConfigError(
             f"line {_line(where, 'output', 'stride')}: stride must be at least 1"

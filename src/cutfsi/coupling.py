@@ -2,11 +2,13 @@
 
 Two assemblers are provided. ``assemble_fs_coupling`` ties the velocity of
 the cut background fluid to the interface velocity of a boundary-fitted
-solid: traction consistency, an adjoint term with a switchable sign, and
-viscous plus directional penalties, integrated over the interface segments
-of a cut configuration. ``assemble_ff_coupling`` couples two overlapping
-fluid meshes along the boundary of the embedded one with weighted-average
-fluxes, jump penalties, and interface transport terms.
+solid: traction consistency, the adjoint term of the non-symmetric
+(adjoint-inconsistent) variant, and viscous plus directional penalties,
+integrated over the interface segments of a cut configuration.
+``assemble_ff_coupling`` couples two overlapping fluid meshes along the
+boundary of the embedded one: the interface flux, its adjoint term and the
+penalty scalings are taken from the uncut embedded mesh alone (the
+embedded-sided weighting), with jump penalties and interface transport terms.
 
 Each call integrates over one interface rule: the two-point Gauss rule on
 every interface segment (fluid-solid), or on every piece the embedded grid's
@@ -51,29 +53,13 @@ _I2 = np.eye(2)
 
 @dataclass(frozen=True)
 class NitscheParams:
-    """Penalty and weighting constants for the interface operators.
-
-    ``adjoint_sign`` +1 selects the adjoint-inconsistent (skew) variant, -1
-    the symmetric one; the choice changes only the adjoint rows.
-    ``flux_weight_first`` is the share of the averaged interface fluxes taken
-    from the first (cut background) mesh in the two-mesh coupling; the
-    remainder comes from the second, uncut mesh. ``trace_constant`` is C in
-    the per-element trace bound (f_k)^2 = C / h_k that scales the viscous
-    jump penalty of the two-mesh coupling.
-    """
+    """The Nitsche penalty constant ``gamma`` of both interface operators."""
 
     gamma: float = 35.0
-    adjoint_sign: float = 1.0
-    flux_weight_first: float = 0.0
-    trace_constant: float = 12.0
 
     def __post_init__(self):
         if not self.gamma > 0.0:
             raise ValueError("penalty constant gamma must be positive")
-        if self.adjoint_sign not in (1.0, -1.0):
-            raise ValueError("adjoint_sign must be +1 or -1")
-        if not 0.0 <= self.flux_weight_first <= 1.0:
-            raise ValueError("flux_weight_first must lie in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -222,7 +208,7 @@ def assemble_fs_coupling(
     if nd % 2:
         raise ValueError("solid_velocity must have two entries per node")
     mu, rho = params.viscosity, params.density
-    gamma, sign = nitsche.gamma, nitsche.adjoint_sign
+    gamma = nitsche.gamma
     h = grid.elem_diameter()
     pen_v = gamma * mu / h
     vel_scale = 1.0 / (theta_iface * dt)
@@ -252,7 +238,7 @@ def assemble_fs_coupling(
     # adjoint term carries fluid test functions only.
     F = -tr + pf[..., None] * nrm[:, None] + _penalty(pen_v, pen_n, nrm, jmp)
     residuals = {
-        "u": _test(w, fl.N, F) + sign * _test_adjoint(w, dtr, jmp),
+        "u": _test(w, fl.N, F) + _test_adjoint(w, dtr, jmp),
         "p": -_test(w, fl.N, _normal_part(nrm, jmp)),
         "d": -_test(w, phi, F),
     }
@@ -271,9 +257,9 @@ def assemble_fs_coupling(
     dF_d = _penalty(pen_v, pen_n, nrm, dj_d)
     dF_p = np.einsum("si,sqb->sqib", nrm, fl.N)
     blocks = {
-        ("u", "u"): _test(w, fl.N, dF_u) + sign * _test_adjoint(w, dtr, dj_u),
+        ("u", "u"): _test(w, fl.N, dF_u) + _test_adjoint(w, dtr, dj_u),
         ("u", "p"): _test(w, fl.N, dF_p),
-        ("u", "d"): _test(w, fl.N, dF_d) + sign * _test_adjoint(w, dtr, dj_d),
+        ("u", "d"): _test(w, fl.N, dF_d) + _test_adjoint(w, dtr, dj_d),
         ("p", "u"): -_test(w, fl.N, _normal_part(nrm, dj_u)),
         ("p", "d"): -_test(w, fl.N, _normal_part(nrm, dj_d)),
         ("d", "u"): -_test(w, phi, dF_u),
@@ -341,40 +327,35 @@ def assemble_ff_coupling(
     ``cfg1`` must be the cut configuration of ``grid1`` against the boundary
     of ``grid2``'s rectangle, so segment normals point from the background
     fluid into the embedded mesh and the jump is (background - embedded).
-    Averaged fluxes use the weights from ``nitsche``; the transport and
-    upwind terms always use the plain mean and are differentiated exactly.
-    Penalty scalings are frozen at the advection fields ``C*_frozen``.
+    The interface flux, the pressure in it, its adjoint term and the penalty
+    scalings come from the uncut embedded mesh alone, so the background
+    pressure does not enter; the transport and upwind terms use the plain
+    mean of both velocities and are differentiated exactly. Penalty
+    scalings are frozen at the advection field ``C2_frozen``; ``P1`` and
+    ``C1_frozen`` do not enter the operator.
 
-    Returns ``(residuals, jacobians)`` keyed ``'u1'``, ``'p1'``, ``'u2'``,
-    ``'p2'`` and by (row, column) pairs thereof.
+    Returns ``(residuals, jacobians)`` keyed ``'u1'``, ``'u2'``, ``'p2'``
+    and by (row, column) pairs of ``'u1'``, ``'u2'``, ``'p2'``.
     """
     n1, n2 = grid1.n_nodes, grid2.n_nodes
     mu, rho = params.viscosity, params.density
     nu = params.kinematic_viscosity
-    gamma, sign = nitsche.gamma, nitsche.adjoint_sign
-    w1 = nitsche.flux_weight_first
-    w2 = 1.0 - w1
-    h1 = grid1.elem_diameter()
+    gamma = nitsche.gamma
     h2 = grid2.elem_diameter()
-    pen_v = gamma * 0.5 * (
-        w1 * mu * nitsche.trace_constant / h1 + w2 * mu * nitsche.trace_constant / h2
-    )
+    # viscous penalty from the trace bound (f_k)^2 = 12 / h_k on the embedded mesh
+    pen_v = gamma * 0.5 * (mu * 12.0 / h2)
 
     rule, s1, s2 = _two_mesh_rule(grid1, cfg1, grid2)
     w, nrm = rule.w, rule.normal
     ue1, ue2 = U1.reshape(n1, 2)[s1.conn], U2.reshape(n2, 2)[s2.conn]
-    cmax1 = np.abs(C1_frozen.reshape(n1, 2)[s1.conn]).max(axis=(1, 2))
     cmax2 = np.abs(C2_frozen.reshape(n2, 2)[s2.conn]).max(axis=(1, 2))
-    phi1 = nu + params.c_conv * cmax1 * h1 + params.c_react * sigma * h1 * h1
-    phi2 = nu + params.c_conv * cmax2 * h2 + params.c_react * sigma * h2 * h2
-    pen_n = gamma * 0.5 * (w1 * rho * phi1 / h1 + w2 * rho * phi2 / h2)
+    phi2 = nu + cmax2 * h2 + sigma * h2 * h2
+    pen_n = gamma * 0.5 * (rho * phi2 / h2)
     pen_n = np.repeat(pen_n[:, None], 2, axis=1)
 
-    dtr1, dtr2 = _traction_tables(mu, s1, nrm), _traction_tables(mu, s2, nrm)
-    flux = w1 * np.einsum("sqibk,sbk->sqi", dtr1, ue1)
-    flux += w2 * np.einsum("sqibk,sbk->sqi", dtr2, ue2)
-    pavg = w1 * np.einsum("sqa,sa->sq", s1.N, P1[s1.conn])
-    pavg += w2 * np.einsum("sqa,sa->sq", s2.N, P2[s2.conn])
+    dtr2 = _traction_tables(mu, s2, nrm)
+    flux = np.einsum("sqibk,sbk->sqi", dtr2, ue2)
+    p2 = np.einsum("sqa,sa->sq", s2.N, P2[s2.conn])
     uf1, uf2 = s1.N @ ue1, s2.N @ ue2
     jmp = uf1 - uf2
     jn = _normal_part(nrm, jmp)
@@ -382,45 +363,38 @@ def assemble_ff_coupling(
     up1, up2 = 0.5 * (m + np.abs(m)), 0.5 * (m - np.abs(m))
     cm = 0.5 * (1.0 + np.sign(m))
 
-    # (1) weighted flux and pressure consistency and (3, 4) the viscous and
+    # (1) flux and pressure consistency and (3, 4) the viscous and
     # directional jump penalties, tested with the jump; (5) interface
     # transport against the mean test function and (6) its upwind companion
-    # against the jump; (2) adjoint terms tested with the weighted fluxes.
-    F = -flux + pavg[..., None] * nrm[:, None] + _penalty(pen_v, pen_n, nrm, jmp)
+    # against the jump; (2) the adjoint term tested with the embedded flux.
+    F = -flux + p2[..., None] * nrm[:, None] + _penalty(pen_v, pen_n, nrm, jmp)
     residuals = {
-        "u1": _test(w, s1.N, F + up1[..., None] * jmp)
-        + sign * w1 * _test_adjoint(w, dtr1, jmp),
-        "u2": _test(w, s2.N, -F + up2[..., None] * jmp)
-        + sign * w2 * _test_adjoint(w, dtr2, jmp),
-        "p1": -w1 * _test(w, s1.N, jn),
-        "p2": -w2 * _test(w, s2.N, jn),
+        "u1": _test(w, s1.N, F + up1[..., None] * jmp),
+        "u2": _test(w, s2.N, -F + up2[..., None] * jmp) + _test_adjoint(w, dtr2, jmp),
+        "p2": -_test(w, s2.N, jn),
     }
-    dofs = {"u1": s1.udofs, "p1": s1.conn, "u2": s2.udofs, "p2": s2.conn}
-    sizes = {"u1": 2 * n1, "p1": n1, "u2": 2 * n2, "p2": n2}
+    dofs = {"u1": s1.udofs, "u2": s2.udofs, "p2": s2.conn}
+    sizes = {"u1": 2 * n1, "u2": 2 * n2, "p2": n2}
     if not tangent:
         return _scatter(sizes, dofs, residuals, None)
 
     # Jump derivative: +N1 on mesh-1 columns, -N2 on mesh-2 ones; the mean
-    # normal flux m has derivative rho/2 N_b n_k on both.
+    # normal flux m has derivative rho/2 N_b n_k on both; the flux depends
+    # on the mesh-2 velocity only.
     blocks = {}
-    for c, side, dtr, wc, jsign in (("1", s1, dtr1, w1, 1.0), ("2", s2, dtr2, w2, -1.0)):
+    for c, side, dflux, jsign in (("1", s1, 0.0, 1.0), ("2", s2, dtr2, -1.0)):
         dj = _jump_tables(side.N, jsign)
-        dF = -wc * dtr + _penalty(pen_v, pen_n, nrm, dj)
+        dF = -dflux + _penalty(pen_v, pen_n, nrm, dj)
         jdm = 0.5 * rho * np.einsum("sqi,sqb,sk->sqibk", jmp, side.N, nrm)
-        dF_p = wc * np.einsum("si,sqb->sqib", nrm, side.N)
-        djn = _normal_part(nrm, dj)
-        blocks["u1", "u" + c] = (
-            _test(w, s1.N, dF + _pointwise(up1, dj) + _pointwise(cm, jdm))
-            + sign * w1 * _test_adjoint(w, dtr1, dj)
-        )
-        blocks["u2", "u" + c] = (
-            _test(w, s2.N, -dF + _pointwise(up2, dj) + _pointwise(1.0 - cm, jdm))
-            + sign * w2 * _test_adjoint(w, dtr2, dj)
-        )
-        blocks["u1", "p" + c] = _test(w, s1.N, dF_p)
-        blocks["u2", "p" + c] = -_test(w, s2.N, dF_p)
-        blocks["p1", "u" + c] = -w1 * _test(w, s1.N, djn)
-        blocks["p2", "u" + c] = -w2 * _test(w, s2.N, djn)
+        blocks["u1", "u" + c] = _test(w, s1.N, dF + _pointwise(up1, dj) + _pointwise(cm, jdm))
+        blocks["u2", "u" + c] = _test(
+            w, s2.N, -dF + _pointwise(up2, dj) + _pointwise(1.0 - cm, jdm)
+        ) + _test_adjoint(w, dtr2, dj)
+        if c == "2":
+            dF_p = np.einsum("si,sqb->sqib", nrm, s2.N)
+            blocks["u1", "p2"] = _test(w, s1.N, dF_p)
+            blocks["u2", "p2"] = -_test(w, s2.N, dF_p)
+        blocks["p2", "u" + c] = -_test(w, s2.N, _normal_part(nrm, dj))
     return _scatter(sizes, dofs, residuals, blocks)
 
 

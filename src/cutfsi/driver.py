@@ -138,12 +138,11 @@ class VelocityDirichlet:
     """Strongly prescribed velocity on one outer side of the background grid.
 
     `value` is either a constant pair or a callable (pts, t) -> (m, 2);
-    `components` selects which velocity components are constrained.
+    both velocity components are constrained.
     """
 
     side: str
     value: object = (0.0, 0.0)
-    components: tuple[int, ...] = (0, 1)
 
     def evaluate(self, pts: np.ndarray, time: float) -> np.ndarray:
         if callable(self.value):
@@ -263,29 +262,25 @@ class StepHistory:
 
 def _fluid_fixed_masks(fluid: FluidProblem, cfg: CutConfiguration):
     n = fluid.grid.n_nodes
-    fix_u = np.zeros(2 * n, dtype=bool)
+    fix_u = np.zeros((n, 2), dtype=bool)
     fix_p = np.zeros(n, dtype=bool)
     inactive = np.flatnonzero(cfg.node_role == NodeRole.INACTIVE)
-    fix_u[2 * inactive] = True
-    fix_u[2 * inactive + 1] = True
+    fix_u[inactive] = True
     fix_p[inactive] = True
     for bc in fluid.dirichlet:
-        nodes = fluid.grid.boundary_nodes(bc.side)
-        for comp in bc.components:
-            fix_u[2 * nodes + comp] = True
+        fix_u[fluid.grid.boundary_nodes(bc.side)] = True
     if fluid.pin_pressure:
         if cfg.active_nodes.size == 0:
             raise ValueError("cannot pin the pressure: no active nodes")
         fix_p[int(cfg.active_nodes[0])] = True
-    return fix_u, fix_p
+    return fix_u.ravel(), fix_p
 
 
 def _apply_fluid_values(fluid: FluidProblem, cfg, U, P, time: float):
     """Write prescribed values into the iterate: zeros on inactive nodes,
     boundary data on active constrained nodes, zero at the pinned pressure."""
     inactive = np.flatnonzero(cfg.node_role == NodeRole.INACTIVE)
-    U[2 * inactive] = 0.0
-    U[2 * inactive + 1] = 0.0
+    U.reshape(-1, 2)[inactive] = 0.0
     P[inactive] = 0.0
     coords = fluid.grid.node_coords()
     for bc in fluid.dirichlet:
@@ -293,9 +288,7 @@ def _apply_fluid_values(fluid: FluidProblem, cfg, U, P, time: float):
         nodes = nodes[cfg.node_role[nodes] != NodeRole.INACTIVE]
         if nodes.size == 0:
             continue
-        vals = bc.evaluate(coords[nodes], time)
-        for comp in bc.components:
-            U[2 * nodes + comp] = vals[:, comp]
+        U.reshape(-1, 2)[nodes] = bc.evaluate(coords[nodes], time)
     if fluid.pin_pressure and cfg.active_nodes.size:
         P[int(cfg.active_nodes[0])] = 0.0
 
@@ -331,7 +324,7 @@ def _add_flow_blocks(
     """Set the flow rows of one mesh in the velocity block `u` and pressure
     block `p` of `system`: the stabilized Navier-Stokes residual and tangent
     plus the facet ghost penalties, with the interface operator's residual
-    rows `interface_residual[u]` / `[p]` added when given.  `history` is the
+    rows `interface_residual[u]` / `[p]` added where given.  `history` is the
     previous (velocity, acceleration) pair on this mesh."""
     Ru, Rp, jac = assemble_navier_stokes(
         cfg, fluid.params, dt, theta, U, P,
@@ -345,7 +338,8 @@ def _add_flow_blocks(
     Rp = Rp + K_press.matvec(P)
     if interface_residual is not None:
         Ru = Ru + interface_residual[u]
-        Rp = Rp + interface_residual[p]
+        if p in interface_residual:
+            Rp = Rp + interface_residual[p]
     system.set_residual(u, Ru)
     system.set_residual(p, Rp)
     names = {"u": u, "p": p}

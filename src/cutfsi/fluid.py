@@ -43,22 +43,19 @@ _G3_W = np.repeat(_G3_WX, 3) * np.tile(_G3_WX, 3)
 
 @dataclass(frozen=True)
 class FluidParams:
-    """Fluid constants and stabilization knobs.
+    """Fluid constants and ghost-penalty weights.
 
-    `viscosity` is dynamic (mu); `inv_estimate` is the inverse-inequality
-    constant entering the stabilization time scale; `gamma_*` scale the three
-    ghost penalties; `c_conv` / `c_react` weight the convective and reactive
-    contributions of the interface/facet scaling function.
+    `viscosity` is dynamic (mu); `gamma_*` scale the three ghost penalties.
+    The inverse-inequality constant of the stabilization time scale is 36,
+    and the interface/facet scaling function nu + |c| h + sigma h^2 weights
+    its convective and reactive parts by one.
     """
 
     density: float
     viscosity: float
-    inv_estimate: float = 36.0
     gamma_conv: float = 0.05
     gamma_div: float = 0.05
     gamma_press: float = 0.05
-    c_conv: float = 1.0
-    c_react: float = 1.0
 
     @property
     def kinematic_viscosity(self) -> float:
@@ -81,6 +78,21 @@ def basis_tables(hx: float, hy: float, s: np.ndarray, t: np.ndarray):
     return N, Dx, Dy, D2
 
 
+# The tables N, Dx, Dy, D2 and 1 at the element corners for unit spacing,
+# node k at corner k, and the products A_a B_b of the first three with all
+# five at the corners c, d: (3, 5, 16, 16) over (A, B, cd, ab).
+_N, _DX, _DY, _D2 = basis_tables(1.0, 1.0, [0, 1, 1, 0], [0, 0, 1, 1])
+_CORNERS = np.stack([_N, _DX, _DY, np.broadcast_to(_D2, (4, 4)), np.ones((4, 4))])
+_UNIT_PAIRS = np.einsum("Aca,Bdb->ABcdab", _CORNERS[:3], _CORNERS).reshape(3, 5, 16, 16)
+
+
+def _corner_pairs(hx: float, hy: float) -> np.ndarray:
+    """The corner products of `_UNIT_PAIRS` for the spacing (hx, hy): each
+    table scales by its factor in (1, 1/hx, 1/hy, 1/(hx hy), 1)."""
+    scale = np.array([1.0, 1.0 / hx, 1.0 / hy, 1.0 / (hx * hy), 1.0])
+    return _UNIT_PAIRS * np.multiply.outer(scale[:3], scale)[..., None, None]
+
+
 def stabilization_times(params: FluidParams, dt: float, hx: float, hy: float, c: np.ndarray):
     """Momentum and continuity stabilization time scales at points.
 
@@ -92,7 +104,7 @@ def stabilization_times(params: FluidParams, dt: float, hx: float, hy: float, c:
     gxx, gyy = 4.0 / hx**2, 4.0 / hy**2
     transient = (2.0 * rho / dt) ** 2
     convect = rho**2 * (c[..., 0] ** 2 * gxx + c[..., 1] ** 2 * gyy)
-    viscous = params.inv_estimate * mu**2 * (gxx**2 + gyy**2)
+    viscous = 36.0 * mu**2 * (gxx**2 + gyy**2)
     tau_m = 1.0 / np.sqrt(transient + convect + viscous)
     tau_c = 1.0 / (tau_m * (gxx + gyy))
     return tau_m, tau_c
@@ -143,9 +155,7 @@ def _ns_kernel(params, sigma, hist_ratio, dt, hx, hy, N, Dx, Dy, D2, w, Ue, Pe, 
     sc = rho * tau_m * c  # the streamline test weight rho tau_m c
     sym = mu * (G + np.swapaxes(G, 0, 1))
 
-    corners = basis_tables(hx, hy, [0, 1, 1, 0], [0, 0, 1, 1])[:3]  # node k at corner k
-    corners = np.stack([*corners, np.broadcast_to(D2, (4, 4)), np.ones((4, 4))])
-    fixed = np.einsum("Aca,Bdb->ABcdab", corners[:3], corners).reshape(3, 5, 16, 16)
+    fixed = _corner_pairs(hx, hy)
     NT = np.ascontiguousarray(np.swapaxes(N, 1, 2))  # (E|1,4,Q)
     nn = np.swapaxes((NT[:, :, None] * (w[:, None] * NT)[:, None]).reshape(-1, 16, Q), 1, 2)
     if shared:
@@ -402,7 +412,7 @@ def assemble_ghost_penalties(
     # per-facet scalings from the advection maxima of both elements
     cinf_elem = np.abs(C_frozen.reshape(n, 2))[grid.all_elem_nodes()].max(axis=(1, 2))
     cinf = cinf_elem[facets[:, :2]]
-    phi = nu + params.c_conv * cinf * h_elem + params.c_react * sigma * h_elem**2
+    phi = nu + cinf * h_elem + sigma * h_elem**2
     phi_mean = 0.5 * (phi[:, 0] + phi[:, 1])
     phi_c_mean = 0.5 * (h_elem**2 / phi[:, 0] + h_elem**2 / phi[:, 1])
     cinf_f = cinf.max(axis=1)

@@ -1,9 +1,11 @@
 """Public API hygiene: every exported name resolves, and every name a
-submodule exports but the package does not re-export, and every function,
-method and property defined in the package, has a caller in the program
-itself (package, demos or benchmark), not only in the tests."""
+submodule exports but the package does not re-export, every function,
+method and property defined in the package, and every field of the
+parameter classes, has a caller in the program itself (package, demos or
+benchmark), not only in the tests."""
 
 import ast
+import dataclasses
 import importlib
 import pkgutil
 from pathlib import Path
@@ -50,11 +52,16 @@ def test_every_exported_name_resolves():
             )
 
 
-def _program_names() -> set[str]:
-    used: set[str] = set()
+def _program_trees():
     for folder in PROGRAM_DIRS:
         for path in sorted((ROOT / folder).rglob("*.py")):
-            used |= _used_names(ast.parse(path.read_text(), filename=str(path)))
+            yield ast.parse(path.read_text(), filename=str(path))
+
+
+def _program_names() -> set[str]:
+    used: set[str] = set()
+    for tree in _program_trees():
+        used |= _used_names(tree)
     return used
 
 
@@ -107,3 +114,29 @@ def test_no_module_imports_a_private_name_of_another():
                 if alias.name.startswith("_")
             ]
     assert private == []
+
+
+def test_every_parameter_field_is_set_by_the_program():
+    # a field that no call of its class sets has one value in use and
+    # belongs in the code as a constant; `replace` calls count for every
+    # class
+    classes = (
+        cutfsi.DriverConfig, cutfsi.FluidParams, cutfsi.NitscheParams, cutfsi.VelocityDirichlet
+    )
+    fields = {cls.__name__: [f.name for f in dataclasses.fields(cls)] for cls in classes}
+    set_fields = set()
+    for tree in _program_trees():
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            owners = list(fields) if name == "replace" else [name] if name in fields else []
+            for owner in owners:
+                set_fields |= {(owner, k.arg) for k in node.keywords}
+                if name == owner and not any(isinstance(a, ast.Starred) for a in node.args):
+                    set_fields |= {(owner, f) for f in fields[owner][: len(node.args)]}
+    unset = sorted(
+        f"{cls}.{f}" for cls, names in fields.items() for f in names if (cls, f) not in set_fields
+    )
+    assert unset == []

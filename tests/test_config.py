@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from cutfsi.cli import main
 from cutfsi.config import (
     CaseConfig,
     ConfigError,
@@ -242,6 +243,42 @@ class TestErrors:
                 ConfigError, match=f"line {line}: unknown key '{key}'"
             ):
                 parse_config_text(text)
+
+    def _refused_by_run(self, tmp_path, capsys, text, message):
+        path = tmp_path / "case.ini"
+        path.write_text(text)
+        assert main(["run", str(path)]) == 1
+        assert message in capsys.readouterr().err
+
+    def test_inlet_side_listed_as_noslip(self, tmp_path, capsys):
+        # the no-slip zeros would overwrite the inflow profile on that side
+        text = MINIMAL.replace(
+            "noslip_sides = bottom top",
+            "inlet_side = left\ninlet_profile = 1.0\nnoslip_sides = left bottom top",
+        )
+        (line,) = _lines_with(text, "noslip_sides")
+        message = f"line {line}: noslip_sides lists the inlet side 'left'"
+        with pytest.raises(ConfigError, match=message):
+            parse_config_text(text)
+        self._refused_by_run(tmp_path, capsys, text, message)
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            ("dt = 0.05", "dt = inf"),
+            ("dt = 0.05", "dt = nan"),
+            ("n_steps = 4", "n_steps = 4\ntol = nan"),
+            ("fluid_viscosity = 0.01", "fluid_viscosity = inf"),
+        ],
+    )
+    def test_non_finite_number(self, tmp_path, capsys, old, new):
+        text = MINIMAL.replace(old, new)
+        key, value = new.splitlines()[-1].split(" = ")
+        (line,) = _lines_with(text, f"{key} = ")
+        message = f"line {line}: expected a finite number, got {value!r}"
+        with pytest.raises(ConfigError, match=message):
+            parse_config_text(text)
+        self._refused_by_run(tmp_path, capsys, text, message)
 
     def test_zero_stride(self):
         with pytest.raises(ConfigError, match="stride must be at least 1"):

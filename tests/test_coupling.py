@@ -143,26 +143,6 @@ class TestFluidSolidCoupling:
         assert np.allclose(res["u"], ru_ref, atol=1e-12)
         assert np.allclose(res["d"], rd_ref, atol=1e-12)
 
-    def test_adjoint_sign_changes_only_adjoint_rows(self):
-        grid, cfg, loop_nodes, n_solid = _fs_setup()
-        rng = np.random.default_rng(5)
-        n = grid.n_nodes
-        U = rng.normal(size=2 * n)
-        P = rng.normal(size=n)
-        C = rng.normal(size=2 * n)
-        us = rng.normal(size=2 * n_solid)
-        plus, _ = _fs_assemble(
-            grid, cfg, loop_nodes, U, P, C, us, NitscheParams(adjoint_sign=1.0),
-            tangent=False,
-        )
-        minus, _ = _fs_assemble(
-            grid, cfg, loop_nodes, U, P, C, us, NitscheParams(adjoint_sign=-1.0),
-            tangent=False,
-        )
-        assert np.array_equal(plus["p"], minus["p"])
-        assert np.array_equal(plus["d"], minus["d"])
-        assert not np.allclose(plus["u"], minus["u"])
-
     def test_segment_in_covered_element_rejected(self):
         grid, cfg, loop_nodes, n_solid = _fs_setup()
         status = cfg.status.copy()
@@ -251,23 +231,19 @@ def _hat_eval(grid, e, x):
     return conn, N, G
 
 
-def _ff_oracle(grid1, grid2, corners, params, nitsche, U1, P1, U2, P2, C1, C2, sigma):
-    """Straightforward per-point evaluation of all six coupling lines."""
+def _ff_oracle(grid1, grid2, corners, params, nitsche, U1, U2, P2, C2, sigma):
+    """Straightforward per-point evaluation of all coupling lines, with the
+    interface flux and the penalty scalings taken from the embedded mesh."""
     mu, rho, nu = params.viscosity, params.density, params.kinematic_viscosity
-    gamma, sign = nitsche.gamma, nitsche.adjoint_sign
-    w1 = nitsche.flux_weight_first
-    w2 = 1.0 - w1
-    h1 = grid1.elem_diameter()
+    gamma = nitsche.gamma
     h2 = grid2.elem_diameter()
     res = {
         "u1": np.zeros(2 * grid1.n_nodes),
-        "p1": np.zeros(grid1.n_nodes),
         "u2": np.zeros(2 * grid2.n_nodes),
         "p2": np.zeros(grid2.n_nodes),
     }
     U1v = U1.reshape(-1, 2)
     U2v = U2.reshape(-1, 2)
-    C1v = C1.reshape(-1, 2)
     C2v = C2.reshape(-1, 2)
     xg = np.array([0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0)])
 
@@ -296,91 +272,77 @@ def _ff_oracle(grid1, grid2, corners, params, nitsche, U1, P1, U2, P2, C1, C2, s
                 x = a + t * d
                 e1 = grid1.locate(x)
                 e2 = grid2.locate(x + 1e-9 * nvec)
-                conn1, N1, G1 = _hat_eval(grid1, e1, x)
+                conn1, N1, _ = _hat_eval(grid1, e1, x)
                 conn2, N2, G2 = _hat_eval(grid2, e2, x)
                 u1 = N1 @ U1v[conn1]
                 u2 = N2 @ U2v[conn2]
-                p1 = N1 @ P1[conn1]
                 p2 = N2 @ P2[conn2]
-                gu1 = G1.T @ U1v[conn1]  # gu[i, j] = d u_j / d x_i
-                gu2 = G2.T @ U2v[conn2]
+                gu2 = G2.T @ U2v[conn2]  # gu[i, j] = d u_j / d x_i
                 j = u1 - u2
                 jn = j @ nvec
-                flux = w1 * mu * (gu1 + gu1.T).T @ nvec + w2 * mu * (gu2 + gu2.T).T @ nvec
-                pavg = w1 * p1 + w2 * p2
-                cmax1 = np.abs(C1v[conn1]).max()
+                flux = mu * (gu2 + gu2.T).T @ nvec
                 cmax2 = np.abs(C2v[conn2]).max()
-                phi1 = nu + cmax1 * h1 + sigma * h1**2
                 phi2 = nu + cmax2 * h2 + sigma * h2**2
-                pen_v = 0.5 * gamma * (
-                    w1 * mu * nitsche.trace_constant / h1
-                    + w2 * mu * nitsche.trace_constant / h2
-                )
-                pen_n = 0.5 * gamma * (w1 * rho * phi1 / h1 + w2 * rho * phi2 / h2)
+                pen_v = 0.5 * gamma * mu * 12.0 / h2
+                pen_n = 0.5 * gamma * rho * phi2 / h2
                 m = 0.5 * rho * (u1 + u2) @ nvec
 
-                for nd, Nv, Gv in zip(conn1, N1, G1):
+                for nd, Nv in zip(conn1, N1):
                     rows = slice(2 * nd, 2 * nd + 2)
-                    adj = mu * ((Gv @ j) * nvec + (Gv @ nvec) * j)
-                    res["u1"][rows] += w * (
-                        Nv * (-flux + pavg * nvec)
-                        + sign * w1 * adj
-                        + Nv * (pen_v * j + pen_n * jn * nvec)
-                        + Nv * 0.5 * (m + abs(m)) * j
+                    res["u1"][rows] += w * Nv * (
+                        -flux + p2 * nvec
+                        + pen_v * j + pen_n * jn * nvec
+                        + 0.5 * (m + abs(m)) * j
                     )
-                    res["p1"][nd] += -w * w1 * Nv * jn
                 for nd, Nv, Gv in zip(conn2, N2, G2):
                     rows = slice(2 * nd, 2 * nd + 2)
                     adj = mu * ((Gv @ j) * nvec + (Gv @ nvec) * j)
                     res["u2"][rows] += w * (
-                        Nv * (flux - pavg * nvec)
-                        + sign * w2 * adj
+                        Nv * (flux - p2 * nvec)
+                        + adj
                         - Nv * (pen_v * j + pen_n * jn * nvec)
                         + Nv * 0.5 * (m - abs(m)) * j
                     )
-                    res["p2"][nd] += -w * w2 * Nv * jn
+                    res["p2"][nd] += -w * Nv * jn
     return res
 
 
+def _assert_matches_oracle(res, ref):
+    assert set(res) == set(ref)
+    for key in ref:
+        scale = np.linalg.norm(ref[key]) + 1.0
+        assert np.allclose(res[key], ref[key], atol=1e-11 * scale), key
+
+
 class TestFluidFluidCoupling:
-    def test_matches_independent_evaluation_generic_weights(self):
+    def test_matches_independent_evaluation(self):
         grid1, cfg1, grid2, corners = _ff_setup()
         U1, P1, U2, P2, C1, C2 = _random_ff_state(grid1, grid2, 21)
-        nit = NitscheParams(gamma=9.0, flux_weight_first=0.3)
+        nit = NitscheParams(gamma=9.0)
         res, _ = assemble_ff_coupling(
             grid1, cfg1, grid2, PARAMS, nit, U1, P1, U2, P2, C1, C2, SIGMA,
             tangent=False,
         )
-        ref = _ff_oracle(
-            grid1, grid2, corners, PARAMS, nit, U1, P1, U2, P2, C1, C2, SIGMA
+        ref = _ff_oracle(grid1, grid2, corners, PARAMS, nit, U1, U2, P2, C2, SIGMA)
+        _assert_matches_oracle(res, ref)
+        # With the flux drawn from the embedded side alone, the background
+        # pressure and advection field never enter.
+        shifted, _ = assemble_ff_coupling(
+            grid1, cfg1, grid2, PARAMS, nit, U1, P1 + 5.0, U2, P2, -C1, C2, SIGMA,
+            tangent=False,
         )
-        for key in ("u1", "p1", "u2", "p2"):
-            scale = np.linalg.norm(ref[key]) + 1.0
-            assert np.allclose(res[key], ref[key], atol=1e-11 * scale), key
+        for key in res:
+            assert np.array_equal(res[key], shifted[key]), key
 
-    def test_uncut_side_weighting_uses_embedded_flux_only(self):
-        grid1, cfg1, grid2, corners = _ff_setup()
-        U1, P1, U2, P2, C1, C2 = _random_ff_state(grid1, grid2, 22)
-        nit = NitscheParams(gamma=9.0, flux_weight_first=0.0)
-        res, _ = assemble_ff_coupling(
-            grid1, cfg1, grid2, PARAMS, nit, U1, P1, U2, P2, C1, C2, SIGMA,
-            tangent=False,
+    def test_returns_no_all_zero_block(self):
+        grid1, cfg1, grid2, _ = _ff_setup()
+        state = _random_ff_state(grid1, grid2, 24)
+        res, jac = assemble_ff_coupling(
+            grid1, cfg1, grid2, PARAMS, NitscheParams(gamma=9.0), *state, SIGMA
         )
-        ref = _ff_oracle(
-            grid1, grid2, corners, PARAMS, nit, U1, P1, U2, P2, C1, C2, SIGMA
-        )
-        for key in ("u1", "p1", "u2", "p2"):
-            scale = np.linalg.norm(ref[key]) + 1.0
-            assert np.allclose(res[key], ref[key], atol=1e-11 * scale), key
-        # With the averaged flux drawn fully from the embedded side, the
-        # first-mesh pressure never enters: its rows and columns vanish.
-        assert np.array_equal(res["p1"], np.zeros_like(res["p1"]))
-        res_p1, _ = assemble_ff_coupling(
-            grid1, cfg1, grid2, PARAMS, nit, U1, P1 + 5.0, U2, P2, C1, C2, SIGMA,
-            tangent=False,
-        )
-        for key in ("u1", "p1", "u2", "p2"):
-            assert np.array_equal(res[key], res_p1[key])
+        assert "p1" not in res
+        for key, block in jac.items():
+            assert np.any(block.vals != 0.0), key
 
     def test_shared_linear_field_leaves_cancelling_consistency(self):
         grid1, cfg1, grid2, corners = _ff_setup()
@@ -398,7 +360,6 @@ class TestFluidFluidCoupling:
         )
         # Zero jump: pressure rows vanish and the two velocity residuals
         # carry equal and opposite total interface forces.
-        assert np.allclose(res["p1"], 0.0, atol=1e-12)
         assert np.allclose(res["p2"], 0.0, atol=1e-12)
         f1 = np.array([res["u1"][0::2].sum(), res["u1"][1::2].sum()])
         f2 = np.array([res["u2"][0::2].sum(), res["u2"][1::2].sum()])
@@ -408,7 +369,7 @@ class TestFluidFluidCoupling:
     def test_jacobian_matches_central_differences(self):
         grid1, cfg1, grid2, corners = _ff_setup()
         U1, P1, U2, P2, C1, C2 = _random_ff_state(grid1, grid2, 40)
-        nit = NitscheParams(gamma=9.0, flux_weight_first=0.45)
+        nit = NitscheParams(gamma=9.0)
         _, jac = assemble_ff_coupling(
             grid1, cfg1, grid2, PARAMS, nit, U1, P1, U2, P2, C1, C2, SIGMA
         )
@@ -431,7 +392,7 @@ class TestFluidFluidCoupling:
             return res
 
         plus, minus = residual(eps), residual(-eps)
-        for row in ("u1", "p1", "u2", "p2"):
+        for row in ("u1", "u2", "p2"):
             fd = (plus[row] - minus[row]) / (2 * eps)
             predicted = np.zeros_like(fd)
             for col, dvec in delta.items():
@@ -476,7 +437,7 @@ class TestBatchedRule:
     def test_ff_residual_is_independent_of_the_tangent_flag(self):
         grid1, cfg1, grid2, _ = _ff_setup()
         state = _random_ff_state(grid1, grid2, 14)
-        nit = NitscheParams(gamma=9.0, flux_weight_first=0.35)
+        nit = NitscheParams(gamma=9.0)
         with_tangent, _ = assemble_ff_coupling(
             grid1, cfg1, grid2, PARAMS, nit, *state, SIGMA
         )
@@ -484,7 +445,7 @@ class TestBatchedRule:
             grid1, cfg1, grid2, PARAMS, nit, *state, SIGMA, tangent=False
         )
         assert jac is None
-        for key in ("u1", "p1", "u2", "p2"):
+        for key in ("u1", "u2", "p2"):
             assert np.array_equal(with_tangent[key], without[key]), key
 
     def test_ff_background_segments_through_patch_nodes(self):
@@ -501,15 +462,13 @@ class TestBatchedRule:
         assert all(p in patch_nodes for p in [(0.5, 0.1875), (0.3125, 0.5)])
 
         U1, P1, U2, P2, C1, C2 = _random_ff_state(grid1, grid2, 23)
-        nit = NitscheParams(gamma=9.0, flux_weight_first=0.3)
+        nit = NitscheParams(gamma=9.0)
         res, _ = assemble_ff_coupling(
             grid1, cfg1, grid2, PARAMS, nit, U1, P1, U2, P2, C1, C2, SIGMA,
             tangent=False,
         )
-        ref = _ff_oracle(grid1, grid2, corners, PARAMS, nit, U1, P1, U2, P2, C1, C2, SIGMA)
-        for key in ("u1", "p1", "u2", "p2"):
-            scale = np.linalg.norm(ref[key]) + 1.0
-            assert np.allclose(res[key], ref[key], atol=1e-11 * scale), key
+        ref = _ff_oracle(grid1, grid2, corners, PARAMS, nit, U1, U2, P2, C2, SIGMA)
+        _assert_matches_oracle(res, ref)
         out = interface_jump_norms(grid1, cfg1, grid2, U1, U2)
         assert np.isclose(out["length"], 2 * (0.75 + 0.625), atol=1e-12)
 

@@ -39,7 +39,7 @@ def test_stabilization_times_steady_no_convection():
 
 def test_stabilization_times_general_hand_value():
     rho, mu = 2.0, 0.3
-    par = FluidParams(density=rho, viscosity=mu, inv_estimate=36.0)
+    par = FluidParams(density=rho, viscosity=mu)
     hx, hy, dt = 0.2, 0.4, 0.5
     c = np.array([1.0, 2.0])
     gxx, gyy = 4 / hx**2, 4 / hy**2
@@ -51,6 +51,16 @@ def test_stabilization_times_general_hand_value():
     tau_m, tau_c = stabilization_times(par, dt, hx, hy, c)
     assert tau_m == pytest.approx(want, rel=1e-13)
     assert tau_c == pytest.approx(1.0 / (want * (gxx + gyy)), rel=1e-13)
+
+
+def test_corner_pairs_match_the_corner_basis_tables():
+    # the unit-spacing corner products scaled per table equal the products
+    # of the basis tables at the corners of a non-square cell, bitwise
+    hx, hy = 0.0713, 0.0297
+    N, Dx, Dy, D2 = basis_tables(hx, hy, [0, 1, 1, 0], [0, 0, 1, 1])
+    corners = np.stack([N, Dx, Dy, np.broadcast_to(D2, (4, 4)), np.ones((4, 4))])
+    want = np.einsum("Aca,Bdb->ABcdab", corners[:3], corners).reshape(3, 5, 16, 16)
+    assert np.array_equal(fluid._corner_pairs(hx, hy), want)
 
 
 def _scalar_reference_residual(params, dt, theta, hx, hy, origin, Ue, Pe, Oe, Ae, Ce, force):
@@ -682,7 +692,7 @@ def _ghost_reference(grid, cfg, par, dt, theta, C, widened):
     for el, er, na, nb in cfg.ghost_facets(widened=widened):
         nodes, w, length, axis, grad = _facet_reference(grid, el, er, na, nb)
         cinf = [np.abs(C.reshape(n, 2)[grid.elem_nodes(e)]).max() for e in (el, er)]
-        phi = [nu + par.c_conv * c * h + par.c_react * sigma * h**2 for c in cinf]
+        phi = [nu + 1.0 * c * h + 1.0 * sigma * h**2 for c in cinf]
         phi_c = 0.5 * sum(h**2 / p for p in phi)
         Mn = np.einsum("q,qa,qb->ab", w, grad[..., axis], grad[..., axis])
         div = grad.reshape(len(w), -1)
