@@ -315,9 +315,22 @@ def _assert_matches_oracle(res, ref):
 
 
 class TestFluidFluidCoupling:
-    def test_matches_independent_evaluation(self):
+    def test_matches_independent_evaluation_generic_weights(self):
+        # the oracle agrees at penalty weights other than the default
         grid1, cfg1, grid2, corners = _ff_setup()
         U1, P1, U2, P2, C1, C2 = _random_ff_state(grid1, grid2, 21)
+        for gamma in (9.0, 0.7):
+            nit = NitscheParams(gamma=gamma)
+            res, _ = assemble_ff_coupling(
+                grid1, cfg1, grid2, PARAMS, nit, U1, P1, U2, P2, C1, C2, SIGMA,
+                tangent=False,
+            )
+            ref = _ff_oracle(grid1, grid2, corners, PARAMS, nit, U1, U2, P2, C2, SIGMA)
+            _assert_matches_oracle(res, ref)
+
+    def test_uncut_side_weighting_uses_embedded_flux_only(self):
+        grid1, cfg1, grid2, corners = _ff_setup()
+        U1, P1, U2, P2, C1, C2 = _random_ff_state(grid1, grid2, 22)
         nit = NitscheParams(gamma=9.0)
         res, _ = assemble_ff_coupling(
             grid1, cfg1, grid2, PARAMS, nit, U1, P1, U2, P2, C1, C2, SIGMA,
