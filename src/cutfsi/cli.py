@@ -88,8 +88,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--dump-matrix",
         type=Path,
         metavar="DIR",
-        help="debug: export the assembled coupled system at every accepted "
-        "step in MatrixMarket format",
+        help="debug: export the matrix of the converged Newton iteration of "
+        "every accepted step in MatrixMarket format",
     )
     run_p.set_defaults(handler=_cmd_run)
 
@@ -262,9 +262,11 @@ def _dump_matrix(driver: FsiDriver, state, report, directory: Path) -> None:
 
     The tangent does not depend on the step's previous-level history (it
     only shifts the residual), so the history of a step taken from the
-    accepted state reproduces the matrix the final iteration factorized.
-    The final iteration used the widened ghost facets when the step had
-    frozen its active space. The driver's plan is reused when it fits.
+    accepted state reproduces the matrix of the converged iteration, the
+    one its last increment was solved with, by a fresh LU or by refinement
+    on the previous iteration's. The converged iteration used the widened
+    ghost facets when the step had frozen its active space. The driver's
+    plan is reused when it fits.
     """
     asm = assemble_coupled_system(
         driver.problem,

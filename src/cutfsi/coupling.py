@@ -314,10 +314,8 @@ def assemble_ff_coupling(
     params: FluidParams,
     nitsche: NitscheParams,
     U1: np.ndarray,
-    P1: np.ndarray,
     U2: np.ndarray,
     P2: np.ndarray,
-    C1_frozen: np.ndarray,
     C2_frozen: np.ndarray,
     sigma: float,
     tangent: bool = True,
@@ -331,8 +329,8 @@ def assemble_ff_coupling(
     scalings come from the uncut embedded mesh alone, so the background
     pressure does not enter; the transport and upwind terms use the plain
     mean of both velocities and are differentiated exactly. Penalty
-    scalings are frozen at the advection field ``C2_frozen``; ``P1`` and
-    ``C1_frozen`` do not enter the operator.
+    scalings are frozen at the embedded mesh's advection field
+    ``C2_frozen``.
 
     Returns ``(residuals, jacobians)`` keyed ``'u1'``, ``'u2'``, ``'p2'``
     and by (row, column) pairs of ``'u1'``, ``'u2'``, ``'p2'``.

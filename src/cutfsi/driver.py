@@ -472,12 +472,23 @@ def _relative(values: tuple[float, float], reference: tuple[float, float]):
 @dataclass
 class IterationRecord:
     """Relative residual/increment norms (l2, max) per block, plus the
-    absolute residual l2 norms and the accepted step scaling."""
+    absolute residual l2 norms and the accepted step scaling.  The last
+    increment of a converged attempt is only tested, never applied; it may
+    come from refinement on the previous iteration's LU (see `_newton`)."""
 
     residual: dict[str, tuple[float, float]]
     increment: dict[str, tuple[float, float]]
     residual_abs: dict[str, float]
     step_scale: float = 1.0
+
+
+def _below(norms: dict[str, tuple[float, float]], bound: float) -> bool:
+    return all(max(pair) < bound for pair in norms.values())
+
+
+def _increments(blocks: dict[str, np.ndarray], iterate) -> dict[str, tuple[float, float]]:
+    """Both norms of every increment block relative to its iterate block."""
+    return {k: _relative(_norm_pair(v), _norm_pair(iterate[k])) for k, v in blocks.items()}
 
 
 def _newton(
@@ -494,12 +505,22 @@ def _newton(
     scale at which the increment is applied (one without it).  A residual
     block holding NaN or inf raises LinearSolveError before the solve.
 
+    Every increment that may be applied comes from a fresh LU of
+    `factor_solve`.  That LU is kept when every relative increment it gave
+    is below ``sqrt(tol)``, where quadratic convergence predicts an increment
+    below `tol` next.  At the next iteration, if its residual passes `tol`,
+    the increment, which is then only tested, is solved by `LU.refine` on the
+    kept LU, and accepted when the refinement passes the residual guard and
+    every block increment is below ``tol / 2``; otherwise that iteration
+    factorises as any other.
+
     Returns ``(iterate, assembled, iterations, records, interrupted)``:
     `assembled` is the converged linearization, or None when `recut`
     interrupted the iteration with the returned value `interrupted`.
     """
     records: list[IterationRecord] = []
     reference: dict[str, tuple[float, float]] | None = None
+    kept = None  # the previous iteration's LU, kept while its increment is small
     for it in range(1, max_newton + 1):
         if it > 1 and recut is not None:
             interrupted = recut(iterate)
@@ -512,10 +533,6 @@ def _newton(
                 raise LinearSolveError(
                     f"non-finite residual in block {k} at Newton iteration {it}"
                 )
-        delta = factor_solve(
-            assembled.matrix, -assembled.residual, plan=assembled.system.plan
-        )
-        blocks = assembled.system.split(delta)
         if reference is None:
             reference = {k: _norm_pair(v) for k, v in res_blocks.items()}
         record = IterationRecord(
@@ -523,19 +540,27 @@ def _newton(
                 k: _relative(_norm_pair(v), reference[k])
                 for k, v in res_blocks.items()
             },
-            increment={
-                k: _relative(_norm_pair(v), _norm_pair(iterate[k]))
-                for k, v in blocks.items()
-            },
+            increment={},
             residual_abs={k: _norm_pair(v)[0] for k, v in res_blocks.items()},
         )
         records.append(record)
-        if all(
-            max(pair) < tol
-            for group in (record.residual, record.increment)
-            for pair in group.values()
-        ):
+        small_residual = _below(record.residual, tol)
+        if small_residual and kept is not None:
+            delta = kept.refine(assembled.matrix, -assembled.residual)
+            if delta is not None:
+                record.increment = _increments(assembled.system.split(delta), iterate)
+                if _below(record.increment, 0.5 * tol):
+                    return iterate, assembled, it, records, None
+        kept = None  # released before the next factorisation builds its own
+        delta, kept = factor_solve(
+            assembled.matrix, -assembled.residual, plan=assembled.system.plan
+        )
+        blocks = assembled.system.split(delta)
+        record.increment = _increments(blocks, iterate)
+        if small_residual and _below(record.increment, tol):
             return iterate, assembled, it, records, None
+        if not _below(record.increment, np.sqrt(tol)):
+            kept = None
         assembled = None  # released before the next assembly builds its own
         if limit_step is not None:
             record.step_scale = limit_step(iterate, blocks)
@@ -961,7 +986,7 @@ def assemble_overlap_system(
     """
     c_res, c_jac = assemble_ff_coupling(
         background.grid, cfg1, patch.grid, background.params, nitsche,
-        U1, P1, U2, P2, U1, U2, 1.0 / dt,
+        U1, U2, P2, U2, 1.0 / dt,
     )
     n1, n2 = background.grid.n_nodes, patch.grid.n_nodes
     system = BlockSystem({"u1": 2 * n1, "p1": n1, "u2": 2 * n2, "p2": n2})

@@ -5,11 +5,13 @@ summed into CSR through the fixed assembly plan of a block system, or by
 `LocalBlocks.tocsr` outside one. Also guarded LU solves and matrix-market
 export for offline inspection. Every LU keeps SuperLU's diagonal pivots
 in a minimum-degree ordering of A^T + A, which the matrices of one
-assembly plan share (see `factor_solve`), and every solve is residual-guarded.
+assembly plan share (see `factor_solve`). Every solve is residual-guarded,
+the refinement of a nearby matrix's LU (`LU.refine`) included.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +35,8 @@ class LinearSolveError(RuntimeError):
 
 # relative backward-residual bound above which a direct solve is refused
 _TRUST_REL = 1e-10
+# refinement steps after the first solve on the factors of a nearby matrix
+_CORRECTIONS = 2
 # SuperLU settings of every factorisation; see `factor_solve`
 _SPLU_OPTIONS = {
     "permc_spec": "MMD_AT_PLUS_A", "diag_pivot_thresh": 0.0, "relax": 2, "panel_size": 8,
@@ -230,64 +234,108 @@ class AssemblyPlan:
         return self._ordering
 
 
+class LU:
+    """SuperLU factors of a square matrix, the rows and columns taken in the
+    symmetric permutation `perm`. It holds only what a solve needs, not the
+    matrix itself."""
+
+    def __init__(self, A, plan: AssemblyPlan | None = None):
+        self.perm = slice(None)
+        try:  # splu raises ValueError itself for a non-square A
+            if plan is None:
+                self.lu = spla.splu(sp.csc_matrix(A), **_SPLU_OPTIONS)
+            else:
+                self.perm, take, indptr, indices = plan.ordering()
+                B = sp.csc_matrix((A.data.take(take), indices, indptr), A.shape)
+                self.lu = spla.splu(B, **{**_SPLU_OPTIONS, "permc_spec": "NATURAL"})
+        except RuntimeError as err:
+            raise LinearSolveError(f"sparse LU failed: {err}") from None
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        """The unguarded solution of the factorised system."""
+        x = np.empty_like(b)
+        x[self.perm] = self.lu.solve(b[self.perm])
+        return x
+
+    def refine(self, A, b: np.ndarray) -> np.ndarray | None:
+        """``A x = b`` for a matrix `A` near the factorised one, by one solve
+        on these factors and at most `_CORRECTIONS` steps of iterative
+        refinement against `A`: the first iterate that is finite and passes
+        the backward-residual guard of `factor`, or None if none does."""
+        norm_A = spla.norm(A)
+        x = np.zeros_like(b)
+        res = b
+        for _ in range(1 + _CORRECTIONS):
+            x = x + self.solve(res)
+            if not np.all(np.isfinite(x)):
+                return None
+            res = b - A @ x
+            if _untrusted(norm_A, x, b, res) is None:
+                return x
+        return None
+
+
+def _untrusted(norm_A, x, b, res):
+    """``(residual, bound)`` of the first column of `x` whose backward
+    residual ``res = b - A x`` exceeds ``_TRUST_REL * (|A| |x| + |b|)``
+    (Frobenius/l2 norms), or None when every column is trusted."""
+    res = np.linalg.norm(res, axis=0)
+    bound = _TRUST_REL * (norm_A * np.linalg.norm(x, axis=0) + np.linalg.norm(b, axis=0))
+    for r, c in zip(np.ravel(res), np.ravel(bound)):
+        if r > max(c, 1e-300):
+            return r, c
+    return None
+
+
+def _guarded_solve(A, norm_A, lu: LU, b):
+    b = np.asarray(b, dtype=float)
+    if b.shape[:1] != A.shape[:1]:
+        raise ValueError(f"b has shape {b.shape}, A has {A.shape[0]} rows")
+    x = lu.solve(b)
+    if not np.all(np.isfinite(x)):
+        raise LinearSolveError("sparse LU produced non-finite values")
+    failed = _untrusted(norm_A, x, b, b - A @ x)
+    if failed is not None:
+        raise LinearSolveError(
+            f"direct solve residual {failed[0]:.3e} exceeds trust bound {failed[1]:.3e}"
+        )
+    return x
+
+
 def factor(A, plan: AssemblyPlan | None = None):
     """Guarded sparse LU of the square `A`, returned as ``solve(b)`` for b
     of shape (n,) or (n, k); a solved matrix of `plan` is factorised in the
     plan's `ordering`. `solve` raises LinearSolveError instead of returning
     a non-finite solution or one whose backward residual exceeds
     ``_TRUST_REL * (|A| |x| + |b|)`` (Frobenius/l2 norms) in any column."""
-    perm = slice(None)
-    try:  # splu raises ValueError itself for a non-square A
-        if plan is None:
-            A = sp.csc_matrix(A)
-            lu = spla.splu(A, **_SPLU_OPTIONS)
-        else:
-            perm, take, indptr, indices = plan.ordering()
-            B = sp.csc_matrix((A.data.take(take), indices, indptr), A.shape)
-            lu = spla.splu(B, **{**_SPLU_OPTIONS, "permc_spec": "NATURAL"})
-    except RuntimeError as err:
-        raise LinearSolveError(f"sparse LU failed: {err}") from None
-    norm_A = spla.norm(A)
-
-    def solve(b):
-        b = np.asarray(b, dtype=float)
-        if b.shape[:1] != A.shape[:1]:
-            raise ValueError(f"b has shape {b.shape}, A has {A.shape[0]} rows")
-        x = np.empty_like(b)
-        x[perm] = lu.solve(b[perm])
-        if not np.all(np.isfinite(x)):
-            raise LinearSolveError("sparse LU produced non-finite values")
-        res = np.linalg.norm(A @ x - b, axis=0)
-        bound = _TRUST_REL * (norm_A * np.linalg.norm(x, axis=0) + np.linalg.norm(b, axis=0))
-        for r, c in zip(np.ravel(res), np.ravel(bound)):
-            if r > max(c, 1e-300):
-                raise LinearSolveError(
-                    f"direct solve residual {r:.3e} exceeds trust bound {c:.3e}"
-                )
-        return x
-
-    return solve
+    return functools.partial(_guarded_solve, A, spla.norm(A), LU(A, plan))
 
 
 def factor_solve(A, b, plan: AssemblyPlan | None = None):
-    """Solve ``A x = b`` with one guarded LU of `factor`, as every Newton
-    iteration does, passing the `plan` of its solved matrix. The LU is
-    SuperLU with ``diag_pivot_thresh=0``, which keeps each non-zero diagonal
-    pivot (the PSPG pressure block has a non-zero diagonal and the Nitsche
-    blocks are structurally near-symmetric), in a minimum-degree ordering of
-    A^T + A: on the 60x26 flap system (4,983 dofs) the factors hold 0.54 M
-    entries instead of COLAMD's 1.15 M, and at a threshold of 0.1 the
-    two-mesh fill grows from 0.24 M to 1.5 M. Supernodes are relaxed over
-    at most 2 columns and panels are 8 columns wide (SuperLU's 10 and 20
-    factorise the same fill more slowly). The ordering reads only the
-    pattern, which a plan fixes, so each plan computes it once and its
-    factorisations run SuperLU's symmetric mode in that order: on one BLAS
-    thread of a 2-vCPU x86 machine, the factorisation time per step falls
-    by 13% on the 60x26 flap case, 10% on the two-mesh case and 17% on the
-    24x12 flap case (building the ordering included), at no larger fill.
-    As the ordering depends on the pattern alone, a resumed run solves
-    bitwise as the uninterrupted one. The residual guard is the trust check."""
-    return factor(A, plan)(b)
+    """Solve ``A x = b`` with one LU and the residual guard of `factor`, as
+    every Newton iteration that factorises does, passing the `plan` of its solved matrix;
+    returns ``(x, lu)``. `lu` holds SuperLU's factors and the permutation,
+    not A. The Newton loop keeps it while its increments are small and may
+    solve the next iteration's increment, which it only tests for
+    convergence, by `LU.refine` on it against that iteration's matrix: one
+    solve and at most two corrections, guarded as here. Only when that
+    fails does the iteration factorise (see `driver._newton`).
+
+    The LU is SuperLU with ``diag_pivot_thresh=0``, which keeps each
+    non-zero diagonal pivot (the PSPG pressure block has a non-zero diagonal
+    and the Nitsche blocks are structurally near-symmetric), in a
+    minimum-degree ordering of A^T + A: on the 60x26 flap system (4,983
+    dofs) the factors hold 0.54 M entries instead of COLAMD's 1.15 M, and at
+    a threshold of 0.1 the two-mesh fill grows from 0.24 M to 1.5 M.
+    Supernodes are relaxed over at most 2 columns and panels are 8 columns
+    wide (SuperLU's 10 and 20 factorise the same fill more slowly). The
+    ordering reads only the pattern, which a plan fixes, so each plan
+    computes it once and its factorisations run SuperLU's symmetric mode in
+    that order; as it depends on the pattern alone, a resumed run solves
+    bitwise as the uninterrupted one. The residual guard is the trust
+    check."""
+    lu = LU(A, plan)
+    return _guarded_solve(A, spla.norm(A), lu, b), lu
 
 
 def export_matrix_market(path, A, comment: str = ""):

@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 import scipy.io
 
+import cutfsi.cli as cli_module
 import cutfsi.driver as driver_module
 from cutfsi.cli import main
+from cutfsi.linalg import LU
 from cutfsi.meshes import rectangle_fitted_mesh, write_mesh_text
 
 # -- fixtures -----------------------------------------------------------------
@@ -234,36 +236,56 @@ class TestRun:
         assert matrix.shape == (60, 60)
 
     @pytest.mark.parametrize("freeze_space", [False, True])
-    def test_dump_matrix_is_the_last_factorized_matrix_of_each_step(
+    def test_dump_matrix_is_the_converged_matrix_of_each_step(
         self, tmp_path, monkeypatch, freeze_space
     ):
-        factorized = []
-        solve = driver_module.factor_solve
+        # the matrix of every Newton solve, factorised or refined on the
+        # previous iteration's LU, and the dump that ends each step
+        events = []
+        factor_solve, refine, dump = driver_module.factor_solve, LU.refine, cli_module._dump_matrix
 
-        def recording(A, b, **kw):
-            factorized.append(A.copy())
-            return solve(A, b, **kw)
+        def factoring(A, b, **kw):
+            events.append(("factor", A.copy()))
+            return factor_solve(A, b, **kw)
 
-        monkeypatch.setattr(driver_module, "factor_solve", recording)
+        def refining(lu, A, b, **kw):
+            events.append(("refine", A.copy()))
+            return refine(lu, A, b, **kw)
+
+        def dumping(driver, state, report, directory):
+            events.append(("dump", None))
+            return dump(driver, state, report, directory)
+
+        monkeypatch.setattr(driver_module, "factor_solve", factoring)
+        monkeypatch.setattr(LU, "refine", refining)
+        monkeypatch.setattr(cli_module, "_dump_matrix", dumping)
         path = _write_flap_case(
             tmp_path, n_steps=6, probes=False, freeze_space=freeze_space
         )
         mats = tmp_path / "mats"
         assert main(["run", str(path), "--dump-matrix", str(mats)]) == 0
         # an attempt interrupted by a space change counts the iteration it
-        # stopped at, which factorizes nothing
+        # stopped at, which solves nothing
         with open(tmp_path / "out" / "diagnostics.csv", newline="") as f:
             solves = [
                 int(row["newton_iterations"]) - int(row["space_changes"])
                 for row in csv.DictReader(f)
             ]
-        assert len(solves) == 6
-        assert len(factorized) == sum(solves)
-        for step, last in enumerate(np.cumsum(solves) - 1, start=1):
-            A = factorized[last]
+        ends = [i for i, (kind, _) in enumerate(events) if kind == "dump"]
+        assert len(solves) == len(ends) == 6
+        refined = 0
+        for step, (first, end) in enumerate(zip([-1] + ends, ends), start=1):
+            kinds = [kind for kind, _ in events[first + 1 : end]]
+            # only a step's converged iteration may keep its refined
+            # increment, and then no factorisation follows it
+            accepted = kinds[-1] == "refine"
+            assert kinds.count("factor") == solves[step - 1] - accepted, step
+            refined += accepted
+            A = events[end - 1][1]
             B = scipy.io.mmread(mats / f"system_{step:06d}.mtx")
             assert A.shape == B.shape
             assert (A != B).nnz == 0, step
+        assert refined > 0
 
     def test_dump_matrix_computes_no_ordering(self, tmp_path, monkeypatch):
         # the dump reassembles through the driver's plan, or a fresh one when

@@ -44,7 +44,7 @@ from cutfsi.driver import (
     solve_overlapping_fluid,
 )
 from cutfsi.fluid import FluidParams, assemble_navier_stokes, basis_tables
-from cutfsi.linalg import AssemblyPlan, BlockSystem, LinearSolveError, LocalBlocks
+from cutfsi.linalg import LU, AssemblyPlan, BlockSystem, LinearSolveError, LocalBlocks
 from cutfsi.meshes import StructuredGrid, rectangle_fitted_mesh
 from cutfsi.solid import (
     GenAlphaParams,
@@ -560,38 +560,72 @@ class TestNewtonLoop:
             self._flap_newton_with_inversions(monkeypatch, 10**6)
 
 
+def _log_solves(monkeypatch):
+    """Log every Newton solve in call order: "factor" for each
+    `driver.factor_solve` call, looked up at call time, and "refine" for
+    each refinement on a kept LU."""
+    log = []
+    factor_solve, refine = driver_module.factor_solve, LU.refine
+
+    def factoring(A, b, **kw):
+        log.append("factor")
+        return factor_solve(A, b, **kw)
+
+    def refining(lu, A, b, **kw):
+        log.append("refine")
+        return refine(lu, A, b, **kw)
+
+    monkeypatch.setattr(driver_module, "factor_solve", factoring)
+    monkeypatch.setattr(LU, "refine", refining)
+    return log
+
+
 class TestLinearSolveHook:
-    """Every Newton solve goes through `driver.factor_solve`, looked up at
-    call time, and a non-finite residual block is refused before it."""
-
-    @staticmethod
-    def _count_solves(monkeypatch):
-        calls = []
-        solve = driver_module.factor_solve
-
-        def counting(A, b, **kw):
-            calls.append(A.shape[0])
-            return solve(A, b, **kw)
-
-        monkeypatch.setattr(driver_module, "factor_solve", counting)
-        return calls
+    """Every Newton iteration factorises through `driver.factor_solve`,
+    looked up at call time, except the last iteration of a converged attempt
+    whose increment was refined on the previous LU; a non-finite residual
+    block is refused before any solve."""
 
     def test_every_fsi_newton_solve_is_intercepted(self, monkeypatch):
         problem = _gentle_flap_problem()
         driver = FsiDriver(problem, DriverConfig(dt=0.05, n_steps=1, nitsche=GAMMA))
         state = driver.initial_state()
-        calls = self._count_solves(monkeypatch)
+        log = _log_solves(monkeypatch)
         _, report = driver.step(state)
         assert report.space_changes == 0
         iterations = sum(r.iterations for r in report.newton)
         assert iterations >= 2
-        assert len(calls) == iterations
+        # the one attempt converged on a refined increment
+        assert log[-1] == "refine"
+        assert log.count("factor") == iterations - 1
 
     def test_every_overlap_newton_solve_is_intercepted(self, monkeypatch):
-        calls = self._count_solves(monkeypatch)
+        log = _log_solves(monkeypatch)
         sol = solve_overlapping_fluid(*_overlap_shear(), GAMMA)
-        assert sol.iterations >= 1
-        assert len(calls) == sol.iterations
+        assert sol.iterations >= 2
+        assert log[-1] == "refine"
+        assert log.count("factor") == sol.iterations - 1
+
+    def test_refinement_changes_no_result(self, monkeypatch):
+        # the refined increment is only tested, never applied: with every
+        # refinement falling back to a fresh LU the results are bitwise equal
+        def run():
+            problem = _gentle_flap_problem()
+            driver = FsiDriver(problem, DriverConfig(dt=0.05, n_steps=1, nitsche=GAMMA))
+            state, report = driver.step(driver.initial_state())
+            sol = solve_overlapping_fluid(*_overlap_shear(), GAMMA)
+            arrays = [state.U, state.P, state.A, state.solid.d, state.solid.v, state.solid.a,
+                      state.u_iface, state.f_iface, state.d_space, sol.U1, sol.P1, sol.U2, sol.P2]
+            counts = [(r.status, r.iterations) for r in report.newton] + [sol.iterations]
+            return [a.tobytes() for a in arrays], counts
+
+        log = _log_solves(monkeypatch)
+        default = run()
+        (_, flap_iterations), overlap_iterations = default[1]
+        # both converged attempts ended on a refined increment
+        assert log.count("factor") == flap_iterations + overlap_iterations - 2
+        monkeypatch.setattr(LU, "refine", lambda lu, A, b: None)
+        assert run() == default
 
     @pytest.mark.parametrize("field, block", [("U_tilde", "u"), ("f_ext", "d")])
     def test_non_finite_residual_block_is_named(self, monkeypatch, field, block):
@@ -606,21 +640,21 @@ class TestLinearSolveHook:
             # one velocity entry of an active fluid node
             cfg = driver.configuration(state)
             state.U[2 * np.flatnonzero(cfg.node_role != NodeRole.INACTIVE)[0]] = np.nan
-        calls = self._count_solves(monkeypatch)
+        log = _log_solves(monkeypatch)
         with pytest.raises(
             LinearSolveError,
             match=f"non-finite residual in block {block} at Newton iteration 1",
         ):
             driver.step(state)
-        assert calls == []
+        assert log == []
 
     def test_non_finite_patch_block_is_named(self, monkeypatch):
-        calls = self._count_solves(monkeypatch)
+        log = _log_solves(monkeypatch)
         with pytest.raises(
             LinearSolveError, match="non-finite residual in block u2 at Newton iteration 1"
         ):
             solve_overlapping_fluid(*_overlap_shear((np.nan, 0.0)), GAMMA)
-        assert calls == []
+        assert log == []
 
 
 class TestStepHistory:

@@ -523,7 +523,7 @@ def test_couette_flow_is_exact():
         R = np.concatenate([Ru, Rp])
         x = np.concatenate([U, P])
         J, R = _apply_dirichlet(J, R, fixed, values, x)
-        dx = factor_solve(J, -R)
+        dx, _ = factor_solve(J, -R)
         x = x + dx
         U, P = x[: 2 * n], x[2 * n :]
         if np.linalg.norm(dx) < 1e-12:

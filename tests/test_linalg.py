@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -128,7 +130,7 @@ def test_factor_solve_matches_dense():
     rng = np.random.default_rng(0)
     A = rng.standard_normal((12, 12)) + 12 * np.eye(12)
     b = rng.standard_normal(12)
-    x = factor_solve(sp.csr_matrix(A), b)
+    x, _ = factor_solve(sp.csr_matrix(A), b)
     assert np.allclose(x, np.linalg.solve(A, b), atol=1e-12)
 
 
@@ -145,7 +147,7 @@ def _solved_or_refused(A, b):
     """`factor_solve`'s answer if it returns one, which must then satisfy the
     residual guard; None when it refuses with LinearSolveError."""
     try:
-        x = factor_solve(A, b)
+        x, _ = factor_solve(A, b)
     except LinearSolveError:
         return None
     bound = 1e-10 * (spla.norm(A) * np.linalg.norm(x) + np.linalg.norm(b))
@@ -232,12 +234,40 @@ def test_planned_factor_matches_dense(seed):
     solve = factor(A, plan)
     assert np.allclose(solve(B), np.linalg.solve(A.toarray(), B), rtol=1e-12, atol=1e-12)
     assert np.allclose(
-        factor_solve(A, B[:, 0], plan=plan), solve(B)[:, 0], rtol=1e-14, atol=1e-14
+        factor_solve(A, B[:, 0], plan=plan)[0], solve(B)[:, 0], rtol=1e-14, atol=1e-14
     )
     with pytest.raises(ValueError):
         solve(np.ones(plan.n + 1))
     # one ordering per plan, built at its first factorisation
     assert plan.ordering() is plan.ordering()
+
+
+def test_refinement_on_a_nearby_lu_solves_within_the_guard():
+    plan, A, rng = _planned_system(0)
+    b = rng.standard_normal(plan.n)
+    near = A.copy()
+    near.data = near.data + 1e-6 * rng.standard_normal(A.nnz)
+    _, lu = factor_solve(near, b, plan=plan)
+
+    def trusted(x):
+        return np.linalg.norm(A @ x - b) <= 1e-10 * (spla.norm(A) * np.linalg.norm(x) + np.linalg.norm(b))
+
+    # one solve on the nearby factors alone fails the guard against A
+    assert not trusted(lu.solve(b))
+    x = lu.refine(A, b)
+    assert trusted(x)
+    assert np.allclose(x, np.linalg.solve(A.toarray(), b), rtol=1e-9, atol=1e-12)
+
+
+def test_refinement_on_an_unrelated_lu_falls_back():
+    plan, A, rng = _planned_system(1)
+    unrelated = A.copy()
+    unrelated.data = rng.standard_normal(A.nnz)
+    b = rng.standard_normal(plan.n)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, lu = factor_solve(unrelated, b, plan=plan)
+        assert lu.refine(A, b) is None
 
 
 def test_planned_factor_rejects_singular():
@@ -276,7 +306,7 @@ def test_factor_solves_several_right_hand_sides():
     assert np.allclose(X, np.linalg.solve(A.toarray(), B), rtol=1e-12, atol=1e-12)
     # one column through the same factor and through factor_solve
     assert np.allclose(solve(B[:, 1]), X[:, 1], rtol=1e-14, atol=1e-14)
-    assert np.allclose(factor_solve(A, B[:, 1]), X[:, 1], rtol=1e-14, atol=1e-14)
+    assert np.allclose(factor_solve(A, B[:, 1])[0], X[:, 1], rtol=1e-14, atol=1e-14)
     with pytest.raises(ValueError):
         solve(np.ones(n + 1))
     assert factor(sp.csr_matrix((0, 0)))(np.zeros((0, 2))).shape == (0, 2)
