@@ -142,9 +142,52 @@ def _finalize_poly(pts, tol):
     return arr
 
 
-def _scalar_reference_cut(grid, loop_vertices):
-    """Element status, fluid pieces and node roles of the cut, computed cell
-    by cell and node by node with the scalar oracles above."""
+def _scalar_reference_segments(grid, loop, wet_mask):
+    """Interface segments of the snapped `loop`, built wet edge by wet edge:
+    the edge's window in the grid rectangle is split at the grid lines it
+    crosses, and each piece is owned by the cell just on its fluid side.
+    Rows (p0, p1, normal, elem, loop_index, t0, t1) in edge and then
+    parameter order."""
+    m = loop.shape[0]
+    hx, hy = grid.spacing
+    box = (*grid.origin, grid.origin[0] + grid.nx * hx, grid.origin[1] + grid.ny * hy)
+    rows = []
+    for k in range(m):
+        a, b = loop[k], loop[(k + 1) % m]
+        d = b - a
+        length = np.hypot(d[0], d[1])
+        window = _segment_param_in_rect(a, b, box)
+        if not wet_mask[k] or length == 0.0 or window is None:
+            continue
+        w0, w1 = window
+        ts = []
+        for axis in (0, 1):
+            if d[axis] != 0.0:
+                o, h = grid.origin[axis], grid.spacing[axis]
+                f0, f1 = (a[axis] - o) / h, (b[axis] - o) / h
+                lo, hi = min(f0, f1), max(f0, f1)
+                for line in range(int(np.ceil(lo - 1e-12)), int(np.floor(hi + 1e-12)) + 1):
+                    ts.append((float(line) - f0) / (f1 - f0))
+        params = sorted({w0, w1, *(t for t in ts if w0 + 1e-14 < t < w1 - 1e-14)})
+        normal = np.array([-d[1], d[0]]) / length
+        for t0, t1 in zip(params[:-1], params[1:]):
+            if not t1 - t0 > 1e-14:
+                continue
+            p0, p1 = a + t0 * d, a + t1 * d
+            elem = grid.locate(0.5 * (p0 + p1) - 1e-6 * min(hx, hy) * normal)
+            rows.append((p0, p1, normal, elem, k, t0, t1))
+    return rows
+
+
+def _segment_rows(cfg):
+    """The segments of `cfg` as rows (p0, p1, normal, elem, loop_index, t0, t1)."""
+    return [(s.p0, s.p1, s.normal, s.elem, s.loop_index, s.t0, s.t1) for s in cfg.segments]
+
+
+def _scalar_reference_cut(grid, loop_vertices, wet_mask=None):
+    """Element status, fluid pieces, node roles and interface segments of
+    the cut, computed cell by cell, node by node and edge by edge with the
+    scalar oracles above."""
     loop = snap_to_grid(grid, loop_vertices)
     m = loop.shape[0]
     hx, hy = grid.spacing
@@ -202,11 +245,12 @@ def _scalar_reference_cut(grid, loop_vertices):
             continue
         ghost = _scalar_dist(xy[n], loop) > 1e-12 * diam and _point_in_polygon(xy[n], loop)
         node_role[n] = NodeRole.GHOST if ghost else NodeRole.STANDARD
-    return status, pieces, node_role
+    wet = np.ones(m, dtype=bool) if wet_mask is None else wet_mask
+    return status, pieces, node_role, _scalar_reference_segments(grid, loop, wet)
 
 
-def _assert_matches_scalar_reference(grid, cfg, loop_vertices):
-    status, pieces, node_role = _scalar_reference_cut(grid, loop_vertices)
+def _assert_matches_scalar_reference(grid, cfg, loop_vertices, wet_mask=None):
+    status, pieces, node_role, segments = _scalar_reference_cut(grid, loop_vertices, wet_mask)
     assert cfg.status.tobytes() == status.tobytes()
     assert cfg.node_role.tobytes() == node_role.tobytes()
     assert list(cfg.pieces) == list(pieces)
@@ -214,6 +258,12 @@ def _assert_matches_scalar_reference(grid, cfg, loop_vertices):
         assert len(cfg.pieces[e]) == len(polys)
         for got, ref in zip(cfg.pieces[e], polys):
             assert got.tobytes() == ref.tobytes()
+    got = _segment_rows(cfg)
+    assert len(got) == len(segments)
+    for g, r in zip(got, segments):
+        assert [np.asarray(v).tobytes() for v in g[:3]] == [v.tobytes() for v in r[:3]]
+        assert g[3:5] == r[3:5]
+        assert np.array(g[5:]).tobytes() == np.array(r[5:]).tobytes()
 
 
 GRID = StructuredGrid((0.0, 0.0), (1.0 / 8, 1.0 / 8), (8, 8))
@@ -485,7 +535,7 @@ def test_flap_cut_matches_scalar_reference():
         loop = base + rng.normal(scale=0.01, size=base.shape) * (base[:, 1:] > 0.0)
         cfg = build_cut_configuration(grid, loop, wet)
         assert cfg.pieces
-        _assert_matches_scalar_reference(grid, cfg, loop)
+        _assert_matches_scalar_reference(grid, cfg, loop, wet)
 
 
 def _clip_matches_oracle(poly, nrm, c, tol):
