@@ -13,9 +13,10 @@ embedded-sided weighting), with jump penalties and interface transport terms.
 Each call integrates over one interface rule: the two-point Gauss rule on
 every interface segment (fluid-solid), or on every piece the embedded grid's
 lines cut a segment into (fluid-fluid, and ``interface_jump_norms``). The
-rule holds the points (S, 2, 2), weights (S, 2) and normals (S, 2) of all S
-segments or pieces, with the owner connectivity and basis tables N (S, 2, 4)
-and grad N (S, 2, 4, 2) on each mesh. Every residual and derivative term is
+rule is read off the segment arrays of the cut configuration and holds the
+points (S, 2, 2), weights (S, 2) and normals (S, 2) of all S segments or
+pieces, with the owner connectivity and basis tables N (S, 2, 4) and
+grad N (S, 2, 4, 2) on each mesh. Every residual and derivative term is
 an einsum over all points at once: each term is a point vector (or, for the
 derivatives, its table over the trial dofs) tested with a basis table, and
 each block is returned as the `LocalBlocks` of all segments or pieces.
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cutting import CutConfiguration, ElemStatus, GeometryError, grid_line_params
+from .cutting import CutConfiguration, GeometryError, grid_line_params
 from .fluid import FluidParams, grid_basis
 from .linalg import LocalBlocks
 from .meshes import StructuredGrid
@@ -87,15 +88,10 @@ class _Side:
 
 def _interface_rule(cfg: CutConfiguration, pieces=None) -> _Rule:
     """Rule on every segment of ``cfg``, or on the pieces ``(seg, a0, a1)``:
-    segment indices with start and end parameters along their segment."""
+    segment indices with start and end parameters along their segment. Read
+    off the segment arrays; the cut owns each segment to an element with fluid."""
     segs = cfg.segments
-    for s in segs:
-        if cfg.status[s.elem] == ElemStatus.COVERED:
-            raise GeometryError(
-                f"interface segment owned by element {s.elem} which has no fluid"
-            )
-    p0 = np.array([s.p0 for s in segs], dtype=float).reshape(-1, 2)
-    d = np.array([s.p1 for s in segs], dtype=float).reshape(-1, 2) - p0
+    d = segs.p1 - segs.p0
     length = np.hypot(d[:, 0], d[:, 1])
     if pieces is None:
         seg = np.arange(len(segs))
@@ -104,10 +100,10 @@ def _interface_rule(cfg: CutConfiguration, pieces=None) -> _Rule:
         seg, a0, a1 = pieces
     apts = (a0[:, None] + _G2_PTS * (a1 - a0)[:, None])[..., None]
     return _Rule(
-        elem=np.array([s.elem for s in segs], dtype=np.int64)[seg],
-        pts=p0[seg, None] + apts * d[seg, None],
+        elem=segs.elem[seg],
+        pts=segs.p0[seg, None] + apts * d[seg, None],
         w=_G2_WTS * (a1 - a0)[:, None] * length[seg, None],
-        normal=np.array([s.normal for s in segs], dtype=float).reshape(-1, 2)[seg],
+        normal=segs.normal[seg],
     )
 
 
@@ -216,12 +212,9 @@ def assemble_fs_coupling(
     rule = _interface_rule(cfg)
     w, nrm = rule.w, rule.normal
     fl = _grid_side(grid, rule.elem, rule.pts)
-    segs = cfg.segments
-    k = np.array([s.loop_index for s in segs], dtype=np.int64)
+    k, t0, t1 = cfg.segments.loop_index, cfg.segments.t0, cfg.segments.t1
     loop_nodes = np.asarray(loop_nodes)
     edge = np.stack([loop_nodes[k], loop_nodes[(k + 1) % len(loop_nodes)]], axis=1)
-    t0 = np.array([s.t0 for s in segs], dtype=float)
-    t1 = np.array([s.t1 for s in segs], dtype=float)
     tpar = t0[:, None] + _G2_PTS * (t1 - t0)[:, None]
     phi = np.stack([1.0 - tpar, tpar], axis=-1)  # (S, Q, 2) solid edge basis
 
@@ -269,19 +262,19 @@ def assemble_fs_coupling(
     return _scatter(sizes, dofs, residuals, blocks)
 
 
-def _embedded_pieces(seg, grid2: StructuredGrid):
-    """Split a segment at the embedded grid's lines; returns (a0, a1) pairs."""
-    t = grid_line_params(grid2, seg.p0, seg.p1)
+def _embedded_pieces(p0, p1, grid2: StructuredGrid):
+    """Split the segment p0 -> p1 at the embedded grid's lines; returns (a0, a1) pairs."""
+    t = grid_line_params(grid2, p0, p1)
     params = sorted({0.0, 1.0, *t[(1e-12 < t) & (t < 1.0 - 1e-12)].tolist()})
     return [(a0, a1) for a0, a1 in zip(params[:-1], params[1:]) if a1 - a0 > 1e-14]
 
 
-def _embedded_element(grid2: StructuredGrid, seg, a0, a1):
-    """Embedded-mesh element containing the segment piece (a0, a1)."""
-    mid = seg.p0 + 0.5 * (a0 + a1) * (seg.p1 - seg.p0)
+def _embedded_element(grid2: StructuredGrid, p0, p1, normal, a0, a1):
+    """Embedded-mesh element containing the piece (a0, a1) of the segment p0 -> p1."""
+    mid = p0 + 0.5 * (a0 + a1) * (p1 - p0)
     eps = 1e-6 * min(grid2.spacing)
     try:
-        return grid2.locate(mid + eps * seg.normal)
+        return grid2.locate(mid + eps * normal)
     except ValueError:
         raise GeometryError(
             "interface quadrature point lies outside the embedded mesh"
@@ -293,10 +286,11 @@ def _two_mesh_rule(grid1: StructuredGrid, cfg1: CutConfiguration, grid2: Structu
     the basis tables of both meshes. Built on first use and kept on
     ``cfg1`` for the embedded grid ``grid2``."""
     if cfg1.two_mesh_rule is None or cfg1.two_mesh_rule[0] is not grid2:
+        s = cfg1.segments
         pieces = [
-            (k, a0, a1, _embedded_element(grid2, seg, a0, a1))
-            for k, seg in enumerate(cfg1.segments)
-            for a0, a1 in _embedded_pieces(seg, grid2)
+            (k, a0, a1, _embedded_element(grid2, p0, p1, n, a0, a1))
+            for k, (p0, p1, n) in enumerate(zip(s.p0, s.p1, s.normal))
+            for a0, a1 in _embedded_pieces(p0, p1, grid2)
         ]
         cols = np.array(pieces, dtype=float).reshape(-1, 4)
         seg, e2 = cols[:, 0].astype(np.int64), cols[:, 3].astype(np.int64)

@@ -5,14 +5,17 @@ deformed solid) divides every background cell into a covered part and a fluid
 part. Cells are classified as fully fluid, fully covered, or cut; cut cells
 carry an exact decomposition of their fluid part into convex polygons, and the
 interface itself is partitioned into per-cell segments used for surface
-integration. Node and facet bookkeeping for ghost stabilization and function
-space updates lives here as well.
+integration; both are arrays, in the order the cut makes them, which every
+reader takes as they are. Node and facet bookkeeping for ghost stabilization
+and function space updates lives here as well.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
+from functools import cached_property
+from types import MappingProxyType
 
 import numpy as np
 
@@ -23,7 +26,7 @@ __all__ = [
     "ElemStatus",
     "NodeRole",
     "GeometryError",
-    "InterfaceSegment",
+    "InterfaceSegments",
     "CutConfiguration",
     "build_cut_configuration",
     "snap_to_grid",
@@ -199,35 +202,39 @@ def _segment_windows(a, b, rects):
 
 
 @dataclass(frozen=True)
-class InterfaceSegment:
-    """One straight interface piece contained in a single background element.
+class InterfaceSegments:
+    """The S straight interface pieces of a cut, each contained in a single
+    background element, as arrays in edge and then parameter order.
 
     `loop_index` is the index of the originating polyline edge; `t0`, `t1`
     are parameters along that edge so traces of fields living on the
     interface can be interpolated between its endpoint values.
     """
 
-    p0: np.ndarray
-    p1: np.ndarray
-    normal: np.ndarray  # unit, pointing from the fluid into the covered side
-    elem: int
-    loop_index: int
-    t0: float
-    t1: float
+    p0: np.ndarray  # (S, 2)
+    p1: np.ndarray  # (S, 2)
+    normal: np.ndarray  # (S, 2) unit, pointing from the fluid into the covered side
+    elem: np.ndarray  # (S,) owner element, just on the fluid side
+    loop_index: np.ndarray  # (S,)
+    t0: np.ndarray  # (S,)
+    t1: np.ndarray  # (S,)
 
-    @property
-    def length(self) -> float:
-        return float(np.hypot(*(self.p1 - self.p0)))
+    def __len__(self):
+        return self.elem.size
 
 
 class CutConfiguration:
-    """Frozen result of intersecting a grid with an interface polygon."""
+    """Result of intersecting a grid with an interface polygon: a fixed
+    geometry, on which the flow assembly and the coupling keep the rules they
+    build in `volume_batches`, `batch_forces` and `two_mesh_rule`."""
 
     def __init__(self, grid, status, pieces, segments, loop, node_role):
         self.grid = grid
         self.status = status  # (n_elems,) ElemStatus values
-        self.pieces = pieces  # {cut elem: [convex CCW fluid polygon, ...]}
-        self.segments = segments  # list[InterfaceSegment]
+        # the convex CCW fluid polygons of the cut elements: owners (P,),
+        # non-decreasing, zero-padded vertices (P, V, 2) and counts (P,)
+        self.piece_elem, self.piece_verts, self.piece_counts = pieces
+        self.segments = segments  # InterfaceSegments
         self.loop = loop  # snapped closed CCW polygon or None
         self.node_role = node_role  # (n_nodes,) NodeRole values
         self.volume_batches = None  # the fluid volume rules, set by the flow assembly
@@ -236,13 +243,22 @@ class CutConfiguration:
         self.active_elems = np.flatnonzero(status != ElemStatus.COVERED)
         self.active_nodes = np.flatnonzero(node_role != NodeRole.INACTIVE)
 
+    @cached_property
+    def pieces(self):
+        """Read-only view {cut elem: [fluid polygon, ...]} of the piece arrays."""
+        pieces = {}
+        for e, poly, n in zip(self.piece_elem.tolist(), self.piece_verts, self.piece_counts):
+            pieces.setdefault(e, []).append(poly[:n])
+        return MappingProxyType(pieces)
+
     def fluid_area(self) -> float:
         hx, hy = self.grid.spacing
         full = float(np.count_nonzero(self.status == ElemStatus.FLUID)) * hx * hy
-        return full + sum(abs(signed_area(p)) for polys in self.pieces.values() for p in polys)
+        return full + sum(np.abs(signed_area(self.piece_verts, self.piece_counts)).tolist())
 
     def interface_length(self) -> float:
-        return sum(s.length for s in self.segments)
+        d = self.segments.p1 - self.segments.p0
+        return sum(np.hypot(d[:, 0], d[:, 1]).tolist())
 
     def ghost_facets(self, widened: bool = False) -> np.ndarray:
         """Interior faces of the active mesh adjacent to at least one cut
@@ -304,7 +320,10 @@ def build_cut_configuration(
     if loop_vertices is None:
         status = np.full(grid.n_elems, ElemStatus.FLUID, dtype=np.int8)
         node_role = np.full(grid.n_nodes, NodeRole.STANDARD, dtype=np.int8)
-        return CutConfiguration(grid, status, {}, [], None, node_role)
+        index, points = np.zeros(0, dtype=np.intp), np.zeros((0, 2))
+        pieces = (index, np.zeros((0, 3, 2)), index)
+        segments = InterfaceSegments(*[points] * 3, index, index, points[:, 0], points[:, 0])
+        return CutConfiguration(grid, status, pieces, segments, None, node_role)
     loop = snap_to_grid(grid, loop_vertices)
     m = loop.shape[0]
     if m < 3:
@@ -380,12 +399,10 @@ def build_cut_configuration(
         [ElemStatus.COVERED, ElemStatus.FLUID],
         ElemStatus.CUT,
     )
+    # The fluid parts of the cut cells, padded to the widest one.
     kept = fluid & (status[cut_cells[owner]] == ElemStatus.CUT)
-    verts = parts[kept][np.arange(parts.shape[1]) < n_vert[kept, None]]
-    polys = np.split(verts, np.cumsum(n_vert[kept])[:-1]) if kept.any() else []
-    pieces: dict[int, list[np.ndarray]] = {}
-    for e, poly in zip(cut_cells[owner[kept]].tolist(), polys):
-        pieces.setdefault(e, []).append(poly)
+    width = n_vert[kept].max(initial=3)
+    pieces = (cut_cells[owner[kept]], parts[kept][:, :width], n_vert[kept])
 
     # Partition wet edges into per-element interface segments at the grid
     # lines; pieces outside the grid carry no coupling and are dropped. A
@@ -411,8 +428,7 @@ def build_cut_configuration(
         raise GeometryError(f"wet interface edge {k[bad[0]]} has its fluid side outside the grid")
     if bad.size:
         raise GeometryError(f"wet interface edge {k[bad[0]]} lies in an element without fluid")
-    fields = (p0, p1, nrm[k], owner.tolist(), k.tolist(), t0.tolist(), t1.tolist())
-    segments = [InterfaceSegment(*row) for row in zip(*fields)]
+    segments = InterfaceSegments(p0, p1, nrm[k], owner, k, t0, t1)
 
     # Node roles: nodes of active elements are active; those strictly inside
     # the interface polygon only support the discrete extension (ghost role).

@@ -21,7 +21,7 @@ import numpy as np
 from .cutting import CutConfiguration, ElemStatus
 from .linalg import LocalBlocks
 from .meshes import StructuredGrid
-from .quadrature import polygon_rule, stack_polygons
+from .quadrature import polygon_rule
 
 __all__ = [
     "FluidParams",
@@ -319,12 +319,11 @@ def volume_batches(cfg: CutConfiguration):
         pts = np.stack([x0[:, None] + s * hx, y0[:, None] + t * hy], axis=-1)
         w = _G3_W * 0.25 * hx * hy
         batches.append((full, pts, w[None], basis_tables(hx, hy, s[None], t[None])))
-    owner = np.repeat(np.arange(len(cfg.pieces)), [len(ps) for ps in cfg.pieces.values()])
-    stack = stack_polygons([p for ps in cfg.pieces.values() for p in ps])
-    rule, sizes = polygon_rule(*stack)
-    m = np.bincount(owner, weights=sizes, minlength=len(cfg.pieces)).astype(np.intp)
+    cut, owner = np.unique(cfg.piece_elem, return_inverse=True)
+    rule, sizes = polygon_rule(cfg.piece_verts, cfg.piece_counts)
+    m = np.bincount(owner, weights=sizes, minlength=cut.size).astype(np.intp)
     if np.any(m):
-        cut = np.array(list(cfg.pieces), dtype=int)[m > 0]
+        cut = cut[m > 0]
         m = m[m > 0]
         filled = np.arange(max(m)) < m[:, None]
         pts = np.repeat(rule.points[np.cumsum(m) - m, None], filled.shape[1], axis=1)

@@ -19,7 +19,7 @@ import numpy as np
 from .cutting import CutConfiguration, ElemStatus
 from .fluid import grid_basis
 from .meshes import FittedMesh, StructuredGrid
-from .quadrature import fan_triangulate, stack_polygons
+from .quadrature import fan_triangulate
 from .solid import quad_shape, quad_shape_grad
 
 __all__ = [
@@ -157,10 +157,9 @@ def write_fluid_vtk(path, cfg: CutConfiguration, U, P, title="flow snapshot"):
     p = np.asarray(P, dtype=float).reshape(grid.n_nodes)
     conn = grid.all_elem_nodes()
     quads = conn[cfg.status == ElemStatus.FLUID]
-    pieces = sorted(cfg.pieces.items())
-    tris, ntri = fan_triangulate(*stack_polygons([poly for _, polys in pieces for poly in polys]))
+    tris, ntri = fan_triangulate(cfg.piece_verts, cfg.piece_counts)
     tris = tris[np.arange(tris.shape[1]) < ntri[:, None]]
-    elems = np.repeat([e for e, polys in pieces for _ in polys], ntri).astype(np.intp)
+    elems = np.repeat(cfg.piece_elem, ntri)
     N = grid_basis(grid, elems, tris)[0]
     points = np.concatenate([grid.node_coords(), tris.reshape(-1, 2)])
     point_u = np.concatenate([u, (N @ u[conn[elems]]).reshape(-1, 2)])

@@ -14,7 +14,6 @@ __all__ = [
     "rectangle_rule",
     "polygon_rule",
     "fan_triangulate",
-    "stack_polygons",
     "vertex_means",
     "signed_area",
 ]
@@ -130,16 +129,6 @@ def fan_triangulate(polys, counts):
             f"{bad} polygon(s) not star-shaped about their vertex means"
         )
     return tris, ntri
-
-
-def stack_polygons(polys):
-    """The padded (P, V, 2) stack of a list of (n_p, 2) polygons, zeros past
-    each polygon's vertices, and the vertex counts (P,); an empty list gives
-    an empty stack of triangles, V = 3."""
-    counts = np.array([len(p) for p in polys], dtype=np.intp)
-    stack = np.zeros((len(polys), max(counts, default=3), 2))
-    stack[np.arange(stack.shape[1]) < counts[:, None]] = np.concatenate([np.zeros((0, 2)), *polys])
-    return stack, counts
 
 
 def polygon_rule(poly, counts=None):

@@ -181,7 +181,15 @@ def _scalar_reference_segments(grid, loop, wet_mask):
 
 def _segment_rows(cfg):
     """The segments of `cfg` as rows (p0, p1, normal, elem, loop_index, t0, t1)."""
-    return [(s.p0, s.p1, s.normal, s.elem, s.loop_index, s.t0, s.t1) for s in cfg.segments]
+    s = cfg.segments
+    ints, params = (s.elem.tolist(), s.loop_index.tolist()), (s.t0.tolist(), s.t1.tolist())
+    return list(zip(s.p0, s.p1, s.normal, *ints, *params))
+
+
+def _piece_polys(cfg, elem=None):
+    """The fluid pieces of `cfg`, or of its element `elem`, as (n, 2) arrays."""
+    rows = zip(cfg.piece_elem.tolist(), cfg.piece_verts, cfg.piece_counts)
+    return [v[:n] for e, v, n in rows if elem is None or e == elem]
 
 
 def _scalar_reference_cut(grid, loop_vertices, wet_mask=None):
@@ -253,11 +261,15 @@ def _assert_matches_scalar_reference(grid, cfg, loop_vertices, wet_mask=None):
     status, pieces, node_role, segments = _scalar_reference_cut(grid, loop_vertices, wet_mask)
     assert cfg.status.tobytes() == status.tobytes()
     assert cfg.node_role.tobytes() == node_role.tobytes()
-    assert list(cfg.pieces) == list(pieces)
-    for e, polys in pieces.items():
-        assert len(cfg.pieces[e]) == len(polys)
-        for got, ref in zip(cfg.pieces[e], polys):
-            assert got.tobytes() == ref.tobytes()
+    ref = [(e, poly) for e, polys in pieces.items() for poly in polys]
+    assert cfg.piece_elem.tolist() == [e for e, _ in ref]
+    assert cfg.piece_counts.tolist() == [len(poly) for _, poly in ref]
+    for got, (_, poly) in zip(_piece_polys(cfg), ref):
+        assert got.tobytes() == poly.tobytes()
+    # the stack is as wide as its widest piece, zeros past each one's vertices
+    assert cfg.piece_verts.shape[1] == max((len(poly) for _, poly in ref), default=3)
+    past = np.arange(cfg.piece_verts.shape[1]) >= cfg.piece_counts[:, None]
+    assert not np.any(cfg.piece_verts[past])
     got = _segment_rows(cfg)
     assert len(got) == len(segments)
     for g, r in zip(got, segments):
@@ -318,8 +330,7 @@ def test_grid_aligned_solid_has_no_cut_elements():
     assert cfg.fluid_area() == pytest.approx(1.0 - 0.125, abs=1e-15)
     # wet segments still exist and sit in fluid-side elements
     assert cfg.interface_length() == pytest.approx(1.5, rel=1e-14)
-    for s in cfg.segments:
-        assert cfg.status[s.elem] != ElemStatus.COVERED
+    assert np.all(cfg.status[cfg.segments.elem] != ElemStatus.COVERED)
 
 
 def test_classification_against_sampling_oracle():
@@ -344,7 +355,8 @@ def test_cut_piece_areas_match_sampling_fraction():
     cfg = build_cut_configuration(GRID, solid)
     rng = np.random.default_rng(3)
     cell_area = GRID.spacing[0] * GRID.spacing[1]
-    for e, polys in cfg.pieces.items():
+    for e in np.unique(cfg.piece_elem).tolist():
+        polys = _piece_polys(cfg, e)
         x0, y0, x1, y1 = GRID.elem_bbox(e)
         pts = np.column_stack(
             [rng.uniform(x0, x1, size=4000), rng.uniform(y0, y1, size=4000)]
@@ -357,31 +369,43 @@ def test_cut_piece_areas_match_sampling_fraction():
 def test_pieces_are_ccw_convex_and_fluid():
     solid = _rect_loop(0.3111, 0.2777, 0.31, 0.27)
     cfg = build_cut_configuration(GRID, solid)
-    assert cfg.pieces  # there are cut elements
-    for polys in cfg.pieces.values():
-        for p in polys:
-            assert _shoelace(p) > 0.0
-            # convexity: all cross products non-negative
-            a = np.roll(p, -1, axis=0) - p
-            b = np.roll(a, -1, axis=0)
-            cross = a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
-            assert np.all(cross > -1e-12 * GRID.elem_diameter() ** 2)
-            assert not _angle_sum_inside(p.mean(axis=0), cfg.loop)
+    assert cfg.piece_elem.size  # there are cut elements
+    for p in _piece_polys(cfg):
+        assert _shoelace(p) > 0.0
+        # convexity: all cross products non-negative
+        a = np.roll(p, -1, axis=0) - p
+        b = np.roll(a, -1, axis=0)
+        cross = a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
+        assert np.all(cross > -1e-12 * GRID.elem_diameter() ** 2)
+        assert not _angle_sum_inside(p.mean(axis=0), cfg.loop)
+
+
+def test_pieces_view_holds_the_piece_arrays():
+    # the read-only mapping {cut elem: [polygon, ...]} the benchmark reads
+    solid = _rect_loop(0.3111, 0.2777, 0.31, 0.27)
+    cfg = build_cut_configuration(GRID, solid)
+    view = cfg.pieces
+    assert list(view) == np.unique(cfg.piece_elem).tolist()
+    for e, polys in view.items():
+        assert [p.tobytes() for p in polys] == [p.tobytes() for p in _piece_polys(cfg, e)]
+    assert cfg.pieces is view and view.get(-1, []) == []
+    with pytest.raises(TypeError):
+        view[0] = []
 
 
 def test_segments_owned_by_fluid_side_element():
     solid = _rect_loop(0.3111, 0.2777, 0.31, 0.27)
     cfg = build_cut_configuration(GRID, solid)
     eps = 1e-6 * GRID.spacing[0]
-    for s in cfg.segments:
-        x0, y0, x1, y1 = GRID.elem_bbox(s.elem)
-        mid = 0.5 * (s.p0 + s.p1)
-        fluid_pt = mid - eps * s.normal
+    for p0, p1, normal, elem, *_ in _segment_rows(cfg):
+        x0, y0, x1, y1 = GRID.elem_bbox(elem)
+        mid = 0.5 * (p0 + p1)
+        fluid_pt = mid - eps * normal
         assert x0 - 1e-12 <= fluid_pt[0] <= x1 + 1e-12
         assert y0 - 1e-12 <= fluid_pt[1] <= y1 + 1e-12
         assert not _angle_sum_inside(fluid_pt, cfg.loop)
-        assert _angle_sum_inside(mid + eps * s.normal, cfg.loop)
-        assert np.hypot(*s.normal) == pytest.approx(1.0, abs=1e-14)
+        assert _angle_sum_inside(mid + eps * normal, cfg.loop)
+        assert np.hypot(*normal) == pytest.approx(1.0, abs=1e-14)
 
 
 def test_wet_mask_excludes_edges():
@@ -389,7 +413,7 @@ def test_wet_mask_excludes_edges():
     wet = np.array([True, True, True, False])  # drop the left edge
     cfg = build_cut_configuration(GRID, solid, wet_mask=wet)
     assert cfg.interface_length() == pytest.approx(_perimeter(cfg.loop) - 0.27, rel=1e-12)
-    assert all(s.loop_index != 3 for s in cfg.segments)
+    assert np.all(cfg.segments.loop_index != 3)
 
 
 def test_segment_trace_parameters_consistent():
@@ -397,12 +421,12 @@ def test_segment_trace_parameters_consistent():
     cfg = build_cut_configuration(GRID, solid)
     loop = cfg.loop
     m = loop.shape[0]
-    for s in cfg.segments:
-        a = loop[s.loop_index]
-        b = loop[(s.loop_index + 1) % m]
-        assert np.allclose(a + s.t0 * (b - a), s.p0, atol=1e-13)
-        assert np.allclose(a + s.t1 * (b - a), s.p1, atol=1e-13)
-        assert 0.0 <= s.t0 < s.t1 <= 1.0
+    for p0, p1, _, _, k, t0, t1 in _segment_rows(cfg):
+        a = loop[k]
+        b = loop[(k + 1) % m]
+        assert np.allclose(a + t0 * (b - a), p0, atol=1e-13)
+        assert np.allclose(a + t1 * (b - a), p1, atol=1e-13)
+        assert 0.0 <= t0 < t1 <= 1.0
 
 
 def test_ghost_facets_touch_cut_elements():
@@ -466,7 +490,7 @@ def test_all_fluid_configuration():
     assert np.all(cfg.status == ElemStatus.FLUID)
     assert np.all(cfg.node_role == NodeRole.STANDARD)
     assert cfg.fluid_area() == pytest.approx(1.0, rel=1e-15)
-    assert cfg.segments == [] and cfg.ghost_facets().shape == (0, 4)
+    assert len(cfg.segments) == 0 and cfg.ghost_facets().shape == (0, 4)
 
 
 def test_clockwise_loop_rejected():
@@ -485,6 +509,18 @@ def test_wet_edge_on_grid_boundary_raises():
     assert cfg.fluid_area() == pytest.approx(1.0 - 0.25 * 0.25, rel=1e-12)
 
 
+def test_wet_edge_with_a_covered_fluid_side_raises():
+    # a notch into the solid, narrower than the area tolerance: the cells
+    # below its mouth keep no fluid, yet the notch's edges have their fluid
+    # side there
+    w = 1e-13
+    solid = np.array(
+        [[0.3, 0.3], [0.7, 0.3], [0.7, 0.7], [0.53 + w, 0.7], [0.53, 0.35], [0.53 - w, 0.7], [0.3, 0.7]]
+    )
+    with pytest.raises(GeometryError, match="without fluid"):
+        build_cut_configuration(GRID, solid)
+
+
 def test_wet_edges_outside_grid_are_dropped():
     # solid sticking out of the left grid boundary: outside pieces carry no segments
     solid = _rect_loop(-0.2, 0.3, 0.4, 0.3)
@@ -493,8 +529,7 @@ def test_wet_edges_outside_grid_are_dropped():
     assert cfg.fluid_area() == pytest.approx(1.0 - 0.2 * 0.3, rel=1e-12)
     # in-grid wet length: bottom 0.2 + right 0.3 + top 0.2
     assert cfg.interface_length() == pytest.approx(0.7, rel=1e-12)
-    for s in cfg.segments:
-        assert 0.5 * (s.p0[0] + s.p1[0]) > 0.0
+    assert np.all(0.5 * (cfg.segments.p0[:, 0] + cfg.segments.p1[:, 0]) > 0.0)
 
 
 def test_same_active_space_detects_changes():
@@ -534,7 +569,7 @@ def test_flap_cut_matches_scalar_reference():
     for _ in range(5):
         loop = base + rng.normal(scale=0.01, size=base.shape) * (base[:, 1:] > 0.0)
         cfg = build_cut_configuration(grid, loop, wet)
-        assert cfg.pieces
+        assert cfg.piece_elem.size
         _assert_matches_scalar_reference(grid, cfg, loop, wet)
 
 
@@ -584,7 +619,7 @@ def test_cell_crossed_by_five_edges_matches_scalar_reference():
     e = GRID.locate(centre)
     rect = GRID.elem_bbox(e)
     assert all(_segment_param_in_rect(loop[k], loop[(k + 1) % 5], rect) for k in range(5))
-    assert cfg.status[e] == ElemStatus.CUT and len(cfg.pieces[e]) >= 5
+    assert cfg.status[e] == ElemStatus.CUT and len(_piece_polys(cfg, e)) >= 5
     _assert_matches_scalar_reference(GRID, cfg, loop)
 
 
@@ -681,6 +716,5 @@ def test_cut_properties_on_degenerate_polygons(case):
     total = grid.nx * grid.ny * grid.spacing[0] * grid.spacing[1]
     assert cfg.fluid_area() + _shoelace(cfg.loop) == pytest.approx(total, rel=1e-12)
     assert cfg.interface_length() == pytest.approx(_perimeter(cfg.loop), rel=1e-12)
-    for s in cfg.segments:
-        assert cfg.status[s.elem] != ElemStatus.COVERED
+    assert np.all(cfg.status[cfg.segments.elem] != ElemStatus.COVERED)
     _assert_matches_scalar_reference(grid, cfg, loop_vertices)

@@ -275,7 +275,7 @@ class TestCoupledAssembly:
         config = DriverConfig(dt=0.1, n_steps=1)
         solid = problem.solid
         cfg = build_cut_configuration(grid, mesh.nodes[solid.loop_nodes], solid.wet_mask)
-        assert not cfg.segments
+        assert len(cfg.segments) == 0
 
         rng = np.random.default_rng(7)
         n = grid.n_nodes
@@ -424,7 +424,7 @@ class TestCoupledAssembly:
         config = DriverConfig(dt=0.05, n_steps=1, nitsche=GAMMA)
         solid = problem.solid
         cfg = build_cut_configuration(grid, mesh.nodes[solid.loop_nodes], solid.wet_mask)
-        assert cfg.segments
+        assert len(cfg.segments) > 0
 
         rng = np.random.default_rng(3)
         n = grid.n_nodes
@@ -873,11 +873,12 @@ class TestTimeLoop:
             hx, hy = grid.spacing
             xg, wg = np.polynomial.legendre.leggauss(2)
             total = 0.0
-            for seg in cfg.segments:
-                conn = grid.elem_nodes(seg.elem)
-                x0, y0, _, _ = grid.elem_bbox(seg.elem)
-                for a, w in zip(0.5 * (xg + 1.0), 0.5 * wg * seg.length):
-                    x = seg.p0 + a * (seg.p1 - seg.p0)
+            s = cfg.segments
+            for p0, p1, elem in zip(s.p0, s.p1, s.elem):
+                conn = grid.elem_nodes(elem)
+                x0, y0, _, _ = grid.elem_bbox(elem)
+                for a, w in zip(0.5 * (xg + 1.0), 0.5 * wg * np.hypot(*(p1 - p0))):
+                    x = p0 + a * (p1 - p0)
                     N = basis_tables(hx, hy, (x[0] - x0) / hx, (x[1] - y0) / hy)[0]
                     u = N @ state.U.reshape(-1, 2)[conn]
                     total += w * float(u @ u)
@@ -888,14 +889,12 @@ class TestTimeLoop:
 
 
 def _same_cut(a, b):
-    assert a.status.tobytes() == b.status.tobytes()
-    assert a.node_role.tobytes() == b.node_role.tobytes()
-    assert list(a.pieces) == list(b.pieces)
-    for e, polys in a.pieces.items():
-        assert [p.tobytes() for p in polys] == [p.tobytes() for p in b.pieces[e]]
-    assert [(s.elem, s.loop_index, s.p0.tobytes(), s.p1.tobytes()) for s in a.segments] == [
-        (s.elem, s.loop_index, s.p0.tobytes(), s.p1.tobytes()) for s in b.segments
-    ]
+    pairs = [(a.status, b.status), (a.node_role, b.node_role)]
+    pairs += [(getattr(a, n), getattr(b, n)) for n in ("piece_elem", "piece_verts", "piece_counts")]
+    sa, sb = a.segments, b.segments
+    pairs += [(getattr(sa, n), getattr(sb, n)) for n in ("elem", "loop_index", "p0", "p1")]
+    for x, y in pairs:
+        assert x.shape == y.shape and x.tobytes() == y.tobytes()
 
 
 class TestCarriedConfiguration:

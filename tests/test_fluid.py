@@ -5,7 +5,7 @@ import pytest
 import scipy.sparse as sp
 
 from cutfsi import fluid, projection
-from cutfsi.cutting import CutConfiguration, ElemStatus, NodeRole, build_cut_configuration
+from cutfsi.cutting import CutConfiguration, ElemStatus, build_cut_configuration
 from cutfsi.driver import patch_boundary_loop
 from cutfsi.fluid import (
     FluidParams,
@@ -24,6 +24,26 @@ PAR = FluidParams(density=1.0, viscosity=0.01)
 
 def _all_fluid(grid):
     return build_cut_configuration(grid, None)
+
+
+def _cut_elems(cfg):
+    """The elements that own fluid pieces, in piece order."""
+    return np.unique(cfg.piece_elem).tolist()
+
+
+def _piece_polys(cfg, elem):
+    """The fluid pieces of element `elem` as (n, 2) arrays."""
+    own = cfg.piece_elem == elem
+    return [v[:n] for v, n in zip(cfg.piece_verts[own], cfg.piece_counts[own])]
+
+
+def _cut_only(cfg, status, elems=None):
+    """`cfg` with element status `status` and the pieces of `elems` (default:
+    all), without interface segments."""
+    own = np.isin(cfg.piece_elem, _cut_elems(cfg) if elems is None else elems)
+    pieces = (cfg.piece_elem[own], cfg.piece_verts[own], cfg.piece_counts[own])
+    no_segments = _all_fluid(cfg.grid).segments
+    return CutConfiguration(cfg.grid, status, pieces, no_segments, cfg.loop, cfg.node_role)
 
 
 def test_stabilization_times_steady_no_convection():
@@ -156,7 +176,7 @@ def test_uncut_batch_matches_scalar_reference_with_one_force_call():
     solid = np.array([[0.62, 0.02], [1.08, 0.02], [1.08, 0.31], [0.62, 0.31]])
     cfg = build_cut_configuration(grid, solid)
     full = np.flatnonzero(cfg.status == ElemStatus.FLUID)
-    assert len(cfg.pieces) >= 1 and full.size >= 10
+    assert cfg.piece_elem.size >= 1 and full.size >= 10
     rng = np.random.default_rng(7)
     n = grid.n_nodes
     U, Uo, Ao, Cb = (rng.standard_normal(2 * n) for _ in range(4))
@@ -178,9 +198,7 @@ def test_uncut_batch_matches_scalar_reference_with_one_force_call():
 
     # the uncut elements' share: subtract an assembly over the cut elements alone
     cut_status = np.where(cfg.status == ElemStatus.FLUID, ElemStatus.COVERED, cfg.status)
-    cut_only = CutConfiguration(
-        grid, cut_status.astype(np.int8), cfg.pieces, cfg.segments, cfg.loop, cfg.node_role
-    )
+    cut_only = _cut_only(cfg, cut_status.astype(np.int8))
     Ru_cut, Rp_cut, *_ = assemble_navier_stokes(cut_only, *args, body_force=force)
     want_v = np.zeros((n, 2))
     want_q = np.zeros(n)
@@ -234,7 +252,7 @@ def _triangle_cut_config():
     grid = StructuredGrid((0.0, 0.0), (0.25, 0.25), (4, 4))
     solid = np.array([[0.31, 0.28], [0.83, 0.41], [0.52, 0.77]])
     cfg = build_cut_configuration(grid, solid)
-    lengths = {sum(len(polygon_rule(p)) for p in polys) for polys in cfg.pieces.values()}
+    lengths = {sum(len(polygon_rule(p)) for p in _piece_polys(cfg, e)) for e in _cut_elems(cfg)}
     assert len(lengths) >= 3
     return grid, cfg
 
@@ -254,15 +272,14 @@ def test_cut_batch_equals_sum_of_single_cut_element_assemblies():
     def cut_only(elems):
         status = np.full(grid.n_elems, ElemStatus.COVERED, dtype=np.int8)
         status[list(elems)] = ElemStatus.CUT
-        pieces = {e: cfg.pieces[e] for e in elems}
-        return CutConfiguration(grid, status, pieces, [], cfg.loop, cfg.node_role)
+        return _cut_only(cfg, status, elems)
 
     got = flow_blocks(
-        assemble_navier_stokes(cut_only(cfg.pieces), *args, body_force=_swirl_force)
+        assemble_navier_stokes(cut_only(_cut_elems(cfg)), *args, body_force=_swirl_force)
     )
     singles = [
         flow_blocks(assemble_navier_stokes(cut_only([e]), *args, body_force=_swirl_force))
-        for e in cfg.pieces
+        for e in _cut_elems(cfg)
     ]
     for k, block in enumerate(got):
         want = sum(single[k] for single in singles)
@@ -288,7 +305,7 @@ def test_cut_rules_are_built_once_per_configuration(monkeypatch):
     first = flow_blocks(assemble_navier_stokes(cfg, *args, body_force=_swirl_force))
     second = flow_blocks(assemble_navier_stokes(cfg, *args, body_force=_swirl_force))
     assert len(calls) == 1
-    assert len(calls[0][1]) == sum(len(polys) for polys in cfg.pieces.values())
+    assert len(calls[0][1]) == cfg.piece_elem.size
     for a, b in zip(first, second):
         if sp.issparse(a):
             a, b = a.toarray(), b.toarray()
@@ -303,9 +320,9 @@ def test_cut_batch_holds_the_rules_of_the_pieces():
     # the other, bitwise, padded with zero weights at its first point
     grid, cfg = _triangle_cut_config()
     elems, pts, w, _ = fluid.volume_batches(cfg)[-1]
-    assert elems.tolist() == list(cfg.pieces)
-    for row, e in enumerate(cfg.pieces):
-        rules = [polygon_rule(p) for p in cfg.pieces[e]]
+    assert elems.tolist() == _cut_elems(cfg)
+    for row, e in enumerate(_cut_elems(cfg)):
+        rules = [polygon_rule(p) for p in _piece_polys(cfg, e)]
         want_pts = np.vstack([r.points for r in rules])
         want_w = np.concatenate([r.weights for r in rules])
         m = want_w.size
@@ -325,7 +342,7 @@ def test_benchmark_quadrature_hook_is_called_and_keeps_its_single_polygon_contra
     zero = np.zeros(2 * n)
     assemble_navier_stokes(cfg, PAR, 0.2, 0.6, zero, np.zeros(n), zero, zero, zero)
     assert len(calls) >= 1
-    piece = next(iter(cfg.pieces.values()))[0]
+    piece = cfg.piece_verts[0, : cfg.piece_counts[0]]
     single = polygon_rule(piece)
     assert isinstance(single, QuadratureRule)
     assert single.points.shape == (len(single), 2) and single.weights.shape == (len(single),)
@@ -343,7 +360,7 @@ def _l2_errors_per_element(grid, cfg, U, P, exact_u, exact_p, t):
         i, j = grid.elem_ij(e)
         x0, y0 = grid.origin[0] + i * hx, grid.origin[1] + j * hy
         if cfg.status[e] == ElemStatus.CUT:
-            rules = [polygon_rule(poly) for poly in cfg.pieces.get(e, [])]
+            rules = [polygon_rule(poly) for poly in _piece_polys(cfg, e)]
         else:
             rules = [rectangle_rule(x0, y0, hx, hy, 3)]
         nodes = grid.elem_nodes(e)
@@ -425,9 +442,7 @@ def test_cut_batch_force_load_matches_shape_function_integrals():
     n = grid.n_nodes
     zero = np.zeros(2 * n)
     status = np.where(cfg.status == ElemStatus.FLUID, ElemStatus.COVERED, cfg.status)
-    cut_only = CutConfiguration(
-        grid, status.astype(np.int8), cfg.pieces, [], cfg.loop, cfg.node_role
-    )
+    cut_only = _cut_only(cfg, status.astype(np.int8))
     dt = 0.2
     Ru, Rp, *_ = assemble_navier_stokes(
         cut_only, PAR, dt, 1.0, zero, np.zeros(n), zero, zero, zero, body_force=_swirl_force
@@ -436,10 +451,10 @@ def test_cut_batch_force_load_matches_shape_function_integrals():
     tau_m, _ = stabilization_times(PAR, dt, hx, hy, np.zeros(2))
     want_v = np.zeros((n, 2))
     want_q = np.zeros(n)
-    for e, polys in cfg.pieces.items():
+    for e in _cut_elems(cfg):
         x0, y0, _, _ = grid.elem_bbox(e)
         conn = grid.elem_nodes(e)
-        for poly in polys:
+        for poly in _piece_polys(cfg, e):
             rule = polygon_rule(poly)
             s = (rule.points[:, 0] - x0) / hx
             t = (rule.points[:, 1] - y0) / hy
@@ -582,8 +597,7 @@ def test_cut_element_quadrature_enters_continuity():
 def _two_cell_ghost_config():
     grid = StructuredGrid((0.0, 0.0), (1.0, 1.0), (2, 1))
     status = np.array([ElemStatus.CUT, ElemStatus.CUT], dtype=np.int8)
-    role = np.full(grid.n_nodes, NodeRole.STANDARD, dtype=np.int8)
-    return grid, CutConfiguration(grid, status, {}, [], None, role)
+    return grid, _cut_only(_all_fluid(grid), status)
 
 
 def test_ghost_penalty_hand_computed_energy():
@@ -619,8 +633,7 @@ def test_ghost_penalty_hand_computed_energy():
 def test_ghost_penalty_vanishes_on_bilinear_fields():
     grid = StructuredGrid((0.0, 0.0), (0.5, 0.25), (3, 3))
     status = np.full(grid.n_elems, ElemStatus.CUT, dtype=np.int8)
-    role = np.full(grid.n_nodes, NodeRole.STANDARD, dtype=np.int8)
-    cfg = CutConfiguration(grid, status, {}, [], None, role)
+    cfg = _cut_only(_all_fluid(grid), status)
     par = FluidParams(density=1.0, viscosity=0.01)
     C = np.zeros(2 * grid.n_nodes)
     Kc, Kd, Kp = map(coo, assemble_ghost_penalties(cfg, par, 0.1, 1.0, C))

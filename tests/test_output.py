@@ -180,14 +180,13 @@ class TestFluidVtk:
         write_fluid_vtk(path, cfg, u.ravel(), p)
         data = _parse_vtk(path)
         want_u, want_p = [u], [p]
-        for e, polys in sorted(cfg.pieces.items()):
+        for e, verts, n in zip(cfg.piece_elem, cfg.piece_verts, cfg.piece_counts):
             nodes = grid.elem_nodes(e)
-            for poly in polys:
-                tris, ntri = fan_triangulate(poly[None], np.array([len(poly)]))
-                for tri in tris[0, : ntri[0]]:
-                    N = _grid_shape_rows(grid, e, tri)
-                    want_u.append(N @ u[nodes])
-                    want_p.append(N @ p[nodes])
+            tris, ntri = fan_triangulate(verts[None, :n], np.array([n]))
+            for tri in tris[0, : ntri[0]]:
+                N = _grid_shape_rows(grid, e, tri)
+                want_u.append(N @ u[nodes])
+                want_p.append(N @ p[nodes])
         assert len(want_u) > 20
         # repr() round-trips, so the parsed values are the written floats
         assert np.array_equal(data["point_data"]["velocity"][:, :2], np.vstack(want_u))
