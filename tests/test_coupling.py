@@ -3,10 +3,11 @@
 import inspect
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cutfsi import fluid
+from cutfsi import coupling, fluid
 from cutfsi.coupling import (
     NitscheParams,
     assemble_ff_coupling,
@@ -500,3 +501,95 @@ class TestBatchedRule:
             counts.append(len(calls))
         # one rule per configuration: the jump norms reuse the coupling's
         assert n_segments[0] < n_segments[1] and counts == [2, 2]
+
+
+def _scalar_locate(grid, p):
+    """Element containing the point p; a point on an edge goes to the
+    lower-index cell."""
+    f = [(float(p[ax]) - grid.origin[ax]) / grid.spacing[ax] for ax in (0, 1)]
+    tol = 1e-12 * max(grid.spacing)
+    assert all(-tol <= f[ax] <= grid.counts[ax] + tol for ax in (0, 1)), p
+    i, j = (min(max(int(np.floor(f[ax])), 0), grid.counts[ax] - 1) for ax in (0, 1))
+    return grid.elem_id(i, j)
+
+
+def _scalar_two_mesh_pieces(cfg1, grid2):
+    """(seg, a0, a1, e2) rows of the two-mesh rule, built segment by
+    segment: each background segment is split at the embedded grid's lines,
+    and each piece is owned by the embedded cell just across its midpoint,
+    on the embedded (covered) side."""
+    s = cfg1.segments
+    rows = []
+    for k, (p0, p1, normal) in enumerate(zip(s.p0, s.p1, s.normal)):
+        d = p1 - p0
+        ts = []
+        for axis in (0, 1):
+            if d[axis] != 0.0:
+                o, h = grid2.origin[axis], grid2.spacing[axis]
+                f0, f1 = (p0[axis] - o) / h, (p1[axis] - o) / h
+                lo, hi = min(f0, f1), max(f0, f1)
+                for line in range(int(np.ceil(lo - 1e-12)), int(np.floor(hi + 1e-12)) + 1):
+                    ts.append((float(line) - f0) / (f1 - f0))
+        params = sorted({0.0, 1.0, *(t for t in ts if 1e-12 < t < 1.0 - 1e-12)})
+        for a0, a1 in zip(params[:-1], params[1:]):
+            if a1 - a0 > 1e-14:
+                mid = p0 + 0.5 * (a0 + a1) * d
+                rows.append((k, a0, a1, _scalar_locate(grid2, mid + 1e-6 * min(grid2.spacing) * normal)))
+    return rows
+
+
+def _overlap_grids(n, offset=(0.0, 0.0)):
+    """Background and patch grids of the overlap suite's level n, the patch
+    moved by `offset`."""
+    m = round(0.36 * n) + 1
+    origin = (0.305 + offset[0], 0.374 + offset[1])
+    return (
+        StructuredGrid((0.0, 0.0), (1.0 / n, 1.0 / n), (n, n)),
+        StructuredGrid(origin, (0.36 / m, 0.31 / m), (m, m)),
+    )
+
+
+def _bench_offsets(n):
+    # the overlap benchmark moves the patch by up to 0.4 background cells
+    return [np.random.default_rng(seed).uniform(-0.4, 0.4, 2) / n for seed in range(20)]
+
+
+class TestTwoMeshRule:
+    @pytest.mark.parametrize(
+        "grids",
+        [
+            [_overlap_grids(12)],
+            [_overlap_grids(24, offset) for offset in [(0.0, 0.0), *_bench_offsets(24)]],
+            [_overlap_grids(48)],
+            # the patch's lower-left corner sits on a background node
+            [(
+                StructuredGrid((0.0, 0.0), (0.25, 0.25), (6, 5)),
+                StructuredGrid((0.5, 0.25), (0.1875, 0.15625), (4, 4)),
+            )],
+        ],
+        ids=["overlap-12", "overlap-24-bench-shifts", "overlap-48", "corner-on-grid-line"],
+    )
+    def test_pieces_match_the_scalar_oracle_bitwise(self, monkeypatch, grids):
+        seen = {}
+        rule, side = coupling._interface_rule, coupling._grid_side
+
+        def interface_rule(cfg, pieces=None):
+            seen["pieces"] = pieces
+            return rule(cfg, pieces)
+
+        def grid_side(grid, elems, pts, clip=False):
+            if clip:
+                seen["e2"] = elems
+            return side(grid, elems, pts, clip)
+
+        monkeypatch.setattr(coupling, "_interface_rule", interface_rule)
+        monkeypatch.setattr(coupling, "_grid_side", grid_side)
+        for grid1, grid2 in grids:
+            cfg1 = build_cut_configuration(grid1, patch_boundary_loop(grid2))
+            coupling._two_mesh_rule(grid1, cfg1, grid2)
+            seg, a0, a1 = seen["pieces"]
+            ref = _scalar_two_mesh_pieces(cfg1, grid2)
+            assert len(ref) > len(cfg1.segments) > 0
+            ref_seg, ref_a0, ref_a1, ref_e2 = (np.array(col) for col in zip(*ref))
+            assert np.array_equal(seg, ref_seg) and np.array_equal(seen["e2"], ref_e2)
+            assert a0.tobytes() == ref_a0.tobytes() and a1.tobytes() == ref_a1.tobytes()
