@@ -12,7 +12,9 @@ embedded-sided weighting), with jump penalties and interface transport terms.
 
 Each call integrates over one interface rule: the two-point Gauss rule on
 every interface segment (fluid-solid), or on every piece the embedded grid's
-lines cut a segment into (fluid-fluid, and ``interface_jump_norms``). The
+lines cut a segment into (fluid-fluid, and ``interface_jump_norms``), split
+by the cut's own `split_at_grid_lines` and owned on the embedded grid by
+`StructuredGrid.locate`, both in one array pass over all segments. The
 rule is read off the segment arrays of the cut configuration and holds the
 points (S, 2, 2), weights (S, 2) and normals (S, 2) of all S segments or
 pieces, with the owner connectivity and basis tables N (S, 2, 4) and
@@ -33,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cutting import CutConfiguration, GeometryError, grid_line_params
+from .cutting import CutConfiguration, GeometryError, split_at_grid_lines
 from .fluid import FluidParams, grid_basis
 from .linalg import LocalBlocks
 from .meshes import StructuredGrid
@@ -262,39 +264,22 @@ def assemble_fs_coupling(
     return _scatter(sizes, dofs, residuals, blocks)
 
 
-def _embedded_pieces(p0, p1, grid2: StructuredGrid):
-    """Split the segment p0 -> p1 at the embedded grid's lines; returns (a0, a1) pairs."""
-    t = grid_line_params(grid2, p0, p1)
-    params = sorted({0.0, 1.0, *t[(1e-12 < t) & (t < 1.0 - 1e-12)].tolist()})
-    return [(a0, a1) for a0, a1 in zip(params[:-1], params[1:]) if a1 - a0 > 1e-14]
-
-
-def _embedded_element(grid2: StructuredGrid, p0, p1, normal, a0, a1):
-    """Embedded-mesh element containing the piece (a0, a1) of the segment p0 -> p1."""
-    mid = p0 + 0.5 * (a0 + a1) * (p1 - p0)
-    eps = 1e-6 * min(grid2.spacing)
-    try:
-        return grid2.locate(mid + eps * normal)
-    except ValueError:
-        raise GeometryError(
-            "interface quadrature point lies outside the embedded mesh"
-        ) from None
-
-
 def _two_mesh_rule(grid1: StructuredGrid, cfg1: CutConfiguration, grid2: StructuredGrid):
-    """Rule on the embedded-grid pieces of the background interface, with
-    the basis tables of both meshes. Built on first use and kept on
-    ``cfg1`` for the embedded grid ``grid2``."""
+    """Rule on the pieces the embedded grid's lines cut the background
+    segments into, with the basis tables of both meshes; a piece belongs to
+    the embedded element just across its midpoint, on the embedded side.
+    Built on first use and kept on ``cfg1`` for the embedded grid ``grid2``."""
     if cfg1.two_mesh_rule is None or cfg1.two_mesh_rule[0] is not grid2:
         s = cfg1.segments
-        pieces = [
-            (k, a0, a1, _embedded_element(grid2, p0, p1, n, a0, a1))
-            for k, (p0, p1, n) in enumerate(zip(s.p0, s.p1, s.normal))
-            for a0, a1 in _embedded_pieces(p0, p1, grid2)
-        ]
-        cols = np.array(pieces, dtype=float).reshape(-1, 4)
-        seg, e2 = cols[:, 0].astype(np.int64), cols[:, 3].astype(np.int64)
-        rule = _interface_rule(cfg1, (seg, cols[:, 1], cols[:, 2]))
+        seg, a0, a1 = split_at_grid_lines(grid2, s.p0, s.p1, np.zeros(len(s)), np.ones(len(s)))
+        mid = s.p0[seg] + (0.5 * (a0 + a1))[:, None] * (s.p1 - s.p0)[seg]
+        try:
+            e2 = grid2.locate(mid + 1e-6 * min(grid2.spacing) * s.normal[seg])
+        except ValueError:
+            raise GeometryError(
+                "interface quadrature point lies outside the embedded mesh"
+            ) from None
+        rule = _interface_rule(cfg1, (seg, a0, a1))
         side1 = _grid_side(grid1, rule.elem, rule.pts)
         side2 = _grid_side(grid2, e2, rule.pts, clip=True)
         cfg1.two_mesh_rule = (grid2, rule, side1, side2)
@@ -312,7 +297,6 @@ def assemble_ff_coupling(
     P2: np.ndarray,
     C2_frozen: np.ndarray,
     sigma: float,
-    tangent: bool = True,
 ):
     """Interface operator between a cut background mesh and an embedded mesh.
 
@@ -367,8 +351,6 @@ def assemble_ff_coupling(
     }
     dofs = {"u1": s1.udofs, "u2": s2.udofs, "p2": s2.conn}
     sizes = {"u1": 2 * n1, "u2": 2 * n2, "p2": n2}
-    if not tangent:
-        return _scatter(sizes, dofs, residuals, None)
 
     # Jump derivative: +N1 on mesh-1 columns, -N2 on mesh-2 ones; the mean
     # normal flux m has derivative rho/2 N_b n_k on both; the flux depends

@@ -6,8 +6,10 @@ part. Cells are classified as fully fluid, fully covered, or cut; cut cells
 carry an exact decomposition of their fluid part into convex polygons, and the
 interface itself is partitioned into per-cell segments used for surface
 integration; both are arrays, in the order the cut makes them, which every
-reader takes as they are. Node and facet bookkeeping for ghost stabilization
-and function space updates lives here as well.
+reader takes as they are. The segments come from `split_at_grid_lines`, the
+one splitter of segments at grid lines, which the two-mesh interface rule of
+`coupling` also uses against the embedded grid. Node and facet bookkeeping
+for ghost stabilization and function space updates lives here as well.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ __all__ = [
     "CutConfiguration",
     "build_cut_configuration",
     "snap_to_grid",
-    "grid_line_params",
+    "split_at_grid_lines",
     "jump",
     "avg",
     "avg_conjugate",
@@ -289,20 +291,29 @@ class CutConfiguration:
         )
 
 
-def grid_line_params(grid: StructuredGrid, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Parameters t of the points a + t (b - a) where the segment meets a
-    vertical or horizontal line of the grid, lines within 1e-12 cells beyond
-    either end included; unsorted, and the caller picks the range it needs."""
-    ts = []
-    for axis in (0, 1):
-        if b[axis] - a[axis] != 0.0:
-            o, h = grid.origin[axis], grid.spacing[axis]
-            f0 = (a[axis] - o) / h
-            f1 = (b[axis] - o) / h
-            lo, hi = min(f0, f1), max(f0, f1)
-            lines = np.arange(np.ceil(lo - 1e-12), np.floor(hi + 1e-12) + 1.0)
-            ts.append((lines - f0) / (f1 - f0))
-    return np.concatenate(ts) if ts else np.zeros(0)
+def split_at_grid_lines(grid: StructuredGrid, a, b, w0, w1):
+    """Split the segments a -> b (R, 2) inside their parameter windows
+    [w0, w1] (R,) at the grid lines they cross: a line within 1e-14 of a
+    window end does not split, and pieces of parameter length at most 1e-14
+    are dropped. Returns the pieces as (row, t0, t1), in row and then
+    parameter order."""
+    f0 = (a - grid.origin) / grid.spacing
+    f1 = (b - grid.origin) / grid.spacing
+    # on each axis a segment moves along, the `count` lines from `first` on
+    first = np.ceil(np.minimum(f0, f1))
+    count = np.where(f0 != f1, np.floor(np.maximum(f0, f1)) + 1.0 - first, 0.0)
+    count = count.astype(np.intp).ravel()
+    i = np.repeat(np.arange(count.size), count)
+    line = first.ravel()[i] + np.arange(i.size) - np.repeat(np.cumsum(count) - count, count)
+    t = (line - f0.ravel()[i]) / (f1 - f0).ravel()[i]
+    row = i // 2
+    inside = (w0[row] + 1e-14 < t) & (t < w1[row] - 1e-14)
+    rows = np.concatenate([np.arange(w0.size), np.arange(w1.size), row[inside]])
+    params = np.concatenate([w0, w1, t[inside]])
+    order = np.lexsort((params, rows))
+    rows, params = rows[order], params[order]
+    keep = (rows[1:] == rows[:-1]) & (np.diff(params) > 1e-14)
+    return rows[1:][keep], params[:-1][keep], params[1:][keep]
 
 
 def build_cut_configuration(
@@ -409,25 +420,17 @@ def build_cut_configuration(
     # segment belongs to the element just on its fluid side.
     box = np.array([[*grid.origin, grid.origin[0] + grid.nx * hx, grid.origin[1] + grid.ny * hy]])
     w0, w1, meets = _segment_windows(loop, ends, np.repeat(box, m, axis=0))
-    spans = [np.zeros((0, 3))]  # (edge, t0, t1) rows
-    for k in np.flatnonzero(wet_mask & (length > 0.0) & meets):
-        t = grid_line_params(grid, loop[k], ends[k])
-        params = np.unique([w0[k], w1[k], *t[(w0[k] + 1e-14 < t) & (t < w1[k] - 1e-14)]])
-        apart = np.diff(params) > 1e-14
-        edge = np.full(np.count_nonzero(apart), k)
-        spans.append(np.column_stack([edge, params[:-1][apart], params[1:][apart]]))
-    k, t0, t1 = np.concatenate(spans).T
-    k = k.astype(np.intp)
+    wet = np.flatnonzero(wet_mask & (length > 0.0) & meets)
+    row, t0, t1 = split_at_grid_lines(grid, loop[wet], ends[wet], w0[wet], w1[wet])
+    k = wet[row]
     p0, p1 = loop[k] + t0[:, None] * d[k], loop[k] + t1[:, None] * d[k]
-    f = (0.5 * (p0 + p1) - 1e-6 * min(hx, hy) * nrm[k] - grid.origin) / h
-    tol = 1e-12 * max(hx, hy)  # as `StructuredGrid.locate`
-    outside = np.any((f < -tol) | (f > np.array([grid.nx, grid.ny]) + tol), axis=1)
-    owner = np.clip(np.floor(f), 0, [grid.nx - 1, grid.ny - 1]).astype(np.intp) @ [1, grid.nx]
-    bad = np.flatnonzero(outside | (status[owner] == ElemStatus.COVERED))
-    if bad.size and outside[bad[0]]:
-        raise GeometryError(f"wet interface edge {k[bad[0]]} has its fluid side outside the grid")
-    if bad.size:
-        raise GeometryError(f"wet interface edge {k[bad[0]]} lies in an element without fluid")
+    try:
+        owner = grid.locate(0.5 * (p0 + p1) - 1e-6 * min(hx, hy) * nrm[k])
+    except ValueError:
+        raise GeometryError("a wet interface edge has its fluid side outside the grid") from None
+    covered = np.flatnonzero(status[owner] == ElemStatus.COVERED)
+    if covered.size:
+        raise GeometryError(f"wet interface edge {k[covered[0]]} lies in an element without fluid")
     segments = InterfaceSegments(p0, p1, nrm[k], owner, k, t0, t1)
 
     # Node roles: nodes of active elements are active; those strictly inside

@@ -175,7 +175,7 @@ class FluidProblem:
 
 @dataclass
 class SolidProblem:
-    """Immersed structure: model plus a constant body load per unit mass.
+    """Immersed structure: a solid model and its interface.
 
     With ``rigid=True`` every displacement unknown is constrained to zero
     while the interface stays coupled — a fixed obstacle seen by the flow
@@ -183,7 +183,6 @@ class SolidProblem:
     """
 
     model: SolidModel
-    body_load: object = None
     rigid: bool = False
 
     def __post_init__(self):
@@ -243,8 +242,7 @@ class FsiState:
 @dataclass
 class StepHistory:
     """Previous-level data expressed on the current active space, built by
-    `FsiDriver.history`.  `f_ext` is the constant structural body load, so
-    one vector serves both time levels of the generalized-alpha balance."""
+    `FsiDriver.history`."""
 
     U_tilde: np.ndarray
     P_tilde: np.ndarray
@@ -253,7 +251,6 @@ class StepHistory:
     u_iface_prev: np.ndarray
     f_iface_prev: np.ndarray
     f_int_old: np.ndarray
-    f_ext: np.ndarray
 
 
 # ----------------------------------------------------------------------------
@@ -429,7 +426,7 @@ def assemble_coupled_system(
         mass = model.mass_matrix()
         R_s = genalpha_displacement_residual(
             D, history.solid_prev, dt, ga, mass.matvec,
-            f_int, history.f_int_old, history.f_ext,
+            f_int, history.f_int_old, 0.0,
         )
         Rd = scale * R_s - (af * scale) * history.f_iface_prev
         system.set_residual("d", Rd if c_res is None else Rd + c_res["d"])
@@ -617,15 +614,6 @@ class FsiDriver:
         self.problem = problem
         self.config = config
         self.plan = None
-        solid = problem.solid
-        if solid is not None:
-            self._f_body = (
-                solid.model.body_force_vector(np.asarray(solid.body_load, float))
-                if solid.body_load is not None
-                else np.zeros(solid.model.n_dofs)
-            )
-        else:
-            self._f_body = np.zeros(0)
 
     # -- state construction ------------------------------------------------
 
@@ -686,7 +674,7 @@ class FsiDriver:
         """Previous-level data of a step taken from `state`: the flow vectors
         moved onto the step's active space by `carry`, or copied when it is
         None (the same space); the solid state and interface history of
-        `state`; the internal force at its displacement; the body load."""
+        `state`; the internal force at its displacement."""
         move = np.copy if carry is None else carry.apply
         solid = self.problem.solid
         return StepHistory(
@@ -701,7 +689,6 @@ class FsiDriver:
                 if solid is not None
                 else np.zeros(0)
             ),
-            f_ext=self._f_body,
         )
 
     def space_frozen(self, space_changes: int) -> bool:

@@ -302,13 +302,12 @@ def _guarded_solve(A, norm_A, lu: LU, b):
     return x
 
 
-def factor(A, plan: AssemblyPlan | None = None):
+def factor(A):
     """Guarded sparse LU of the square `A`, returned as ``solve(b)`` for b
-    of shape (n,) or (n, k); a solved matrix of `plan` is factorised in the
-    plan's `ordering`. `solve` raises LinearSolveError instead of returning
-    a non-finite solution or one whose backward residual exceeds
+    of shape (n,) or (n, k). `solve` raises LinearSolveError instead of
+    returning a non-finite solution or one whose backward residual exceeds
     ``_TRUST_REL * (|A| |x| + |b|)`` (Frobenius/l2 norms) in any column."""
-    return functools.partial(_guarded_solve, A, spla.norm(A), LU(A, plan))
+    return functools.partial(_guarded_solve, A, spla.norm(A), LU(A))
 
 
 def factor_solve(A, b, plan: AssemblyPlan | None = None):

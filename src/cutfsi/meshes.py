@@ -117,18 +117,16 @@ class StructuredGrid:
     def elem_diameter(self) -> float:
         return float(np.hypot(*self.spacing))
 
-    def locate(self, p) -> int:
-        """Element index containing point p; points on edges go to the
-        lower-index cell, points outside raise."""
-        x, y = float(p[0]), float(p[1])
-        fx = (x - self.origin[0]) / self.spacing[0]
-        fy = (y - self.origin[1]) / self.spacing[1]
-        i = min(max(int(np.floor(fx)), 0), self.nx - 1)
-        j = min(max(int(np.floor(fy)), 0), self.ny - 1)
+    def locate(self, p) -> np.ndarray:
+        """Element indices (...) containing the points p (..., 2); points on
+        edges go to the lower-index cell, points outside raise."""
+        p = np.asarray(p, dtype=float)
+        f = (p - self.origin) / self.spacing
         tol = 1e-12 * max(self.spacing)
-        if fx < -tol or fx > self.nx + tol or fy < -tol or fy > self.ny + tol:
-            raise ValueError(f"point {p} outside grid")
-        return self.elem_id(i, j)
+        outside = np.any((f < -tol) | (f > np.array(self.counts) + tol), axis=-1)
+        if np.any(outside):
+            raise ValueError(f"point {p[outside][0]} outside grid")
+        return np.clip(np.floor(f), 0, np.array(self.counts) - 1).astype(np.intp) @ [1, self.nx]
 
     def interior_faces(self) -> np.ndarray:
         """All interior faces as (n_faces, 4) rows (elem_left, elem_right,

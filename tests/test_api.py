@@ -121,7 +121,8 @@ def test_every_parameter_field_is_set_by_the_program():
     # belongs in the code as a constant; `replace` calls count for every
     # class
     classes = (
-        cutfsi.DriverConfig, cutfsi.FluidParams, cutfsi.NitscheParams, cutfsi.VelocityDirichlet
+        cutfsi.DriverConfig, cutfsi.FluidParams, cutfsi.NitscheParams, cutfsi.VelocityDirichlet,
+        cutfsi.FluidProblem, cutfsi.SolidProblem,
     )
     fields = {cls.__name__: [f.name for f in dataclasses.fields(cls)] for cls in classes}
     set_fields = set()

@@ -310,7 +310,6 @@ class TestFluidFluidCoupling:
             nit = NitscheParams(gamma=gamma)
             res, _ = assemble_ff_coupling(
                 grid1, cfg1, grid2, PARAMS, nit, U1, U2, P2, C2, SIGMA,
-                tangent=False,
             )
             ref = _ff_oracle(grid1, grid2, corners, PARAMS, nit, U1, U2, P2, C2, SIGMA)
             _assert_matches_oracle(res, ref)
@@ -321,7 +320,6 @@ class TestFluidFluidCoupling:
         nit = NitscheParams(gamma=9.0)
         res, _ = assemble_ff_coupling(
             grid1, cfg1, grid2, PARAMS, nit, U1, U2, P2, C2, SIGMA,
-            tangent=False,
         )
         ref = _ff_oracle(grid1, grid2, corners, PARAMS, nit, U1, U2, P2, C2, SIGMA)
         _assert_matches_oracle(res, ref)
@@ -350,7 +348,7 @@ class TestFluidFluidCoupling:
         C2 = np.zeros(2 * grid2.n_nodes)
         res, _ = assemble_ff_coupling(
             grid1, cfg1, grid2, PARAMS, NitscheParams(gamma=20.0),
-            U1, U2, P2, C2, SIGMA, tangent=False,
+            U1, U2, P2, C2, SIGMA,
         )
         # Zero jump: pressure rows vanish and the two velocity residuals
         # carry equal and opposite total interface forces.
@@ -379,7 +377,7 @@ class TestFluidFluidCoupling:
             res, _ = assemble_ff_coupling(
                 grid1, cfg1, grid2, PARAMS, nit,
                 U1 + scale * delta["u1"], U2 + scale * delta["u2"],
-                P2 + scale * delta["p2"], C2, SIGMA, tangent=False,
+                P2 + scale * delta["p2"], C2, SIGMA,
             )
             return res
 
@@ -426,20 +424,6 @@ class TestBatchedRule:
         for key in ("u", "p", "d"):
             assert np.array_equal(with_tangent[key], without[key]), key
 
-    def test_ff_residual_is_independent_of_the_tangent_flag(self):
-        grid1, cfg1, grid2, _ = _ff_setup()
-        state = _random_ff_state(grid1, grid2, 14)
-        nit = NitscheParams(gamma=9.0)
-        with_tangent, _ = assemble_ff_coupling(
-            grid1, cfg1, grid2, PARAMS, nit, *state, SIGMA
-        )
-        without, jac = assemble_ff_coupling(
-            grid1, cfg1, grid2, PARAMS, nit, *state, SIGMA, tangent=False
-        )
-        assert jac is None
-        for key in ("u1", "u2", "p2"):
-            assert np.array_equal(with_tangent[key], without[key]), key
-
     def test_ff_background_segments_through_patch_nodes(self):
         # background lines x = 0.5 and y = 0.5 pass exactly through patch
         # nodes (all coordinates are dyadic), so background segments start,
@@ -457,7 +441,6 @@ class TestBatchedRule:
         nit = NitscheParams(gamma=9.0)
         res, _ = assemble_ff_coupling(
             grid1, cfg1, grid2, PARAMS, nit, U1, U2, P2, C2, SIGMA,
-            tangent=False,
         )
         ref = _ff_oracle(grid1, grid2, corners, PARAMS, nit, U1, U2, P2, C2, SIGMA)
         _assert_matches_oracle(res, ref)
@@ -570,6 +553,8 @@ class TestTwoMeshRule:
         ids=["overlap-12", "overlap-24-bench-shifts", "overlap-48", "corner-on-grid-line"],
     )
     def test_pieces_match_the_scalar_oracle_bitwise(self, monkeypatch, grids):
+        # the rule's pieces and embedded owners, read off the calls that
+        # build its rule and its embedded (clipped) side
         seen = {}
         rule, side = coupling._interface_rule, coupling._grid_side
 

@@ -19,6 +19,7 @@ from cutfsi.cutting import (
     build_cut_configuration,
     jump,
     snap_to_grid,
+    split_at_grid_lines,
 )
 from cutfsi.meshes import StructuredGrid
 from cutfsi.quadrature import signed_area
@@ -519,6 +520,28 @@ def test_wet_edge_with_a_covered_fluid_side_raises():
     )
     with pytest.raises(GeometryError, match="without fluid"):
         build_cut_configuration(GRID, solid)
+
+
+def test_split_at_grid_lines_at_nodes_along_lines_and_at_the_tolerance():
+    grid = StructuredGrid((0.0, 0.0), (0.25, 0.25), (4, 4))
+    # a diagonal through two nodes (both lines cross at one parameter), a
+    # segment along the line y = 0.5 whose window starts on a line, and a
+    # segment inside one cell
+    a = np.array([[0.1, 0.1], [0.0, 0.5], [0.3, 0.3]])
+    b = np.array([[0.6, 0.6], [1.0, 0.5], [0.4, 0.35]])
+    row, t0, t1 = split_at_grid_lines(grid, a, b, np.array([0.0, 0.25, 0.0]), np.ones(3))
+    assert row.tolist() == [0, 0, 0, 1, 1, 1, 2]
+    assert np.allclose(t0, [0.0, 0.3, 0.8, 0.25, 0.5, 0.75, 0.0], rtol=0.0, atol=1e-15)
+    assert np.allclose(t1, [0.3, 0.8, 1.0, 0.5, 0.75, 1.0, 1.0], rtol=0.0, atol=1e-15)
+    assert np.array_equal(t0[1:][row[1:] == row[:-1]], t1[:-1][row[1:] == row[:-1]])
+    # past a node at 2e-12 and at 2e-15 in the parameter: the piece between
+    # its two lines is kept above the tolerance of 1e-14 and dropped below
+    grid = StructuredGrid((0.0, 0.0), (1.0, 1.0), (2, 2))
+    a = np.array([[0.5, 0.5], [0.5, 0.5]])
+    b = np.array([[1.5, 1.5 + 4e-12], [1.5, 1.5 + 4e-15]])
+    row, t0, t1 = split_at_grid_lines(grid, a, b, np.zeros(2), np.ones(2))
+    assert row.tolist() == [0, 0, 0, 1, 1]
+    assert 1e-14 < t1[1] - t0[1] < 1e-11 and 0.0 < t0[4] - t1[3] <= 1e-14
 
 
 def test_wet_edges_outside_grid_are_dropped():

@@ -231,13 +231,11 @@ def _planned_system(seed):
 def test_planned_factor_matches_dense(seed):
     plan, A, rng = _planned_system(seed)
     B = rng.standard_normal((plan.n, 3))
-    solve = factor(A, plan)
-    assert np.allclose(solve(B), np.linalg.solve(A.toarray(), B), rtol=1e-12, atol=1e-12)
-    assert np.allclose(
-        factor_solve(A, B[:, 0], plan=plan)[0], solve(B)[:, 0], rtol=1e-14, atol=1e-14
-    )
+    X = factor_solve(A, B, plan=plan)[0]
+    assert np.allclose(X, np.linalg.solve(A.toarray(), B), rtol=1e-12, atol=1e-12)
+    assert np.allclose(factor_solve(A, B[:, 0], plan=plan)[0], X[:, 0], rtol=1e-14, atol=1e-14)
     with pytest.raises(ValueError):
-        solve(np.ones(plan.n + 1))
+        factor_solve(A, np.ones(plan.n + 1), plan=plan)
     # one ordering per plan, built at its first factorisation
     assert plan.ordering() is plan.ordering()
 
@@ -275,7 +273,7 @@ def test_planned_factor_rejects_singular():
     free = np.flatnonzero(~plan.fixed)[0]
     A.data[A.indptr[free] : A.indptr[free + 1]] = 0.0
     with pytest.raises(LinearSolveError):
-        factor(A, plan)(np.ones(plan.n))
+        factor_solve(A, np.ones(plan.n), plan=plan)
 
 
 def test_factor_uses_small_supernodes(monkeypatch):
