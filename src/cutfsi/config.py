@@ -91,19 +91,19 @@ class CaseConfig:
     # solver
     dt: float = 0.1
     n_steps: int = 1
-    theta: float = 1.0
-    theta_interface: float = 1.0
-    rho_inf: float = 1.0
-    tol: float = 1e-8
-    max_newton: int = 25
-    max_cycles: int = 5
-    gamma: float = 35.0
-    gp_conv: float = 0.05
-    gp_div: float = 0.05
-    gp_press: float = 0.05
-    freeze_space: bool = False
-    predictor: str = "constant"
-    backward_euler_first_step: bool = True
+    theta: float = DriverConfig.theta
+    theta_interface: float = DriverConfig.theta_interface
+    rho_inf: float = DriverConfig.rho_inf
+    tol: float = DriverConfig.tol
+    max_newton: int = DriverConfig.max_newton
+    max_cycles: int = DriverConfig.max_cycles
+    gamma: float = NitscheParams.gamma
+    gp_conv: float = FluidParams.gamma_conv
+    gp_div: float = FluidParams.gamma_div
+    gp_press: float = FluidParams.gamma_press
+    freeze_space: bool = DriverConfig.freeze_space
+    predictor: str = DriverConfig.predictor
+    backward_euler_first_step: bool = DriverConfig.backward_euler_first_step
     # output
     output_directory: str = "output"
     output_stride: int = 1
@@ -368,8 +368,8 @@ def parse_config_text(text: str) -> CaseConfig:
         if ramp_duration <= 0.0:
             raise ConfigError(f"line {ramp_line}: ramp_duration must be positive")
         cfg.inlet_curve = TimeCurve("cosine-ramp", ramp_duration)
-    else:
-        cfg.inlet_curve = TimeCurve()
+    elif ramp_duration is not None:
+        raise ConfigError(f"line {ramp_line}: ramp_duration requires inlet_curve = cosine-ramp")
 
     _validate(cfg, where)
     _log_defaults(seen)
@@ -426,6 +426,11 @@ def _validate(cfg: CaseConfig, where) -> None:
             )
     if cfg.inlet_side is not None and not cfg.inlet_profile:
         raise ConfigError("inlet_side given but inlet_profile missing")
+    for key in ("inlet_profile", "inlet_curve"):
+        if cfg.inlet_side is None and ("boundaries", key) in where:
+            raise ConfigError(
+                f"line {_line(where, 'boundaries', key)}: {key} given but inlet_side missing"
+            )
     if cfg.inlet_side in cfg.noslip_sides:
         # the no-slip values would overwrite the inflow on that side
         raise ConfigError(

@@ -32,6 +32,7 @@ fixed-point fashion.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -264,26 +265,27 @@ def assemble_fs_coupling(
     return _scatter(sizes, dofs, residuals, blocks)
 
 
+@lru_cache(maxsize=1)
 def _two_mesh_rule(grid1: StructuredGrid, cfg1: CutConfiguration, grid2: StructuredGrid):
     """Rule on the pieces the embedded grid's lines cut the background
     segments into, with the basis tables of both meshes; a piece belongs to
     the embedded element just across its midpoint, on the embedded side.
-    Built on first use and kept on ``cfg1`` for the embedded grid ``grid2``."""
-    if cfg1.two_mesh_rule is None or cfg1.two_mesh_rule[0] is not grid2:
-        s = cfg1.segments
-        seg, a0, a1 = split_at_grid_lines(grid2, s.p0, s.p1, np.zeros(len(s)), np.ones(len(s)))
-        mid = s.p0[seg] + (0.5 * (a0 + a1))[:, None] * (s.p1 - s.p0)[seg]
-        try:
-            e2 = grid2.locate(mid + 1e-6 * min(grid2.spacing) * s.normal[seg])
-        except ValueError:
-            raise GeometryError(
-                "interface quadrature point lies outside the embedded mesh"
-            ) from None
-        rule = _interface_rule(cfg1, (seg, a0, a1))
-        side1 = _grid_side(grid1, rule.elem, rule.pts)
-        side2 = _grid_side(grid2, e2, rule.pts, clip=True)
-        cfg1.two_mesh_rule = (grid2, rule, side1, side2)
-    return cfg1.two_mesh_rule[1:]
+    A pure function of its arguments, memoised for the Newton iterations of
+    one overlap solve and its jump diagnostics; an overlap assembly reads
+    one two-mesh interface."""
+    s = cfg1.segments
+    seg, a0, a1 = split_at_grid_lines(grid2, s.p0, s.p1, np.zeros(len(s)), np.ones(len(s)))
+    mid = s.p0[seg] + (0.5 * (a0 + a1))[:, None] * (s.p1 - s.p0)[seg]
+    try:
+        e2 = grid2.locate(mid + 1e-6 * min(grid2.spacing) * s.normal[seg])
+    except ValueError:
+        raise GeometryError(
+            "interface quadrature point lies outside the embedded mesh"
+        ) from None
+    rule = _interface_rule(cfg1, (seg, a0, a1))
+    side1 = _grid_side(grid1, rule.elem, rule.pts)
+    side2 = _grid_side(grid2, e2, rule.pts, clip=True)
+    return rule, side1, side2
 
 
 def assemble_ff_coupling(

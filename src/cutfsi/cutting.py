@@ -226,9 +226,10 @@ class InterfaceSegments:
 
 
 class CutConfiguration:
-    """Result of intersecting a grid with an interface polygon: a fixed
-    geometry, on which the flow assembly and the coupling keep the rules they
-    build in `volume_batches`, `batch_forces` and `two_mesh_rule`."""
+    """Result of intersecting a grid with an interface polygon: plain data,
+    fixed once built. The rules derived from it are memoised by the
+    functions that build them (`fluid.volume_batches`, the two-mesh rule of
+    `coupling`), keyed by the configuration, not stored on it."""
 
     def __init__(self, grid, status, pieces, segments, loop, node_role):
         self.grid = grid
@@ -239,9 +240,6 @@ class CutConfiguration:
         self.segments = segments  # InterfaceSegments
         self.loop = loop  # snapped closed CCW polygon or None
         self.node_role = node_role  # (n_nodes,) NodeRole values
-        self.volume_batches = None  # the fluid volume rules, set by the flow assembly
-        self.batch_forces = None  # (callable, time, values per batch), set there too
-        self.two_mesh_rule = None  # (embedded grid, rule, sides), set by the coupling
         self.active_elems = np.flatnonzero(status != ElemStatus.COVERED)
         self.active_nodes = np.flatnonzero(node_role != NodeRole.INACTIVE)
 

@@ -206,11 +206,8 @@ class FsiState:
     `u_iface` is the interface-velocity history of the one-step interface
     scheme, `f_iface` the stored interface force tested with the solid
     weights, and `d_space` the displacement whose cut generated this level's
-    active function space. `cfg` carries that cut, the accepted configuration
-    of the step that produced the state; it is not checkpointed, `copy()`
-    shares it, and `FsiDriver.configuration` rebuilds it from `d_space` when
-    it is None (the initial state and loaded checkpoints) or was cut on
-    another grid.
+    active function space. The state holds no configuration: that cut is a
+    function of `d_space`, which `FsiDriver.configuration` returns.
     """
 
     time: float
@@ -222,7 +219,6 @@ class FsiState:
     u_iface: np.ndarray
     f_iface: np.ndarray
     d_space: np.ndarray
-    cfg: CutConfiguration | None = field(default=None, repr=False, compare=False)
 
     def copy(self) -> "FsiState":
         return FsiState(
@@ -235,7 +231,6 @@ class FsiState:
             self.u_iface.copy(),
             self.f_iface.copy(),
             self.d_space.copy(),
-            self.cfg,
         )
 
 
@@ -608,12 +603,15 @@ class FsiDriver:
 
     `plan` is the assembly plan of the last assembled structure, built at
     its first assembly and replaced when the structure changes; nothing
-    else keeps it."""
+    else keeps it. The driver likewise keeps its last cut, with the bytes
+    of the displacement that cut it, and hands it out again for the same
+    bytes (`configuration`); states and reports hold no configuration."""
 
     def __init__(self, problem: FsiProblem, config: DriverConfig):
         self.problem = problem
         self.config = config
         self.plan = None
+        self._last_cut = (None, None)  # (displacement bytes, its CutConfiguration)
 
     # -- state construction ------------------------------------------------
 
@@ -652,21 +650,22 @@ class FsiDriver:
     # -- helpers -----------------------------------------------------------
 
     def _cut_from(self, d: np.ndarray) -> CutConfiguration:
-        solid = self.problem.solid
-        if solid is None:
-            return build_cut_configuration(self.problem.fluid.grid, None)
-        return build_cut_configuration(
-            self.problem.fluid.grid, _deformed_loop(solid, d), solid.wet_mask
-        )
+        """The cut of the displacement `d`: the last cut when it was made
+        from the same bytes, else a fresh one, which is kept instead."""
+        key = d.tobytes()
+        if self._last_cut[0] != key:
+            solid, grid = self.problem.solid, self.problem.fluid.grid
+            if solid is None:
+                cfg = build_cut_configuration(grid, None)
+            else:
+                cfg = build_cut_configuration(grid, _deformed_loop(solid, d), solid.wet_mask)
+            self._last_cut = (key, cfg)
+        return self._last_cut[1]
 
     def configuration(self, state: FsiState) -> CutConfiguration:
-        """The cut of `state.d_space`: the carried one, or a fresh cut that
-        the state then carries when it has none or carries the cut of
-        another grid (a state handed on from a driver of a rebuilt
-        problem)."""
-        if state.cfg is None or state.cfg.grid is not self.problem.fluid.grid:
-            state.cfg = self._cut_from(state.d_space)
-        return state.cfg
+        """The cut of `state.d_space` on this driver's grid, which spans the
+        active function space of `state`."""
+        return self._cut_from(state.d_space)
 
     def history(
         self, state: FsiState, carry: SpaceProjector | None = None
@@ -795,10 +794,7 @@ class FsiDriver:
 
         d_pred = self._predict(state)
         cfg_prev = self.configuration(state)
-        if d_pred.tobytes() == state.d_space.tobytes():
-            cfg = cfg_prev
-        else:
-            cfg = self._cut_from(d_pred)
+        cfg = self._cut_from(d_pred)
         history = self.history(state, SpaceProjector(cfg_prev, cfg))
 
         U, P, D, d_geom = history.U_tilde, history.P_tilde, d_pred, d_pred
@@ -845,7 +841,6 @@ class FsiDriver:
             u_iface=u_if,
             f_iface=force,
             d_space=d_geom.copy(),
-            cfg=cfg,
         )
         report = StepReport(
             step=n_step, time=t_new, theta=theta,
@@ -888,10 +883,9 @@ def save_checkpoint(path, state: FsiState) -> None:
 
     The file is a NumPy ``.npz`` archive with the arrays ``U, P, A`` (flow),
     ``d, v, a`` (structure), ``u_iface, f_iface, d_space`` (interface
-    history), and scalars ``version, step, time``.  The carried cut
-    configuration is not stored: it is a function of ``d_space`` and is
-    rebuilt on first use.  Reloading on the same platform reproduces the
-    state, and the run resumed from it, bitwise.
+    history), and scalars ``version, step, time``.  The cut configuration is
+    not stored: it is a function of ``d_space``.  Reloading on the same
+    platform reproduces the state, and the run resumed from it, bitwise.
     """
     np.savez(
         path,

@@ -15,6 +15,7 @@ happens at solve time.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -39,6 +40,10 @@ _G3_X, _G3_WX = np.polynomial.legendre.leggauss(3)
 _G3_S = np.repeat(0.5 * (_G3_X + 1.0), 3)
 _G3_T = np.tile(0.5 * (_G3_X + 1.0), 3)
 _G3_W = np.repeat(_G3_WX, 3) * np.tile(_G3_WX, 3)
+
+# One assembly reads at most two configurations (the two meshes of the
+# overlap solver), so what is memoised per configuration keeps two entries.
+_CONFIGURATIONS_PER_ASSEMBLY = 2
 
 
 @dataclass(frozen=True)
@@ -208,22 +213,15 @@ def _ns_kernel(params, sigma, hist_ratio, dt, hx, hy, N, Dx, Dy, D2, w, Ue, Pe, 
     return Rv, J[2, "R"][..., 0], Juu, Jup, Jpu, J[2, 2]
 
 
-def _batch_forces(cfg: CutConfiguration, batches, body_force, time: float):
-    """The body force at the points of the volume `batches` of `cfg`, one
-    array per batch broadcasting to (E, Q, 2). A callable is evaluated once
-    per batch for each (callable, time) and configuration, and the values
-    are kept on the configuration for later assemblies."""
-    if not callable(body_force):
-        value = 0.0 if body_force is None else np.asarray(body_force, dtype=float)
-        return [value] * len(batches)
-    cached = cfg.batch_forces
-    if cached is None or cached[0] is not body_force or cached[1] != time:
-        values = [
-            np.asarray(body_force(pts.reshape(-1, 2), time), dtype=float).reshape(pts.shape)
-            for _, pts, _, _ in batches
-        ]
-        cfg.batch_forces = cached = (body_force, time, values)
-    return cached[2]
+@lru_cache(maxsize=_CONFIGURATIONS_PER_ASSEMBLY)
+def _batch_forces(cfg: CutConfiguration, body_force, time: float):
+    """A callable body force at the points of the `volume_batches` of `cfg`,
+    one array (E, Q, 2) per batch from one call per batch, memoised per
+    configuration, callable and time for the later Newton iterations."""
+    return [
+        np.asarray(body_force(pts.reshape(-1, 2), time), dtype=float).reshape(pts.shape)
+        for _, pts, _, _ in volume_batches(cfg)
+    ]
 
 
 def assemble_navier_stokes(
@@ -264,7 +262,11 @@ def assemble_navier_stokes(
     Uv, Ov, Av, Cv = (V.reshape(n, 2) for V in (U, U_old, A_old, C_frozen))
 
     batches = volume_batches(cfg)
-    forces = _batch_forces(cfg, batches, body_force, time)
+    if callable(body_force):
+        forces = _batch_forces(cfg, body_force, time)
+    else:
+        value = 0.0 if body_force is None else np.asarray(body_force, dtype=float)
+        forces = [value] * len(batches)
     for (elems, _, w, (N, Dx, Dy, D2)), Fe in zip(batches, forces):
         conn = conn_all[elems]
         E = elems.size
@@ -297,6 +299,7 @@ def grid_basis(grid: StructuredGrid, elems: np.ndarray, pts: np.ndarray, clip: b
     return basis_tables(hx, hy, s, t)
 
 
+@lru_cache(maxsize=_CONFIGURATIONS_PER_ASSEMBLY)
 def volume_batches(cfg: CutConfiguration):
     """The volume rules of the fluid part of the active elements of `cfg`,
     as nonempty batches (elems (E,), points (E, Q, 2), weights (E|1, Q),
@@ -304,10 +307,8 @@ def volume_batches(cfg: CutConfiguration):
     Gauss rule, and the cut elements with a nonempty fluid rule with their
     polygon rules, padded to a common length Q with zero weights at a
     repeated real point. One `polygon_rule` call rules every piece. The
-    batches are built on first use and kept on the configuration, which is
-    fixed across Newton iterations."""
-    if cfg.volume_batches is not None:
-        return cfg.volume_batches
+    batches are a pure function of the configuration, memoised for the
+    Newton iterations that assemble on it."""
     grid = cfg.grid
     hx, hy = grid.spacing
     batches = []
@@ -331,7 +332,6 @@ def volume_batches(cfg: CutConfiguration):
         w = np.zeros(filled.shape)
         w[filled] = rule.weights
         batches.append((cut, pts, w, grid_basis(grid, cut, pts)))
-    cfg.volume_batches = batches
     return batches
 
 

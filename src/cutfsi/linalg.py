@@ -193,7 +193,6 @@ class AssemblyPlan:
         self.keep = np.where(free, np.arange(self.nnz, dtype=np.int32), -1)[solved]
         self.units = np.flatnonzero(~free[solved])
         self.solved_indptr, self.solved_indices = _pattern(entries[solved], n)
-        self._ordering = None
 
     def fits(self, system: BlockSystem, fixed: np.ndarray) -> bool:
         """Whether `system` and `fixed` have the structure of this plan."""
@@ -212,26 +211,25 @@ class AssemblyPlan:
         data[self.units] = 1.0
         return _csr(data, self.solved_indices, self.solved_indptr, self.n)
 
+    @functools.cached_property
     def ordering(self):
-        """``(perm, take, indptr, indices)``, built at the first call: a
+        """``(perm, take, indptr, indices)``, built at the first read: a
         solved matrix A of this plan, ordered as ``A[perm][:, perm]``, is the
         CSC matrix ``(A.data[take], indices, indptr)``. `perm` is SuperLU's
         postordered minimum degree on A^T + A for the pattern alone, read off
         an incomplete LU that drops every entry of the pattern matrix with 1
         off the diagonal and n on it (no pivot can vanish)."""
-        if self._ordering is None:
-            n, indptr, indices = self.n, self.solved_indptr, self.solved_indices
-            rows = np.repeat(np.arange(n, dtype=np.int32), np.diff(indptr))
-            # the ordering reads only A^T + A, so the CSR arrays serve as CSC
-            S = sp.csc_matrix((np.where(rows == indices, n, 1.0), indices, indptr), (n, n))
-            inverse = spla.spilu(S, drop_tol=np.inf, fill_factor=1, **_SPLU_OPTIONS).perm_c
-            del S, rows
-            perm = np.argsort(inverse)
-            # the data slots of A, moved as the entries of A[perm][:, perm]
-            slots = np.arange(indices.size, dtype=np.int32)
-            P = sp.csr_matrix((slots, inverse[indices], indptr), (n, n))[perm].tocsc()
-            self._ordering = (perm, P.data, P.indptr, P.indices)
-        return self._ordering
+        n, indptr, indices = self.n, self.solved_indptr, self.solved_indices
+        rows = np.repeat(np.arange(n, dtype=np.int32), np.diff(indptr))
+        # the ordering reads only A^T + A, so the CSR arrays serve as CSC
+        S = sp.csc_matrix((np.where(rows == indices, n, 1.0), indices, indptr), (n, n))
+        inverse = spla.spilu(S, drop_tol=np.inf, fill_factor=1, **_SPLU_OPTIONS).perm_c
+        del S, rows
+        perm = np.argsort(inverse)
+        # the data slots of A, moved as the entries of A[perm][:, perm]
+        slots = np.arange(indices.size, dtype=np.int32)
+        P = sp.csr_matrix((slots, inverse[indices], indptr), (n, n))[perm].tocsc()
+        return perm, P.data, P.indptr, P.indices
 
 
 class LU:
@@ -245,7 +243,7 @@ class LU:
             if plan is None:
                 self.lu = spla.splu(sp.csc_matrix(A), **_SPLU_OPTIONS)
             else:
-                self.perm, take, indptr, indices = plan.ordering()
+                self.perm, take, indptr, indices = plan.ordering
                 B = sp.csc_matrix((A.data.take(take), indices, indptr), A.shape)
                 self.lu = spla.splu(B, **{**_SPLU_OPTIONS, "permc_spec": "NATURAL"})
         except RuntimeError as err:

@@ -6,6 +6,7 @@ generalized-alpha time integrator for the second-order dynamics.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -140,37 +141,35 @@ class SolidModel:
         self.density = float(density)
         self.n_dofs = 2 * mesh.n_nodes
         self._mass = None
-        self._table = None
 
+    @cached_property
     def _reference(self) -> _ReferenceTable:
         """The reference table, built on first use."""
-        if self._table is None:
-            pts, wts = np.polynomial.legendre.leggauss(2)
-            xi, eta = np.repeat(pts, 2), np.tile(pts, 2)
-            elems = self.mesh.elems
-            G = np.array([quad_shape_grad(x, y) for x, y in zip(xi, eta)])
-            J = np.einsum("qaI,eaj->eqIj", G, self.mesh.nodes[elems])
-            det = np.linalg.det(J)
-            invJ = np.linalg.inv(np.where((det > 0.0)[..., None, None], J, _I2))
-            self._table = _ReferenceTable(
-                N=np.array([quad_shape(x, y) for x, y in zip(xi, eta)]),
-                dN=G @ np.swapaxes(invJ, -1, -2),
-                wdet=np.outer(wts, wts).ravel() * det,
-                det=det,
-                dofs=(2 * elems[:, :, None] + np.arange(2)).reshape(-1, 8),
-            )
-        return self._table
+        pts, wts = np.polynomial.legendre.leggauss(2)
+        xi, eta = np.repeat(pts, 2), np.tile(pts, 2)
+        elems = self.mesh.elems
+        G = np.array([quad_shape_grad(x, y) for x, y in zip(xi, eta)])
+        J = np.einsum("qaI,eaj->eqIj", G, self.mesh.nodes[elems])
+        det = np.linalg.det(J)
+        invJ = np.linalg.inv(np.where((det > 0.0)[..., None, None], J, _I2))
+        return _ReferenceTable(
+            N=np.array([quad_shape(x, y) for x, y in zip(xi, eta)]),
+            dN=G @ np.swapaxes(invJ, -1, -2),
+            wdet=np.outer(wts, wts).ravel() * det,
+            det=det,
+            dofs=(2 * elems[:, :, None] + np.arange(2)).reshape(-1, 8),
+        )
 
     def _scatter(self, nodal: np.ndarray) -> np.ndarray:
         """Sum (E, 4, 2) element vectors into one global dof vector."""
-        dofs = self._reference().dofs
+        dofs = self._reference.dofs
         return np.bincount(dofs.ravel(), weights=nodal.ravel(), minlength=self.n_dofs)
 
     def mass_matrix(self) -> LocalBlocks:
         """Consistent mass (referential density) as (E, 8, 8) element
         blocks; built on first use."""
         if self._mass is None:
-            ref, n = self._reference(), self.n_dofs
+            ref, n = self._reference, self.n_dofs
             Me = self.density * np.einsum("eq,qa,qb->eab", ref.wdet, ref.N, ref.N)
             block = np.einsum("eab,ik->eaibk", Me, _I2).reshape(-1, 8, 8)
             self._mass = LocalBlocks((n, n), ref.dofs, ref.dofs, block)
@@ -183,7 +182,7 @@ class SolidModel:
         Raises SolidInversionError, naming the first element in mesh order
         that has a quadrature point with det J <= 0 or det F <= 0.
         """
-        ref = self._reference()
+        ref = self._reference
         de = np.asarray(d, dtype=float)[ref.dofs].reshape(-1, 4, 2)
         F = _I2 + np.einsum("eai,eqaJ->eqiJ", de, ref.dN)
         bad = (ref.det <= 0.0) | (np.linalg.det(F) <= 0.0)
@@ -207,7 +206,7 @@ class SolidModel:
     def body_force_vector(self, load: np.ndarray) -> np.ndarray:
         """Consistent load vector for a constant referential body force
         density rho_s * load (force per unit mass)."""
-        ref = self._reference()
+        ref = self._reference
         rho_n = self.density * (ref.wdet @ ref.N)  # integral of rho_s N_a per element
         return self._scatter(rho_n[:, :, None] * np.asarray(load, dtype=float))
 

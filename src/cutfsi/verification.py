@@ -373,7 +373,9 @@ def _check_fitted_flow(tol_scale: float) -> CheckResult:
         )
         states, _ = driver.run(initial)
         end = states[-1]
-        eu, ep = _flow_l2_errors(end.cfg, end.U, end.P, exact_u, exact_p, horizon)
+        eu, ep = _flow_l2_errors(
+            driver.configuration(end), end.U, end.P, exact_u, exact_p, horizon
+        )
         err_u.append(eu)
         err_p.append(ep)
     elapsed = _time.perf_counter() - start
@@ -431,7 +433,7 @@ def _check_embedded_channel(tol_scale: float) -> CheckResult:
         driver = FsiDriver(problem, config)
         state, _ = driver.step(driver.initial_state())
         eu, _ = _flow_l2_errors(
-            state.cfg, state.U, state.P,
+            driver.configuration(state), state.U, state.P,
             profile, lambda pts, t: grad_p * pts[:, 0], 1.0,
         )
         errors.append(eu)
@@ -622,7 +624,7 @@ def _overlap_level(n: int, exact_u, body, rho, mu, gamma):
     driver = FsiDriver(FsiProblem(single, None), DriverConfig(dt=1e8, n_steps=1))
     state, _ = driver.step(driver.initial_state())
     e_single, _ = _flow_l2_errors(
-        state.cfg, state.U, state.P,
+        driver.configuration(state), state.U, state.P,
         exact_u, lambda pts, t: np.zeros(len(pts)), 0.0,
     )
 

@@ -16,6 +16,8 @@ from cutfsi.config import (
     parse_config,
     parse_config_text,
 )
+from cutfsi.driver import DriverConfig
+from cutfsi.fluid import FluidParams
 from cutfsi.meshes import rectangle_fitted_mesh, write_mesh_text
 
 MINIMAL = """\
@@ -212,6 +214,34 @@ class TestErrors:
         with pytest.raises(ConfigError, match="unknown inlet_curve"):
             parse_config_text(text)
 
+    @pytest.mark.parametrize(
+        "entries",
+        [
+            "inlet_profile = 1.0",
+            "inlet_curve = constant",
+            "inlet_curve = cosine-ramp\nramp_duration = 0.5",
+        ],
+        ids=["profile", "constant-curve", "ramp-curve"],
+    )
+    def test_inlet_data_needs_a_side(self, entries):
+        # without a side the inlet data would build no inflow at all
+        text = MINIMAL.replace("noslip_sides = bottom top", f"noslip_sides = bottom top\n{entries}")
+        key = entries.split()[0]
+        (line,) = _lines_with(text, key)
+        with pytest.raises(ConfigError, match=f"line {line}: {key} given but inlet_side missing"):
+            parse_config_text(text)
+
+    @pytest.mark.parametrize("curve", ["", "inlet_curve = constant\n"], ids=["no-curve", "constant"])
+    @pytest.mark.parametrize("duration", ["0.5", "-3"])
+    def test_ramp_duration_needs_the_cosine_ramp(self, curve, duration):
+        # without the ramp curve the duration would be ignored, whatever it is
+        text = FULL.replace("inlet_curve = cosine-ramp\n", curve)
+        text = text.replace("ramp_duration = 0.5", f"ramp_duration = {duration}")
+        (line,) = _lines_with(text, "ramp_duration")
+        message = f"line {line}: ramp_duration requires inlet_curve = cosine-ramp"
+        with pytest.raises(ConfigError, match=message):
+            parse_config_text(text)
+
     def test_solid_mesh_requires_materials(self):
         text = MINIMAL.replace(
             "[materials]", "[materials]\n# solid constants missing"
@@ -348,6 +378,13 @@ class TestBuilders:
         cfg = parse_config_text(MINIMAL)
         assert cfg.build_solid() is None
         assert cfg.build_problem().solid is None
+
+    def test_required_keys_alone_give_the_solver_defaults(self):
+        text = MINIMAL.replace("noslip_sides = bottom top\n", "")
+        text = text.replace("fluid_viscosity = 0.01\nfluid_density = 1.0\n", "")
+        cfg = parse_config_text(text)
+        assert cfg.build_driver_config() == DriverConfig(dt=0.05, n_steps=4)
+        assert cfg.fluid_params() == FluidParams(density=1.0, viscosity=1.0)
 
     def test_build_driver_config(self):
         cfg = parse_config_text(FULL)

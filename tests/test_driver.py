@@ -43,7 +43,7 @@ from cutfsi.driver import (
     save_checkpoint,
     solve_overlapping_fluid,
 )
-from cutfsi.fluid import FluidParams, assemble_navier_stokes, basis_tables
+from cutfsi.fluid import FluidParams, assemble_navier_stokes, basis_tables, volume_batches
 from cutfsi.linalg import LU, AssemblyPlan, BlockSystem, LinearSolveError, LocalBlocks
 from cutfsi.meshes import StructuredGrid, rectangle_fitted_mesh
 from cutfsi.solid import (
@@ -894,8 +894,9 @@ def _same_cut(a, b):
 
 
 class TestCarriedConfiguration:
-    """Each accepted state carries the cut of its `d_space`, so a step cuts
-    only the displacements it has not cut before."""
+    """The configuration of a state is the cut of its `d_space`; the driver
+    keeps its last cut, so a step cuts only the displacements it has not
+    cut before."""
 
     @staticmethod
     def _count_cuts(monkeypatch):
@@ -946,8 +947,9 @@ class TestCarriedConfiguration:
         _, reports = driver.run(states[0], on_step=lambda s, r: states.append(s))
         assert sum(r.space_changes for r in reports) > 0
         for state in states:
-            _same_cut(state.cfg, self._fresh_cut(problem, state))
-            assert state.copy().cfg is state.cfg
+            cfg = driver.configuration(state)
+            _same_cut(cfg, self._fresh_cut(problem, state))
+            assert driver.configuration(state.copy()) is cfg
 
     def test_loaded_state_rebuilds_the_configuration(self, tmp_path):
         problem = _gentle_flap_problem()
@@ -957,15 +959,12 @@ class TestCarriedConfiguration:
         path = tmp_path / "level2.npz"
         save_checkpoint(path, states[-1])
         loaded = load_checkpoint(path)
-        assert loaded.cfg is None
-        cfg = driver.configuration(loaded)
-        assert loaded.cfg is cfg
-        _same_cut(cfg, states[-1].cfg)
+        _same_cut(driver.configuration(loaded), self._fresh_cut(problem, states[-1]))
         a, _ = driver.step(states[-1])
         b, _ = driver.step(load_checkpoint(path))
         for name in ("U", "P", "A", "u_iface", "f_iface", "d_space"):
             assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
-        _same_cut(a.cfg, b.cfg)
+        _same_cut(driver.configuration(a), self._fresh_cut(problem, b))
 
     def test_state_continues_on_a_rebuilt_problem(self):
         config = DriverConfig(dt=0.05, n_steps=4, nitsche=GAMMA)
@@ -974,7 +973,7 @@ class TestCarriedConfiguration:
         rebuilt = FsiDriver(_gentle_flap_problem(), config)
         cont, reports = rebuilt.run(first[-1], n_steps=2)
         assert all(r.space_changes == 0 for r in reports)
-        assert cont[-1].cfg.grid is rebuilt.problem.fluid.grid
+        assert rebuilt.configuration(cont[-1]).grid is rebuilt.problem.fluid.grid
         for name in ("U", "P", "A", "u_iface", "f_iface", "d_space"):
             assert getattr(straight[-1], name).tobytes() == getattr(cont[-1], name).tobytes()
 
@@ -1150,6 +1149,17 @@ class TestRetention:
         held = (np.ndarray, CutConfiguration, AssemblyPlan)
         assert [type(obj) for obj in reachable if isinstance(obj, held)] == []
 
+    def test_states_hold_no_configuration_or_volume_rules(self):
+        driver = _flap_fine_driver(3)
+        states = []
+        driver.run(on_step=lambda s, r: states.append(s))
+        batches = volume_batches(driver.configuration(states[-1]))
+        rules = {id(obj) for obj in [batches, *batches]}
+        reachable = self._reachable(states)
+        assert any(isinstance(obj, np.ndarray) for obj in reachable)
+        assert [obj for obj in reachable if isinstance(obj, CutConfiguration)] == []
+        assert [obj for obj in reachable if id(obj) in rules] == []
+
     def test_run_releases_every_state_but_the_last(self):
         driver = FsiDriver(
             _gentle_flap_problem(), DriverConfig(dt=0.05, n_steps=3, nitsche=GAMMA)
@@ -1242,7 +1252,7 @@ class TestAssemblyPlan:
         assert plans == [driver.plan]
         holders = [vars(s) for s in states] + [vars(r) for r in reports]
         holders += [vars(n) for r in reports for n in r.newton]
-        holders += [vars(s.cfg) for s in states if s.cfg is not None]
+        holders += [vars(driver.configuration(s)) for s in states]
         referrers = gc.get_referrers(driver.plan)
         assert not any(h is r for h in holders for r in referrers)
 
@@ -1283,7 +1293,7 @@ class TestAssemblyPlan:
         b = np.random.default_rng(0).standard_normal(plan.n)
         plain, planned = linalg.factor(A)(b), linalg.factor_solve(A, b, plan=plan)[0]
         mmd, natural = lus
-        assert np.array_equal(plan.ordering()[0], np.argsort(mmd.perm_c))
+        assert np.array_equal(plan.ordering[0], np.argsort(mmd.perm_c))
         assert natural.L.nnz + natural.U.nnz <= mmd.L.nnz + mmd.U.nnz
         assert np.linalg.norm(planned - plain) <= 1e-13 * np.linalg.norm(plain)
 
@@ -1295,8 +1305,8 @@ class TestAssemblyPlan:
             driver_module, "build_cut_configuration", lambda *a: cuts.append(1) or cut(*a)
         )
         driver = FsiDriver(_gentle_flap_problem(), DriverConfig(dt=0.05, n_steps=1, nitsche=GAMMA))
-        state = driver.initial_state()
-        assert built == [] and cuts == [] and driver.plan is None and state.cfg is None
+        driver.initial_state()
+        assert built == [] and cuts == [] and driver.plan is None
 
     def test_flap_iterations_convert_nothing_once_the_plan_exists(self, monkeypatch):
         conversions, per_assembly = [], []

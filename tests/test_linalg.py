@@ -237,7 +237,7 @@ def test_planned_factor_matches_dense(seed):
     with pytest.raises(ValueError):
         factor_solve(A, np.ones(plan.n + 1), plan=plan)
     # one ordering per plan, built at its first factorisation
-    assert plan.ordering() is plan.ordering()
+    assert plan.ordering is plan.ordering
 
 
 def test_refinement_on_a_nearby_lu_solves_within_the_guard():
