@@ -263,10 +263,9 @@ def _dump_matrix(driver: FsiDriver, state, report, directory: Path) -> None:
     The tangent does not depend on the step's previous-level history (it
     only shifts the residual), so the history of a step taken from the
     accepted state reproduces the matrix of the converged iteration, the
-    one its last increment was solved with, by a fresh LU or by refinement
-    on the previous iteration's. The converged iteration used the widened
-    ghost facets when the step had frozen its active space. The driver's
-    plan is reused when it fits.
+    one its last increment was solved with. The converged iteration used
+    the widened ghost facets when the step had frozen its active space.
+    The driver's plan is reused when it fits.
     """
     asm = assemble_coupled_system(
         driver.problem,

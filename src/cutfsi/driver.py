@@ -111,7 +111,7 @@ class DriverConfig:
     backward_euler_first_step: bool = True
 
     def __post_init__(self):
-        if self.dt <= 0.0:
+        if not self.dt > 0.0:
             raise ValueError("dt must be positive")
         if self.n_steps < 0:
             raise ValueError("n_steps must be non-negative")
@@ -121,7 +121,7 @@ class DriverConfig:
             raise ValueError("theta_interface must lie in (0, 1]")
         if not (0.0 <= self.rho_inf <= 1.0):
             raise ValueError("rho_inf must lie in [0, 1]")
-        if self.tol <= 0.0:
+        if not self.tol > 0.0:
             raise ValueError("tol must be positive")
         if self.max_newton < 1 or self.max_cycles < 1:
             raise ValueError("iteration limits must be at least 1")
@@ -464,9 +464,7 @@ def _relative(values: tuple[float, float], reference: tuple[float, float]):
 @dataclass
 class IterationRecord:
     """Relative residual/increment norms (l2, max) per block, plus the
-    absolute residual l2 norms and the accepted step scaling.  The last
-    increment of a converged attempt is only tested, never applied; it may
-    come from refinement on the previous iteration's LU (see `_newton`)."""
+    absolute residual l2 norms and the accepted step scaling."""
 
     residual: dict[str, tuple[float, float]]
     increment: dict[str, tuple[float, float]]
@@ -497,14 +495,10 @@ def _newton(
     scale at which the increment is applied (one without it).  A residual
     block holding NaN or inf raises LinearSolveError before the solve.
 
-    Every increment that may be applied comes from a fresh LU of
-    `factor_solve`.  That LU is kept when every relative increment it gave
-    is below ``sqrt(tol)``, where quadratic convergence predicts an increment
-    below `tol` next.  At the next iteration, if its residual passes `tol`,
-    the increment, which is then only tested, is solved by `LU.refine` on the
-    kept LU, and accepted when the refinement passes the residual guard and
-    every block increment is below ``tol / 2``; otherwise that iteration
-    factorises as any other.
+    Every increment is solved by `LU.refine` on the attempt's last LU when
+    its matrix has that LU's plan, else, or when the refinement gives up, by
+    a fresh LU of `factor_solve`, which the attempt keeps instead.  No LU
+    outlives its attempt.
 
     Returns ``(iterate, assembled, iterations, records, interrupted)``:
     `assembled` is the converged linearization, or None when `recut`
@@ -512,7 +506,7 @@ def _newton(
     """
     records: list[IterationRecord] = []
     reference: dict[str, tuple[float, float]] | None = None
-    kept = None  # the previous iteration's LU, kept while its increment is small
+    kept, kept_plan = None, None  # the attempt's last LU and its plan
     for it in range(1, max_newton + 1):
         if it > 1 and recut is not None:
             interrupted = recut(iterate)
@@ -536,23 +530,16 @@ def _newton(
             residual_abs={k: _norm_pair(v)[0] for k, v in res_blocks.items()},
         )
         records.append(record)
-        small_residual = _below(record.residual, tol)
-        if small_residual and kept is not None:
-            delta = kept.refine(assembled.matrix, -assembled.residual)
-            if delta is not None:
-                record.increment = _increments(assembled.system.split(delta), iterate)
-                if _below(record.increment, 0.5 * tol):
-                    return iterate, assembled, it, records, None
-        kept = None  # released before the next factorisation builds its own
-        delta, kept = factor_solve(
-            assembled.matrix, -assembled.residual, plan=assembled.system.plan
-        )
+        plan, rhs = assembled.system.plan, -assembled.residual
+        delta = kept.refine(assembled.matrix, rhs) if kept_plan is plan else None
+        if delta is None:
+            kept = None  # released before the next factorisation builds its own
+            delta, kept = factor_solve(assembled.matrix, rhs, plan=plan)
+            kept_plan = plan
         blocks = assembled.system.split(delta)
         record.increment = _increments(blocks, iterate)
-        if small_residual and _below(record.increment, tol):
+        if _below(record.residual, tol) and _below(record.increment, tol):
             return iterate, assembled, it, records, None
-        if not _below(record.increment, np.sqrt(tol)):
-            kept = None
         assembled = None  # released before the next assembly builds its own
         if limit_step is not None:
             record.step_scale = limit_step(iterate, blocks)

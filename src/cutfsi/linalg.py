@@ -6,11 +6,12 @@ summed into CSR through the fixed assembly plan of a block system, or by
 export for offline inspection. Every LU keeps SuperLU's diagonal pivots
 in a minimum-degree ordering of A^T + A, which the matrices of one
 assembly plan share (see `factor_solve`). Every solve is residual-guarded,
-the refinement of a nearby matrix's LU (`LU.refine`) included.
+iterative refinement on a nearby matrix's LU (`LU.refine`) included.
 """
 
 from __future__ import annotations
 
+import ctypes
 import functools
 from dataclasses import dataclass
 
@@ -35,12 +36,18 @@ class LinearSolveError(RuntimeError):
 
 # relative backward-residual bound above which a direct solve is refused
 _TRUST_REL = 1e-10
-# refinement steps after the first solve on the factors of a nearby matrix
-_CORRECTIONS = 2
+# `LU.refine` stops after this many solves, or on a correction this small relative to x
+_REFINE_SOLVES = 6
+_REFINE_SETTLED = 1e-13
 # SuperLU settings of every factorisation; see `factor_solve`
 _SPLU_OPTIONS = {
     "permc_spec": "MMD_AT_PLUS_A", "diag_pivot_thresh": 0.0, "relax": 2, "panel_size": 8,
 }
+try:  # glibc's malloc_trim, called before each plan's ordering is built
+    _trim_heap = ctypes.CDLL(None).malloc_trim
+    _trim_heap.argtypes, _trim_heap.restype = [ctypes.c_size_t], ctypes.c_int
+except (AttributeError, OSError, TypeError):  # another C library: no-op
+    _trim_heap = lambda pad: 0  # noqa: E731
 
 
 @dataclass(frozen=True)
@@ -218,7 +225,11 @@ class AssemblyPlan:
         CSC matrix ``(A.data[take], indices, indptr)``. `perm` is SuperLU's
         postordered minimum degree on A^T + A for the pattern alone, read off
         an incomplete LU that drops every entry of the pattern matrix with 1
-        off the diagonal and n on it (no pivot can vanish)."""
+        off the diagonal and n on it (no pivot can vanish). Built at the
+        plan's first LU, after glibc's `malloc_trim` returns the C heap's free
+        pages: the LUs of earlier plans, kept through Newton assemblies, leave
+        holes that this plan's LUs do not fit, and peak RSS would grow."""
+        _trim_heap(0)
         n, indptr, indices = self.n, self.solved_indptr, self.solved_indices
         rows = np.repeat(np.arange(n, dtype=np.int32), np.diff(indptr))
         # the ordering reads only A^T + A, so the CSR arrays serve as CSC
@@ -256,20 +267,25 @@ class LU:
         return x
 
     def refine(self, A, b: np.ndarray) -> np.ndarray | None:
-        """``A x = b`` for a matrix `A` near the factorised one, by one solve
-        on these factors and at most `_CORRECTIONS` steps of iterative
-        refinement against `A`: the first iterate that is finite and passes
-        the backward-residual guard of `factor`, or None if none does."""
+        """``A x = b`` for a matrix `A` near the factorised one, by iterative
+        refinement: one solve, then corrections ``dx = solve(b - A x)`` until
+        one is at most ``_REFINE_SETTLED * |x|`` (a direct solve's round-off)
+        and x passes the residual guard of `factor`; None if x fails it or is
+        not finite, if a correction shrinks < 10x, or after `_REFINE_SOLVES` solves."""
         norm_A = spla.norm(A)
-        x = np.zeros_like(b)
-        res = b
-        for _ in range(1 + _CORRECTIONS):
-            x = x + self.solve(res)
+        x, last = self.solve(b), np.inf
+        for _ in range(_REFINE_SOLVES - 1):
             if not np.all(np.isfinite(x)):
                 return None
             res = b - A @ x
-            if _untrusted(norm_A, x, b, res) is None:
-                return x
+            dx = self.solve(res)
+            size = np.linalg.norm(dx)
+            if size <= _REFINE_SETTLED * np.linalg.norm(x):
+                return x if _untrusted(norm_A, x, b, res) is None else None
+            if not size < last / 10:
+                return None
+            last = size
+            x = x + dx
         return None
 
 
@@ -310,13 +326,10 @@ def factor(A):
 
 def factor_solve(A, b, plan: AssemblyPlan | None = None):
     """Solve ``A x = b`` with one LU and the residual guard of `factor`, as
-    every Newton iteration that factorises does, passing the `plan` of its solved matrix;
-    returns ``(x, lu)``. `lu` holds SuperLU's factors and the permutation,
-    not A. The Newton loop keeps it while its increments are small and may
-    solve the next iteration's increment, which it only tests for
-    convergence, by `LU.refine` on it against that iteration's matrix: one
-    solve and at most two corrections, guarded as here. Only when that
-    fails does the iteration factorise (see `driver._newton`).
+    every Newton iteration that factorises does, passing the `plan` of its
+    solved matrix; returns ``(x, lu)``. `lu` holds SuperLU's factors and the
+    permutation, not A; the Newton attempt refines its later increments on
+    it until a refinement gives up (see `driver._newton`).
 
     The LU is SuperLU with ``diag_pivot_thresh=0``, which keeps each
     non-zero diagonal pivot (the PSPG pressure block has a non-zero diagonal

@@ -48,7 +48,7 @@ class StructuredGrid:
         nx, ny = self.counts
         if nx < 1 or ny < 1:
             raise ValueError("grid needs at least one cell per direction")
-        if self.spacing[0] <= 0 or self.spacing[1] <= 0:
+        if not (self.spacing[0] > 0 and self.spacing[1] > 0):
             raise ValueError("grid spacing must be positive")
 
     @property

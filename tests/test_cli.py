@@ -240,7 +240,7 @@ class TestRun:
         self, tmp_path, monkeypatch, freeze_space
     ):
         # the matrix of every Newton solve, factorised or refined on the
-        # previous iteration's LU, and the dump that ends each step
+        # attempt's last LU, and the dump that ends each step
         events = []
         factor_solve, refine, dump = driver_module.factor_solve, LU.refine, cli_module._dump_matrix
 
@@ -249,8 +249,9 @@ class TestRun:
             return factor_solve(A, b, **kw)
 
         def refining(lu, A, b, **kw):
-            events.append(("refine", A.copy()))
-            return refine(lu, A, b, **kw)
+            x = refine(lu, A, b, **kw)
+            events.append(("gave up" if x is None else "refined", A.copy()))
+            return x
 
         def dumping(driver, state, report, directory):
             events.append(("dump", None))
@@ -276,11 +277,10 @@ class TestRun:
         refined = 0
         for step, (first, end) in enumerate(zip([-1] + ends, ends), start=1):
             kinds = [kind for kind, _ in events[first + 1 : end]]
-            # only a step's converged iteration may keep its refined
-            # increment, and then no factorisation follows it
-            accepted = kinds[-1] == "refine"
-            assert kinds.count("factor") == solves[step - 1] - accepted, step
-            refined += accepted
+            # each solving iteration factorises or keeps its refinement
+            assert kinds.count("factor") + kinds.count("refined") == solves[step - 1], step
+            refined += kinds.count("refined")
+            assert kinds[-1] != "gave up", step
             A = events[end - 1][1]
             B = scipy.io.mmread(mats / f"system_{step:06d}.mtx")
             assert A.shape == B.shape

@@ -243,18 +243,23 @@ def test_planned_factor_matches_dense(seed):
 def test_refinement_on_a_nearby_lu_solves_within_the_guard():
     plan, A, rng = _planned_system(0)
     b = rng.standard_normal(plan.n)
-    near = A.copy()
-    near.data = near.data + 1e-6 * rng.standard_normal(A.nnz)
-    _, lu = factor_solve(near, b, plan=plan)
+    direct = factor_solve(A, b, plan=plan)[0]
+    dense = np.linalg.solve(A.toarray(), b)
 
     def trusted(x):
         return np.linalg.norm(A @ x - b) <= 1e-10 * (spla.norm(A) * np.linalg.norm(x) + np.linalg.norm(b))
 
-    # one solve on the nearby factors alone fails the guard against A
-    assert not trusted(lu.solve(b))
-    x = lu.refine(A, b)
-    assert trusted(x)
-    assert np.allclose(x, np.linalg.solve(A.toarray(), b), rtol=1e-9, atol=1e-12)
+    for perturbation in (1e-6, 1e-4):
+        near = A.copy()
+        near.data = near.data + perturbation * rng.standard_normal(A.nnz)
+        _, lu = factor_solve(near, b, plan=plan)
+        # one solve on the nearby factors alone fails the guard against A
+        assert not trusted(lu.solve(b))
+        x = lu.refine(A, b)
+        assert trusted(x)
+        assert np.allclose(x, dense, rtol=1e-9, atol=1e-12)
+        # refined to the round-off of a direct solve, not just into the guard
+        assert np.linalg.norm(x - direct) <= 1e-13 * np.linalg.norm(direct), perturbation
 
 
 def test_refinement_on_an_unrelated_lu_falls_back():

@@ -23,6 +23,22 @@ def test_grid_numbering():
     assert g.elem_ij(7) == (3, 1)
 
 
+@pytest.mark.parametrize(
+    "spacing, counts",
+    [
+        ((0.0, 1.0), (2, 2)),
+        ((1.0, -0.5), (2, 2)),
+        ((float("nan"), 1.0), (2, 2)),
+        ((1.0, float("nan")), (2, 2)),
+        ((1.0, 1.0), (0, 2)),
+        ((1.0, 1.0), (2, 0)),
+    ],
+)
+def test_grid_rejects_invalid_spacing_and_counts(spacing, counts):
+    with pytest.raises(ValueError):
+        StructuredGrid((0.0, 0.0), spacing, counts)
+
+
 def test_grid_node_coords_row_major():
     g = StructuredGrid((1.0, 2.0), (0.5, 0.25), (2, 2))
     xy = g.node_coords()

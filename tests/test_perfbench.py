@@ -2,10 +2,12 @@
 names and wraps `driver.factor_solve`, passing its keywords through, so a
 renamed name or a dropped keyword makes a traced run fail, and a flow
 assembly that bypasses the patched name leaves `fluid.ns.calls` at 0.  A
-converged Newton attempt refines its last increment on the previous LU, so
-every workload factorises less often than it iterates.  The traced interface
-segment count per step is `len(cfg.segments)` at every fluid-solid coupling
-call, pinned at seed 0 so that it stays the number of segments."""
+Newton attempt refines each later increment on its last LU and factorises
+again only when the plan changes or the refinement gives up, so every
+workload factorises less often than it iterates; the factorisations per
+step are pinned at seed 0.  The traced interface segment count per step is
+`len(cfg.segments)` at every fluid-solid coupling call, pinned at seed 0 so
+that it stays the number of segments."""
 
 import json
 import subprocess
@@ -19,6 +21,9 @@ ROOT = Path(__file__).resolve().parents[1]
 # `coupling.segments` per step at seed 0: 3008 segments over the 24 steps of
 # one flap-churn trajectory, 630 over the 5 of flap-fine, none on overlap
 SEGMENTS_PER_STEP = {"overlap": 0.0, "flap-churn": 3008 / 24, "flap-fine": 630 / 5}
+# `linalg.factor.calls` per step at seed 0: one LU per flap-fine step, 3 per
+# overlap solve, 47 over the 24 steps (and 8 restarts) of flap-churn
+FACTORS_PER_STEP = {"overlap": 3.0, "flap-churn": 47 / 24, "flap-fine": 5 / 5}
 
 
 @pytest.mark.parametrize("workload", ["overlap", "flap-churn", "flap-fine"])
@@ -36,4 +41,5 @@ def test_traced_bench_run_is_correct(workload):
     metrics = result["metrics"]
     assert metrics["fluid.ns.calls"]["value"] > 0
     assert metrics["linalg.factor.calls"]["value"] < metrics["driver.newton_iters"]["value"]
+    assert metrics["linalg.factor.calls"]["value"] == FACTORS_PER_STEP[workload]
     assert metrics["coupling.segments"]["value"] == SEGMENTS_PER_STEP[workload]
