@@ -17,10 +17,10 @@ Sections and keys (defaults in parentheses; every applied default is logged):
     pin_pressure (false); body_force (none).  Sides not constrained are
     zero-traction outflow boundaries.
 ``[solver]``
-    dt, n_steps (required); theta (1.0), theta_interface (1.0), rho_inf
-    (1.0), tol (1e-8), max_newton (25), max_cycles (5), gamma (35.0),
-    gp_conv/gp_div/gp_press (0.05), freeze_space (false), predictor
-    (constant), backward_euler_first_step (true).
+    the fields of `DriverConfig` but ``nitsche``, each under its own name
+    with its type and default (dt and n_steps have none: required); gamma
+    (35.0) and gp_conv/gp_div/gp_press (0.05), the Nitsche and ghost
+    penalties.
 ``[output]``
     directory ("output"), stride (1), and any number of ``probe_<name> = x y``
     entries giving reference coordinates of structural history probes.
@@ -30,8 +30,10 @@ from __future__ import annotations
 
 import configparser
 import logging
-from dataclasses import dataclass, field
+import re
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -88,22 +90,12 @@ class CaseConfig:
     noslip_sides: tuple[str, ...] = ()
     pin_pressure: bool = False
     body_force: tuple[float, float] | None = None
-    # solver
-    dt: float = 0.1
-    n_steps: int = 1
-    theta: float = DriverConfig.theta
-    theta_interface: float = DriverConfig.theta_interface
-    rho_inf: float = DriverConfig.rho_inf
-    tol: float = DriverConfig.tol
-    max_newton: int = DriverConfig.max_newton
-    max_cycles: int = DriverConfig.max_cycles
+    # solver: the keys named after DriverConfig fields, as parsed
+    driver: dict[str, object] = field(default_factory=dict)
     gamma: float = NitscheParams.gamma
     gp_conv: float = FluidParams.gamma_conv
     gp_div: float = FluidParams.gamma_div
     gp_press: float = FluidParams.gamma_press
-    freeze_space: bool = DriverConfig.freeze_space
-    predictor: str = DriverConfig.predictor
-    backward_euler_first_step: bool = DriverConfig.backward_euler_first_step
     # output
     output_directory: str = "output"
     output_stride: int = 1
@@ -124,9 +116,6 @@ class CaseConfig:
             gamma_div=self.gp_div,
             gamma_press=self.gp_press,
         )
-
-    def nitsche_params(self) -> NitscheParams:
-        return NitscheParams(gamma=self.gamma)
 
     def _inlet_value(self):
         coeffs = np.asarray(self.inlet_profile, dtype=float)
@@ -174,20 +163,7 @@ class CaseConfig:
         return FsiProblem(self.build_fluid(), self.build_solid(base))
 
     def build_driver_config(self) -> DriverConfig:
-        return DriverConfig(
-            dt=self.dt,
-            n_steps=self.n_steps,
-            theta=self.theta,
-            theta_interface=self.theta_interface,
-            rho_inf=self.rho_inf,
-            tol=self.tol,
-            max_newton=self.max_newton,
-            max_cycles=self.max_cycles,
-            nitsche=self.nitsche_params(),
-            freeze_space=self.freeze_space,
-            predictor=self.predictor,
-            backward_euler_first_step=self.backward_euler_first_step,
-        )
+        return DriverConfig(**self.driver, nitsche=NitscheParams(gamma=self.gamma))
 
 
 # -- parsing ------------------------------------------------------------------
@@ -241,6 +217,20 @@ def _sides(raw, line):
     return tuple(_side(part, line) for part in raw.split())
 
 
+def _text(raw, line):
+    return raw.strip()
+
+
+_CONVERTERS = {float: _float, int: _int, bool: _bool, str: _text}
+# [solver] keys named after the DriverConfig fields they set, except
+# `nitsche` (see `gamma`): name -> (converter of the field's type, default)
+_DRIVER_KEYS = {
+    f.name: (_CONVERTERS[get_type_hints(DriverConfig)[f.name]], f.default)
+    for f in fields(DriverConfig)
+    if f.name != "nitsche"
+}
+
+
 # (section, key) -> attribute, converter
 _SCHEMA = {
     ("geometry", "background_origin"): ("background_origin", _pair),
@@ -249,7 +239,7 @@ _SCHEMA = {
         "background_counts",
         lambda raw, line: _pair(raw, line, _int),
     ),
-    ("geometry", "solid_mesh"): ("solid_mesh", lambda raw, line: raw.strip()),
+    ("geometry", "solid_mesh"): ("solid_mesh", _text),
     ("geometry", "solid_rigid"): ("solid_rigid", _bool),
     ("materials", "young"): ("young", _float),
     ("materials", "poisson"): ("poisson", _float),
@@ -261,22 +251,11 @@ _SCHEMA = {
     ("boundaries", "noslip_sides"): ("noslip_sides", _sides),
     ("boundaries", "pin_pressure"): ("pin_pressure", _bool),
     ("boundaries", "body_force"): ("body_force", _pair),
-    ("solver", "dt"): ("dt", _float),
-    ("solver", "n_steps"): ("n_steps", _int),
-    ("solver", "theta"): ("theta", _float),
-    ("solver", "theta_interface"): ("theta_interface", _float),
-    ("solver", "rho_inf"): ("rho_inf", _float),
-    ("solver", "tol"): ("tol", _float),
-    ("solver", "max_newton"): ("max_newton", _int),
-    ("solver", "max_cycles"): ("max_cycles", _int),
     ("solver", "gamma"): ("gamma", _float),
     ("solver", "gp_conv"): ("gp_conv", _float),
     ("solver", "gp_div"): ("gp_div", _float),
     ("solver", "gp_press"): ("gp_press", _float),
-    ("solver", "freeze_space"): ("freeze_space", _bool),
-    ("solver", "predictor"): ("predictor", lambda raw, line: raw.strip()),
-    ("solver", "backward_euler_first_step"): ("backward_euler_first_step", _bool),
-    ("output", "directory"): ("output_directory", lambda raw, line: raw.strip()),
+    ("output", "directory"): ("output_directory", _text),
     ("output", "stride"): ("output_stride", _int),
 }
 
@@ -286,8 +265,7 @@ _REQUIRED_KEYS = (
     ("geometry", "background_origin"),
     ("geometry", "background_spacing"),
     ("geometry", "background_counts"),
-    ("solver", "dt"),
-    ("solver", "n_steps"),
+    *(("solver", key) for key, (_, default) in _DRIVER_KEYS.items() if default is MISSING),
 )
 
 
@@ -303,9 +281,9 @@ def _key_lines(text: str) -> dict[tuple[str, str], int]:
             section = stripped[1:-1].strip().lower()
             lines[(section, None)] = number
             continue
-        if "=" in stripped and section is not None:
-            key = stripped.split("=", 1)[0].strip().lower()
-            lines[(section, key)] = number
+        key = re.match("([^=:]*)[=:]", stripped)  # configparser's delimiters
+        if key and section is not None:
+            lines[(section, key[1].strip().lower())] = number
     return lines
 
 
@@ -345,13 +323,13 @@ def parse_config_text(text: str) -> CaseConfig:
             if lowered == "output" and key.startswith("probe_"):
                 cfg.probes[key[len("probe_"):]] = _pair(raw, line)
                 continue
-            try:
+            if lowered == "solver" and key in _DRIVER_KEYS:
+                cfg.driver[key] = _DRIVER_KEYS[key][0](raw, line)
+            elif (lowered, key) in _SCHEMA:
                 attr, convert = _SCHEMA[(lowered, key)]
-            except KeyError:
-                raise ConfigError(
-                    f"line {line}: unknown key {key!r} in section [{section}]"
-                ) from None
-            setattr(cfg, attr, convert(raw, line))
+                setattr(cfg, attr, convert(raw, line))
+            else:
+                raise ConfigError(f"line {line}: unknown key {key!r} in section [{section}]")
             seen.add((lowered, key))
 
     for section, key in _REQUIRED_KEYS:
@@ -449,7 +427,8 @@ def _validate(cfg: CaseConfig, where) -> None:
 
 
 def _log_defaults(seen) -> None:
-    for (section, key), (attr, _) in _SCHEMA.items():
+    defaults = [(key, getattr(CaseConfig(), attr)) for key, (attr, _) in _SCHEMA.items()]
+    defaults += [(("solver", key), default) for key, (_, default) in _DRIVER_KEYS.items()]
+    for (section, key), default in defaults:
         if (section, key) not in seen:
-            default = getattr(CaseConfig(), attr)
             log.info("default applied: %s.%s = %r", section, key, default)

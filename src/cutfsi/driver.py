@@ -10,7 +10,9 @@ level.  The background mesh is re-cut after every structural update; when the
 active background function space changes, the iteration is interrupted and
 restarted on the new space with the extended iterate as the initial guess, a
 bounded number of times per step.  History vectors cross space changes through
-the copy/extension transfer.
+the copy/extension transfer.  A state lists its arrays once, under their
+checkpoint names (`FsiState.arrays`); checkpoints are written, read and
+checked against a case by that table.
 
 A separate single-level solver couples two overlapping flow meshes (a cut
 background mesh and an embedded patch) through the two-sided interface
@@ -21,6 +23,7 @@ per-mesh flow-block assembly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
@@ -220,18 +223,14 @@ class FsiState:
     f_iface: np.ndarray
     d_space: np.ndarray
 
-    def copy(self) -> "FsiState":
-        return FsiState(
-            self.time,
-            self.step,
-            self.U.copy(),
-            self.P.copy(),
-            self.A.copy(),
-            self.solid.copy(),
-            self.u_iface.copy(),
-            self.f_iface.copy(),
-            self.d_space.copy(),
-        )
+    def arrays(self) -> dict[str, np.ndarray]:
+        """The state's arrays under their checkpoint names: the one list
+        that checkpoints are written, read and checked by."""
+        return {
+            "U": self.U, "P": self.P, "A": self.A,
+            "d": self.solid.d, "v": self.solid.v, "a": self.solid.a,
+            "u_iface": self.u_iface, "f_iface": self.f_iface, "d_space": self.d_space,
+        }
 
 
 @dataclass
@@ -252,37 +251,44 @@ class StepHistory:
 # boundary conditions and constraints
 
 
+@lru_cache(maxsize=2)
+def _constrained_nodes(cfg: CutConfiguration, sides: tuple[str, ...], pin_pressure: bool):
+    """The inactive nodes of a flow mesh cut as `cfg`, the active nodes of
+    each Dirichlet side in `sides`, and the pinned pressure node (none or
+    one), memoised for the Newton iterations on one configuration (an
+    overlap assembly reads two meshes)."""
+    role = cfg.node_role
+    on_sides = [n[role[n] != NodeRole.INACTIVE] for n in map(cfg.grid.boundary_nodes, sides)]
+    if pin_pressure and cfg.active_nodes.size == 0:
+        raise ValueError("cannot pin the pressure: no active nodes")
+    pinned = cfg.active_nodes[: int(pin_pressure)]
+    return np.flatnonzero(role == NodeRole.INACTIVE), on_sides, pinned
+
+
+def _constraints(fluid: FluidProblem, cfg: CutConfiguration):
+    sides = tuple(bc.side for bc in fluid.dirichlet)
+    return _constrained_nodes(cfg, sides, fluid.pin_pressure)
+
+
 def _fluid_fixed_masks(fluid: FluidProblem, cfg: CutConfiguration):
-    n = fluid.grid.n_nodes
-    fix_u = np.zeros((n, 2), dtype=bool)
-    fix_p = np.zeros(n, dtype=bool)
-    inactive = np.flatnonzero(cfg.node_role == NodeRole.INACTIVE)
-    fix_u[inactive] = True
-    fix_p[inactive] = True
-    for bc in fluid.dirichlet:
-        fix_u[fluid.grid.boundary_nodes(bc.side)] = True
-    if fluid.pin_pressure:
-        if cfg.active_nodes.size == 0:
-            raise ValueError("cannot pin the pressure: no active nodes")
-        fix_p[int(cfg.active_nodes[0])] = True
+    inactive, on_sides, pinned = _constraints(fluid, cfg)
+    fix_u = np.zeros((fluid.grid.n_nodes, 2), dtype=bool)
+    fix_p = np.zeros(fluid.grid.n_nodes, dtype=bool)
+    fix_u[np.concatenate([inactive, *on_sides])] = True
+    fix_p[np.concatenate([inactive, pinned])] = True
     return fix_u.ravel(), fix_p
 
 
 def _apply_fluid_values(fluid: FluidProblem, cfg, U, P, time: float):
     """Write prescribed values into the iterate: zeros on inactive nodes,
     boundary data on active constrained nodes, zero at the pinned pressure."""
-    inactive = np.flatnonzero(cfg.node_role == NodeRole.INACTIVE)
+    inactive, on_sides, pinned = _constraints(fluid, cfg)
     U.reshape(-1, 2)[inactive] = 0.0
-    P[inactive] = 0.0
+    P[np.concatenate([inactive, pinned])] = 0.0
     coords = fluid.grid.node_coords()
-    for bc in fluid.dirichlet:
-        nodes = fluid.grid.boundary_nodes(bc.side)
-        nodes = nodes[cfg.node_role[nodes] != NodeRole.INACTIVE]
-        if nodes.size == 0:
-            continue
-        U.reshape(-1, 2)[nodes] = bc.evaluate(coords[nodes], time)
-    if fluid.pin_pressure and cfg.active_nodes.size:
-        P[int(cfg.active_nodes[0])] = 0.0
+    for bc, nodes in zip(fluid.dirichlet, on_sides):
+        if nodes.size:
+            U.reshape(-1, 2)[nodes] = bc.evaluate(coords[nodes], time)
 
 
 # ----------------------------------------------------------------------------
@@ -606,32 +612,26 @@ class FsiDriver:
         self,
         U0: np.ndarray | None = None,
         P0: np.ndarray | None = None,
-        d0: np.ndarray | None = None,
-        v0: np.ndarray | None = None,
-        a0: np.ndarray | None = None,
-        f_iface0: np.ndarray | None = None,
         time: float = 0.0,
     ) -> FsiState:
-        """State at the initial level; accelerations default to zero and the
-        stored interface force to zero (start from rest)."""
+        """State at rest at `time` but for the flow velocity `U0` and
+        pressure `P0` (zero by default)."""
         n = self.problem.fluid.grid.n_nodes
         nd = self.problem.solid.model.n_dofs if self.problem.solid else 0
 
         def take(vec, size):
             return np.zeros(size) if vec is None else np.asarray(vec, float).copy()
 
-        d = take(d0, nd)
-        v = take(v0, nd)
         return FsiState(
             time=time,
             step=0,
             U=take(U0, 2 * n),
             P=take(P0, n),
             A=np.zeros(2 * n),
-            solid=SolidState(d, v, take(a0, nd)),
-            u_iface=v.copy(),
-            f_iface=take(f_iface0, nd),
-            d_space=d.copy(),
+            solid=SolidState(np.zeros(nd), np.zeros(nd), np.zeros(nd)),
+            u_iface=np.zeros(nd),
+            f_iface=np.zeros(nd),
+            d_space=np.zeros(nd),
         )
 
     # -- helpers -----------------------------------------------------------
@@ -866,47 +866,44 @@ class FsiDriver:
 
 
 def save_checkpoint(path, state: FsiState) -> None:
-    """Versioned dump of every carried state vector and the step index.
+    """Versioned dump of every carried state vector and the step index,
+    written to exactly `path`.
 
-    The file is a NumPy ``.npz`` archive with the arrays ``U, P, A`` (flow),
-    ``d, v, a`` (structure), ``u_iface, f_iface, d_space`` (interface
-    history), and scalars ``version, step, time``.  The cut configuration is
+    The file is a NumPy ``.npz`` archive with the scalars ``version, step,
+    time`` and the arrays of `FsiState.arrays`.  The cut configuration is
     not stored: it is a function of ``d_space``.  Reloading on the same
     platform reproduces the state, and the run resumed from it, bitwise.
     """
-    np.savez(
-        path,
-        version=np.int64(CHECKPOINT_VERSION),
-        step=np.int64(state.step),
-        time=np.float64(state.time),
-        U=state.U,
-        P=state.P,
-        A=state.A,
-        d=state.solid.d,
-        v=state.solid.v,
-        a=state.solid.a,
-        u_iface=state.u_iface,
-        f_iface=state.f_iface,
-        d_space=state.d_space,
-    )
+    # an open file, because np.savez appends ".npz" to a path without it
+    with open(path, "wb") as fh:
+        np.savez(
+            fh,
+            version=np.int64(CHECKPOINT_VERSION),
+            step=np.int64(state.step),
+            time=np.float64(state.time),
+            **state.arrays(),
+        )
 
 
-def load_checkpoint(path) -> FsiState:
+def load_checkpoint(path, like: FsiState | None = None) -> FsiState:
+    """The state saved at `path` by `save_checkpoint`.  With `like`, a state
+    of the case to resume (its initial state, say), a checkpoint whose
+    arrays differ in size from those of `like` is refused."""
     with np.load(path) as data:
         version = int(data["version"])
         if version != CHECKPOINT_VERSION:
             raise ValueError(f"unsupported checkpoint version {version}")
-        return FsiState(
-            time=float(data["time"]),
-            step=int(data["step"]),
-            U=data["U"].copy(),
-            P=data["P"].copy(),
-            A=data["A"].copy(),
-            solid=SolidState(data["d"].copy(), data["v"].copy(), data["a"].copy()),
-            u_iface=data["u_iface"].copy(),
-            f_iface=data["f_iface"].copy(),
-            d_space=data["d_space"].copy(),
-        )
+        arrays = {k: data[k] for k in data.files if k not in ("version", "step", "time")}
+        solid = SolidState(arrays.pop("d"), arrays.pop("v"), arrays.pop("a"))
+        state = FsiState(float(data["time"]), int(data["step"]), solid=solid, **arrays)
+    if like is not None:
+        for (name, got), want in zip(state.arrays().items(), like.arrays().values()):
+            if got.shape != want.shape:
+                raise ValueError(
+                    f"checkpoint {path} does not fit the case: {name} has "
+                    f"{got.size} entries, the case needs {want.size}"
+                )
+    return state
 
 
 # ----------------------------------------------------------------------------

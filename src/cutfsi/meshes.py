@@ -151,14 +151,15 @@ class StructuredGrid:
 
     def boundary_nodes(self, side: str) -> np.ndarray:
         """Node ids on one side: 'left', 'right', 'bottom', 'top'."""
+        ids = np.arange(self.n_nodes).reshape(self.ny + 1, self.nx + 1)
         if side == "left":
-            return np.array([self.node_id(0, j) for j in range(self.ny + 1)])
+            return ids[:, 0]
         if side == "right":
-            return np.array([self.node_id(self.nx, j) for j in range(self.ny + 1)])
+            return ids[:, -1]
         if side == "bottom":
-            return np.array([self.node_id(i, 0) for i in range(self.nx + 1)])
+            return ids[0]
         if side == "top":
-            return np.array([self.node_id(i, self.ny) for i in range(self.nx + 1)])
+            return ids[-1]
         raise ValueError(f"unknown side {side!r}")
 
 

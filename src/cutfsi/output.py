@@ -216,9 +216,10 @@ def write_snapshot(directory, index, cfg, U, P, mesh=None, d=None, v=None):
 class DiagnosticsWriter:
     """Append-only delimiter-separated time-series log.
 
-    The header is written once when the file is empty; every `append` call
-    opens, writes one row, and closes, so partial runs always leave a valid
-    file behind.
+    The header is written once when the file is empty; a file that already
+    has a header other than `columns` is refused, so rows are never
+    appended under the wrong columns.  Every `append` call opens, writes
+    one row, and closes, so partial runs always leave a valid file behind.
     """
 
     def __init__(self, path, columns):
@@ -228,6 +229,11 @@ class DiagnosticsWriter:
         if not self.path.exists() or self.path.stat().st_size == 0:
             with self.path.open("w", newline="") as fh:
                 csv.writer(fh).writerow(self.columns)
+            return
+        with self.path.open(newline="") as fh:
+            header = next(csv.reader(fh), [])
+        if header != self.columns:
+            raise ValueError(f"{self.path} has the columns {header}, not {self.columns}")
 
     def append(self, row: dict) -> None:
         missing = set(self.columns) - set(row)

@@ -264,9 +264,6 @@ class SolidState:
     v: np.ndarray
     a: np.ndarray
 
-    def copy(self) -> "SolidState":
-        return SolidState(self.d.copy(), self.v.copy(), self.a.copy())
-
 
 def _kinematic_predictor(state: SolidState, dt: float, p: GenAlphaParams) -> np.ndarray:
     return state.d + dt * state.v + (0.5 - p.beta) * dt**2 * state.a

@@ -177,8 +177,9 @@ class TestRun:
             "--output-dir", str(tmp_path / "a"),
         ]) == 0
 
-        half_ck = tmp_path / "half.npz"
-        resumed_ck = tmp_path / "resumed.npz"
+        # checkpoints are written to exactly the names given, ".npz" or not
+        half_ck = tmp_path / "half.state"
+        resumed_ck = tmp_path / "resumed"
         assert main([
             "run", str(path), "--steps", "3", "--checkpoint", str(half_ck),
             "--output-dir", str(tmp_path / "b"),
@@ -188,11 +189,27 @@ class TestRun:
             "--checkpoint", str(resumed_ck),
             "--output-dir", str(tmp_path / "c"),
         ]) == 0
+        assert [p.name for p in tmp_path.glob("*.npz")] == ["full.npz"]
 
         with np.load(full_ck) as full, np.load(resumed_ck) as res:
             assert full.files == res.files
             for key in full.files:
                 assert np.array_equal(full[key], res[key]), key
+
+    def test_new_run_starts_a_new_diagnostics_table(self, tmp_path):
+        path = _write_flap_case(tmp_path, n_steps=2, probes=False)
+        assert main(["run", str(path)]) == 0
+        assert main(["run", str(path)]) == 0
+        with open(tmp_path / "out" / "diagnostics.csv", newline="") as f:
+            assert [row["step"] for row in csv.DictReader(f)] == ["1", "2"]
+
+    def test_resume_appends_to_the_diagnostics_table(self, tmp_path):
+        path = _write_flap_case(tmp_path, n_steps=4)
+        ck = tmp_path / "ck.npz"
+        assert main(["run", str(path), "--steps", "2", "--checkpoint", str(ck)]) == 0
+        assert main(["run", str(path), "--resume", str(ck)]) == 0
+        with open(tmp_path / "out" / "diagnostics.csv", newline="") as f:
+            assert [row["step"] for row in csv.DictReader(f)] == ["1", "2", "3", "4"]
 
     def test_resume_past_requested_steps_exits_one(self, tmp_path, capsys):
         path = _write_flap_case(tmp_path, n_steps=2, probes=False)

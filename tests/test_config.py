@@ -95,15 +95,51 @@ class TestParsing:
     def test_minimal_config_applies_and_logs_defaults(self, caplog):
         with caplog.at_level(logging.INFO, logger="cutfsi.config"):
             cfg = parse_config_text(MINIMAL)
-        assert cfg.theta == 1.0
+        driver = cfg.build_driver_config()
+        assert driver.theta == 1.0
         assert cfg.gamma == 35.0
-        assert cfg.theta_interface == 1.0
-        assert cfg.max_newton == 25
+        assert driver.theta_interface == 1.0
+        assert driver.max_newton == 25
         assert cfg.inlet_side is None
         assert cfg.solid_mesh is None
         logged = "\n".join(rec.getMessage() for rec in caplog.records)
         assert "default applied: solver.theta = 1.0" in logged
         assert "default applied: solver.gamma = 35.0" in logged
+
+    def test_solver_keys_and_their_logged_defaults(self, caplog):
+        # the 15 [solver] keys: DriverConfig's fields but `nitsche`, and the
+        # Nitsche and ghost penalties; FULL sets each of them once
+        solver = FULL.split("[solver]\n")[1].split("\n\n")[0]
+        assert {line.split(" = ")[0] for line in solver.splitlines()} == {
+            "dt", "n_steps", "theta", "theta_interface", "rho_inf", "tol",
+            "max_newton", "max_cycles", "gamma", "gp_conv", "gp_div",
+            "gp_press", "freeze_space", "predictor", "backward_euler_first_step",
+        }
+        with caplog.at_level(logging.INFO, logger="cutfsi.config"):
+            driver = parse_config_text(FULL).build_driver_config()
+            assert not [r for r in caplog.records if "solver." in r.getMessage()]
+            caplog.clear()
+            parse_config_text(MINIMAL)
+        assert driver == DriverConfig(
+            dt=0.005, n_steps=10, theta=0.5, theta_interface=0.5, rho_inf=0.8,
+            tol=1e-10, max_newton=30, max_cycles=3, nitsche=driver.nitsche,
+            freeze_space=True, predictor="velocity", backward_euler_first_step=False,
+        )
+        assert type(driver.max_newton) is int and type(driver.max_cycles) is int
+        logged = {r.getMessage() for r in caplog.records if "solver." in r.getMessage()}
+        assert logged == {
+            f"default applied: solver.{entry}"
+            for entry in (
+                "theta = 1.0", "theta_interface = 1.0", "rho_inf = 1.0",
+                "tol = 1e-08", "max_newton = 25", "max_cycles = 5",
+                "gamma = 35.0", "gp_conv = 0.05", "gp_div = 0.05",
+                "gp_press = 0.05", "freeze_space = False",
+                "predictor = 'constant'", "backward_euler_first_step = True",
+            )
+        }
+        text = MINIMAL.replace("n_steps = 4", "n_steps = 4\nnitsche = 1")
+        with pytest.raises(ConfigError, match="unknown key 'nitsche'"):
+            parse_config_text(text)
 
     def test_full_config_values(self):
         cfg = parse_config_text(FULL)
@@ -117,9 +153,9 @@ class TestParsing:
         assert cfg.inlet_curve == TimeCurve("cosine-ramp", 0.5)
         assert cfg.noslip_sides == ("bottom", "top")
         assert cfg.body_force == (0.0, -2.0)
-        assert cfg.dt == 0.005
+        assert cfg.build_driver_config().dt == 0.005
         assert cfg.gamma == 45.0
-        assert cfg.predictor == "velocity"
+        assert cfg.build_driver_config().predictor == "velocity"
         assert cfg.output_directory == "results"
         assert cfg.probes == {"tip": (0.2, 0.66), "root": (0.2, 0.0)}
 
@@ -129,17 +165,17 @@ class TestParsing:
         cfg = parse_config_text(FULL)
         assert (cfg.young, cfg.poisson, cfg.solid_density) == (500.0, 0.3, 100.0)
         assert (cfg.fluid_viscosity, cfg.fluid_density) == (1.0, 1.0)
-        assert cfg.dt == 0.005
+        assert cfg.build_driver_config().dt == 0.005
 
     def test_comments_and_case_insensitive_keys(self):
         text = MINIMAL.replace("dt = 0.05", "DT = 0.05  # comment")
         cfg = parse_config_text(text)
-        assert cfg.dt == 0.05
+        assert cfg.build_driver_config().dt == 0.05
 
     def test_parse_from_file(self, tmp_path):
         path = tmp_path / "case.cfg"
         path.write_text(MINIMAL)
-        assert parse_config(path).dt == 0.05
+        assert parse_config(path).build_driver_config().dt == 0.05
 
 
 class TestErrors:
@@ -149,6 +185,11 @@ class TestErrors:
             parse_config_text(text)
         (line,) = _lines_with(text, "timestep")
         with pytest.raises(ConfigError, match=f"line {line}:"):
+            parse_config_text(text)
+        # configparser also reads "key: value"; the line is found all the same
+        text = MINIMAL.replace("n_steps = 4", "n_steps = 4\nbogus: 3")
+        (line,) = _lines_with(text, "bogus")
+        with pytest.raises(ConfigError, match=f"line {line}: unknown key 'bogus'"):
             parse_config_text(text)
 
     def test_unknown_section(self):

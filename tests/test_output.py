@@ -353,6 +353,16 @@ class TestDiagnostics:
         assert [float(r["time"]) for r in rows] == [0.1, 0.2, 0.3]
         assert [int(r["newton"]) for r in rows] == [3, 4, 2]
 
+    def test_other_header_refused(self, tmp_path):
+        # rows appended under another header would sit in the wrong columns
+        path = tmp_path / "h.csv"
+        DiagnosticsWriter(path, ["step", "tip_dx", "tip_dy"]).append(
+            {"step": 1, "tip_dx": 0.5, "tip_dy": 0.25}
+        )
+        with pytest.raises(ValueError, match=r"has the columns \['step', 'tip_dx', 'tip_dy'\]"):
+            DiagnosticsWriter(path, ["step", "root_dx", "root_dy"])
+        assert len(path.read_text().splitlines()) == 2
+
     def test_missing_column_rejected(self, tmp_path):
         log = DiagnosticsWriter(tmp_path / "h.csv", ["time", "value"])
         with pytest.raises(ValueError, match="missing columns"):
